@@ -66,9 +66,7 @@ class GluingSpec:
         return sorted(seen, key=sorted)
 
     def other_face(self, face_name, edge):
-        hits = [fn for fn, _ in self.face_of_edge(edge) if True]
         pair = [fn for fn, _ in self.face_of_edge(edge)]
-        del hits
         a, b = pair
         return b if a == face_name else a
 

@@ -39,29 +39,6 @@ class TileType:
     faces: list                 # template faces: {label, cycle of names}
     interior_edges: dict = field(default_factory=dict)   # frozenset -> {status, added}
 
-    def matches(self, statuses, added):
-        """First alignment (rotation r, reflected?) fitting this tile."""
-        n = self.size
-        if len(statuses) != n:
-            return None
-        for refl in (False, True):
-            for r in range(n):
-                ok = True
-                for i in range(n):
-                    j = (r + i) % n if not refl else (r - i - 1) % n
-                    want = self.match[i]
-                    if want is None:
-                        continue
-                    if want.get("status", ANY) not in (ANY, statuses[j]):
-                        ok = False
-                        break
-                    if bool(want.get("added", False)) != added[j]:
-                        ok = False
-                        break
-                if ok:
-                    return (r, refl)
-        return None
-
 
 @dataclass
 class SubdivisionRule:

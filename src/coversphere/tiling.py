@@ -11,6 +11,7 @@ ids so that construction is deterministic.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -369,42 +370,17 @@ class Tiling:
 
     # -- isomorphism ---------------------------------------------------
 
-    def _flag_signature(self, h):
-        f = self.h_face[h]
-        e = self.h_edge[h]
-        return (self.face_labels[f], len(self.face_halfedges(f)),
-                self.edge_status[e], self.edge_added[e],
-                self.vertex_degree(self.h_origin[h]),
-                self.h_origin[h] in self.loaded_vertices)
-
-    def _refined_signatures(self):
-        """Weisfeiler-Leman style refinement of flag signatures.
-
-        Iterates until the partition into signature classes stops getting
-        finer, so the candidate-root class below is as small as possible.
-        """
-        H = len(self.h_face)
-        sig = [hash(self._flag_signature(h)) for h in range(H)]
-        classes = len(set(sig))
-        while True:
-            sig = [hash((sig[h], sig[self.h_next[h]], sig[self.h_twin[h]]))
-                   for h in range(H)]
-            c2 = len(set(sig))
-            if c2 == classes:
-                break
-            classes = c2
-        # fold the raw local signature back in so hashes stay meaningful
-        return [(self._flag_signature(h), sig[h]) for h in range(H)]
-
     def _canonical_from(self, root, mirror):
         """BFS relabeling of the flag graph starting at ``root``.
 
         Traversal uses (next, twin) moves, or (prev, twin) for the mirror
-        image.  Returns an encoding tuple that two tilings share exactly
-        when a label- and status-preserving isomorphism maps one root flag
-        to the other.
+        image, where a half-edge's far end plays the part of its origin.
+        Returns an encoding tuple that two tilings share exactly when a
+        label- and status-preserving isomorphism maps one root flag to the
+        other.
         """
         step = self.h_prev if mirror else self.h_next
+        vertex = _flag_vertex(self, mirror)
         order = {root: 0}
         queue = [root]
         out = []
@@ -420,7 +396,7 @@ class Tiling:
             out.append((order[step[h]], order[self.h_twin[h]],
                         self.face_labels[self.h_face[h]],
                         self.edge_status[e], self.edge_added[e],
-                        self.h_origin[h] in self.loaded_vertices))
+                        vertex[h] in self.loaded_vertices))
         if len(order) != len(self.h_face):
             out.append(("disconnected", len(order)))
         return tuple(out)
@@ -433,12 +409,10 @@ class Tiling:
                 self.restrict(comp).canonical_form() for comp in
                 self.components())
             return ("disjoint",) + tuple(keys)
-        sigs = self._refined_signatures()
-        counts = {}
-        for s in sigs:
-            counts[s] = counts.get(s, 0) + 1
-        best_sig = min(counts, key=lambda s: (counts[s], s))
-        roots = [h for h, s in enumerate(sigs) if s == best_sig]
+        for colours, in _wl_colours([self]):
+            pass
+        root = _root_colour(colours)
+        roots = [h for h, c in enumerate(colours) if c == root]
         return min(self._canonical_from(r, m)
                    for r in roots for m in (False, True))
 
@@ -459,8 +433,117 @@ class Tiling:
                       added_edges=added)
 
 
+def _flag_vertex(t, mirror):
+    """Per flag, the vertex a label-preserving map must respect.
+
+    A mirror map reverses every half-edge, so there a flag's far end
+    stands where its origin stands in the unmirrored map.
+    """
+    return [t.h_origin[h] for h in t.h_twin] if mirror else t.h_origin
+
+
+def _relabel(signatures):
+    """Dense colours for lists of signatures, ordered by sorted signature."""
+    palette = sorted(set().union(*signatures))
+    index = {s: i for i, s in enumerate(palette)}
+    return [[index[s] for s in sig] for sig in signatures], len(palette)
+
+
+def _wl_colours(tilings):
+    """Weisfeiler-Leman colour refinement of flags on one joint palette.
+
+    A flag starts from its face label and size, its edge status and added
+    mark, and the (degree, loaded) pairs of its two ends taken unordered.
+    Each round adds the colours of its twin and, unordered, of its next and
+    prev flags.  Nothing depends on orientation or on the order of ids, so
+    every isomorphism, mirror images included, preserves colours.  Colours
+    are renumbered each round into dense ints by sorted signature, which
+    keeps them independent of string hashing and equal across tilings and
+    processes.
+
+    Yields a list of colour lists, one per tiling, after each round that
+    refines the partition; the last yield is stable.
+    """
+    signatures = []
+    for t in tilings:
+        size = [0] * t.num_faces
+        for f in t.h_face:
+            size[f] += 1
+        degree = [0] * t.num_vertices
+        for v in t.h_origin:
+            degree[v] += 1
+        ends = [(degree[v], v in t.loaded_vertices)
+                for v in range(t.num_vertices)]
+        sig = []
+        for h, f in enumerate(t.h_face):
+            e = t.h_edge[h]
+            x, y = ends[t.h_origin[h]], ends[t.h_origin[t.h_twin[h]]]
+            sig.append((t.face_labels[f], size[f], t.edge_status[e],
+                        t.edge_added[e]) + ((x, y) if x <= y else (y, x)))
+        signatures.append(sig)
+    colours, classes = _relabel(signatures)
+    while True:
+        yield colours
+        k, kk = classes, classes * classes
+        signatures = [
+            [(x * k + y) * kk + (p * k + q if p < q else q * k + p)
+             for x, y, p, q in zip(c, [c[h] for h in t.h_twin],
+                                   [c[h] for h in t.h_next],
+                                   [c[h] for h in t.h_prev])]
+            for t, c in zip(tilings, colours)]
+        refined, classes = _relabel(signatures)
+        if classes == k:
+            return
+        colours = refined
+
+
+def _root_colour(colours):
+    """The colour of the smallest class, ties broken by lowest colour."""
+    counts = Counter(colours)
+    return min(counts, key=lambda c: (counts[c], c))
+
+
+def _walk(a, b, keys_a, keys_b, r, s, mirror):
+    """Grow the flag map ``r -> s`` breadth-first from a into b.
+
+    ``next`` in a goes to ``next`` in b, or to ``prev`` for a mirror image,
+    and ``twin`` to ``twin``.  Every mapped pair must agree on its key.
+    Returns False at the first clash and True once every flag is mapped
+    bijectively.
+    """
+    a_next, a_twin = a.h_next, a.h_twin
+    b_step, b_twin = (b.h_prev if mirror else b.h_next), b.h_twin
+    fwd = [-1] * len(a_next)
+    inv = [-1] * len(b_step)
+    fwd[r], inv[s] = s, r
+    queue = [r]
+    i = 0
+    while i < len(queue):
+        h = queue[i]
+        i += 1
+        g = fwd[h]
+        if keys_a[h] != keys_b[g]:
+            return False
+        for x, y in ((a_next[h], b_step[g]), (a_twin[h], b_twin[g])):
+            m = fwd[x]
+            if m < 0:
+                if inv[y] >= 0:
+                    return False
+                fwd[x], inv[y] = y, x
+                queue.append(x)
+            elif m != y:
+                return False
+    return len(queue) == len(fwd)
+
+
 def isomorphic(a: Tiling, b: Tiling) -> bool:
-    """Label- and status-preserving isomorphism (mirror images allowed)."""
+    """Label- and status-preserving isomorphism (mirror images allowed).
+
+    The map must preserve face labels, edge statuses, added edges and
+    loaded vertices.  Connected tilings are refined jointly; then one root
+    flag of a, from its smallest colour class, is walked against every
+    flag of b with the same colour, in both orientations.
+    """
     if (a.num_faces, a.num_edges, a.num_vertices) != \
             (b.num_faces, b.num_edges, b.num_vertices):
         return False
@@ -468,7 +551,23 @@ def isomorphic(a: Tiling, b: Tiling) -> bool:
         return False
     if sorted(a.edge_status) != sorted(b.edge_status):
         return False
-    return a.canonical_form() == b.canonical_form()
+    if not (a.is_connected() and b.is_connected()):
+        return a.canonical_form() == b.canonical_form()
+    for ca, cb in _wl_colours([a, b]):
+        if Counter(ca) != Counter(cb):
+            return False
+    # A key packs a flag's colour, which fixes its face label, edge status
+    # and added mark, with whether its vertex is loaded.
+    keys_a = [2 * c + (v in a.loaded_vertices)
+              for c, v in zip(ca, _flag_vertex(a, False))]
+    keys_b = {m: [2 * c + (v in b.loaded_vertices)
+                  for c, v in zip(cb, _flag_vertex(b, m))]
+              for m in (False, True)}
+    root = _root_colour(ca)
+    r = ca.index(root)
+    return any(_walk(a, b, keys_a, keys_b[m], r, s, m)
+               for s, c in enumerate(cb) if c == root
+               for m in (False, True))
 
 
 # -- refinement witnesses ----------------------------------------------

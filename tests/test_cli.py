@@ -70,6 +70,22 @@ def test_verify_exit_codes(capsys):
     assert "companion" in err
 
 
+def test_verify_sl2r_against_utn_cover(capsys):
+    code, out, _ = run(capsys, "verify", "--rule", "sl2r", "--steps", "4")
+    assert code == 0
+    assert json.loads(out) == {"rule": "sl2r", "spec": "utn", "steps": 4,
+                               "equivalent": True}
+
+
+def test_verify_reports_first_mismatched_stage(capsys, monkeypatch):
+    monkeypatch.setattr("coversphere.cli.apply_replacement",
+                        lambda rule, t: t)
+    code, out, err = run(capsys, "verify", "--rule", "torus3", "--steps", "3")
+    assert code == 1
+    assert out == ""
+    assert "stage 2" in err
+
+
 def test_pack_roundtrip(tmp_path, capsys):
     tiling_path = tmp_path / "t.json"
     svg_path = tmp_path / "t.svg"

@@ -1,0 +1,134 @@
+"""Verdicts of `isomorphic` on rule-built stages, checked against the
+canonical form, and stability of canonical forms across processes."""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import coversphere
+from coversphere.catalog import get_rule
+from coversphere.growth import stage_tilings
+from coversphere.tiling import Tiling, face_spec, isomorphic
+
+
+def final_stage(rule, n, mode):
+    *_, t = stage_tilings(get_rule(rule), n, mode)
+    return t
+
+
+def rebuilt(t, *, names=None, order=None, reverse=False, labels=None,
+            status=None):
+    """A fresh Tiling of t's faces, optionally renamed, reordered, with
+    every face cycle reversed, or with other face labels or edge statuses.
+    Edge ids serve as edge keys, so loaded vertices are derived anew."""
+    labels = labels or t.face_labels
+    specs = []
+    for f in order or range(t.num_faces):
+        vs = [names[v] if names else v for v in t.face_vertices(f)]
+        es = t.face_edges(f)
+        if reverse:
+            vs, es = vs[::-1], es[-2::-1] + es[-1:]
+        specs.append(face_spec(labels[f], vs, es))
+    added = [e for e in range(t.num_edges) if t.edge_added[e]]
+    return Tiling(specs, edge_status=dict(enumerate(status or t.edge_status)),
+                  added_edges=added)
+
+
+def shuffled(t):
+    rng = random.Random(7)
+    names = list(range(t.num_vertices))
+    rng.shuffle(names)
+    order = list(range(t.num_faces))
+    rng.shuffle(order)
+    return rebuilt(t, names=names, order=order)
+
+
+def labels_swapped(t):
+    """Two faces with different labels trade labels."""
+    g = next(f for f in range(t.num_faces)
+             if t.face_labels[f] != t.face_labels[0])
+    labels = list(t.face_labels)
+    labels[0], labels[g] = labels[g], labels[0]
+    return rebuilt(t, labels=labels)
+
+
+def statuses_swapped(t):
+    """A loaded and a plain edge trade statuses."""
+    status = list(t.edge_status)
+    i, j = status.index("loaded"), status.index("plain")
+    status[i], status[j] = status[j], status[i]
+    return rebuilt(t, status=status)
+
+
+# nxs1 stage 3: 1,310 faces, 24 loaded vertices.  torus3 stage 3: 78
+# faces, 8 loaded vertices; its faces all carry one label, so its
+# non-isomorphic copy trades edge statuses instead.
+STAGES = {
+    "nxs1": ("nxs1", 3, "replacement", labels_swapped),
+    "torus3": ("torus3", 3, "replacement", statuses_swapped),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(STAGES))
+def stage(request):
+    rule, n, mode, breaker = STAGES[request.param]
+    t = final_stage(rule, n, mode)
+    return t, t.canonical_form(), breaker
+
+
+@pytest.mark.parametrize("variant,expected", [
+    ("shuffled", True), ("mirrored", True), ("broken", False)])
+def test_walk_verdicts_agree_with_canonical_form(stage, variant, expected):
+    t, form, breaker = stage
+    u = {"shuffled": shuffled, "broken": breaker,
+         "mirrored": lambda t: rebuilt(t, reverse=True)}[variant](t)
+    assert (u.num_faces, u.num_edges, u.num_vertices) == \
+        (t.num_faces, t.num_edges, t.num_vertices)
+    assert sorted(u.face_labels) == sorted(t.face_labels)
+    assert sorted(u.edge_status) == sorted(t.edge_status)
+    assert isomorphic(t, u) is expected
+    assert (form == u.canonical_form()) is expected
+
+
+def test_chiral_tiling_matches_its_mirror_image():
+    # Relabelling three faces leaves no reflection symmetry, so only a
+    # mirror map can match the tiling to its reversed copy.
+    t = final_stage("nxs1", 2, "replacement")
+    labels = list(t.face_labels)
+    for i, f in enumerate((0, 5, 17)):
+        labels[f] = "C%d" % i
+    chiral = rebuilt(t, labels=labels)
+    mirror = rebuilt(chiral, reverse=True)
+    assert isomorphic(chiral, mirror)
+    assert chiral.canonical_form() == mirror.canonical_form()
+    labels[30] = labels[17]
+    labels[17] = t.face_labels[17]
+    assert not isomorphic(chiral, rebuilt(t, labels=labels))
+
+
+DIGESTS = """
+import hashlib
+from coversphere.catalog import get_rule
+from coversphere.growth import stage_tilings
+for rule, n, mode in (("torus3", 4, "subdivision"), ("nxs1", 3, "replacement")):
+    *_, t = stage_tilings(get_rule(rule), n, mode)
+    print(hashlib.sha256(repr(t.canonical_form()).encode()).hexdigest())
+"""
+
+
+def test_canonical_form_stable_across_hash_seeds():
+    src = str(Path(coversphere.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", DIGESTS], env=env,
+                             capture_output=True, text=True, timeout=300,
+                             check=True)
+        assert len(run.stdout.split()) == 2
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
