@@ -88,7 +88,7 @@ def probe(state_factory, name, stage, region):
 
     state.expand()
     t2 = state.boundary_sphere()
-    cells = {state.slot_face(state.slot_partner[s])[0] for s in group_slots}
+    cells = {state.slot_partner[s] // state.F for s in group_slots}
     assert len(cells) == 1, "group covered by %d cells" % len(cells)
     c2 = cells.pop()
 
@@ -104,7 +104,6 @@ def probe(state_factory, name, stage, region):
         return vname[root]
 
     spec = state.spec
-    F = state.F
     template_faces = []
     flaps = []
     new_edges = {}
@@ -126,11 +125,13 @@ def probe(state_factory, name, stage, region):
                      for sym in pat.boundary_req
                      if old_status[sym] == "fragile"}
 
-    for fname in spec.face_names:
-        s = state.slot(c2, fname)
+    for fi, fname in enumerate(state.face_names):
+        s = c2 * state.F + fi
         fc = spec.faces[fname]
-        cyc = [name_of(state.verts.find((c2, u))) for u in fc.vertices]
-        eroots = [state.edges.find((c2, pe)) for pe in state.face_edges[fname]]
+        cyc = [name_of(state.verts.find(c2 * state.NV + u))
+               for u in state.face_verts[fi]]
+        eroots = [state.edges.find(c2 * state.NE + e)
+                  for e in state.face_edges[fi]]
         if s in slots2:     # still open: a proper template face
             template_faces.append({"label": fc.label, "cycle": cyc})
             for i, r in enumerate(eroots):
@@ -138,7 +139,7 @@ def probe(state_factory, name, stage, region):
                     pair = tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)])))
                     new_edges[pair] = t2.edge_status[k2id[r]]
             continue
-        partner_cell = state.slot_face(state.slot_partner[s])[0]
+        partner_cell = state.slot_partner[s] // state.F
         if partner_cell < old_cells or partner_cell == c2:
             continue        # the attachment to the covered group itself
         # folded onto another new cell: a collapse flap

@@ -35,6 +35,12 @@ class RuleCatalogEntry:
             out.append("replacement")
         return tuple(out)
 
+    @property
+    def default_mode(self):
+        """The mode used when none is asked for: replacement if the rule
+        has that form, else subdivision."""
+        return self.modes[-1]
+
 
 def _data_path(fname):
     return resources.files("coversphere.data") / fname

@@ -16,12 +16,7 @@ from .tiling import Tiling, isomorphic
 
 
 def _emit(obj, path):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
 
 
 def _write(text, path):
@@ -49,7 +44,7 @@ def _cmd_subdivide(args):
     tilings = list(growth.stage_tilings(entry, args.steps, args.mode))
     stats = {
         "rule": entry.name,
-        "mode": args.mode or (entry.modes[-1] if entry.modes else None),
+        "mode": args.mode or entry.default_mode,
         "steps": args.steps,
         "face_counts": [len(t.face_start) for t in tilings],
         "edge_counts": [len(t.edges) for t in tilings],

@@ -14,125 +14,106 @@ from __future__ import annotations
 from collections import deque
 
 from .gluing import GluingSpec
-from .tiling import Tiling, face_spec
+from .tiling import FRAGILE, LOADED, Tiling, face_spec
+from .unionfind import UnionFind
 
 
 class CoverError(ValueError):
     pass
 
 
-class _UnionFind:
-    """Union-find over arbitrary hashable keys with member tracking."""
-
-    def __init__(self):
-        self.parent = {}
-        self.members = {}
-
-    def find(self, x):
-        p = self.parent
-        if x not in p:
-            p[x] = x
-            self.members[x] = [x]
-            return x
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if len(self.members[ra]) < len(self.members[rb]):
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.members[ra].extend(self.members.pop(rb))
-        return ra
-
-    def size(self, x):
-        return len(self.members[self.find(x)])
-
-
 class CoverState:
+    """A ball in the universal cover, keyed by dense ints.
+
+    Cell c's copy of polyhedron vertex v is the key ``c*NV + v`` of
+    ``verts``, and its copy of polyhedron edge e the key ``c*NE + e`` of
+    ``edges``.  Face slot ``c*F + f`` is cell c's face f; ``slot_partner``
+    holds the slot it is glued to, or -1 while it is open.
+    """
+
     def __init__(self, spec: GluingSpec):
         self.spec = spec
         self.face_names = list(spec.faces)
-        self.face_index = {n: i for i, n in enumerate(self.face_names)}
         self.F = len(self.face_names)
-        # polyhedron edge -> the two faces containing it
-        self.flank = {}
-        for e in spec.edges():
-            self.flank[e] = [fn for fn, _ in spec.face_of_edge(e)]
-        self.face_edges = {}
-        for fn, f in spec.faces.items():
-            n = len(f.vertices)
-            self.face_edges[fn] = [
-                frozenset((f.vertices[i], f.vertices[(i + 1) % n]))
-                for i in range(n)]
+        vindex = {}
+        for f in spec.faces.values():
+            for u in f.vertices:
+                vindex.setdefault(u, len(vindex))
+        polyhedron_edges = spec.edges()
+        eindex = {e: i for i, e in enumerate(polyhedron_edges)}
+        self.NV, self.NE = len(vindex), len(eindex)
+        self.cycle = [spec.edge_cycle[e] for e in polyhedron_edges]
+        self.flank = [[] for _ in polyhedron_edges]   # edge -> its 2 faces
+        # per face: vertex and edge indices, their images under the
+        # pairing, and the index of the target face
+        self.face_verts, self.face_edges = [], []
+        self.vert_image, self.edge_image = [], []
+        self.target = []
+        for fi, fname in enumerate(self.face_names):
+            vs = spec.faces[fname].vertices
+            target, vmap = spec.pairings[fname]
+            pes = [frozenset((vs[i], vs[(i + 1) % len(vs)]))
+                   for i in range(len(vs))]
+            for pe in pes:
+                self.flank[eindex[pe]].append(fi)
+            self.face_verts.append([vindex[u] for u in vs])
+            self.face_edges.append([eindex[pe] for pe in pes])
+            self.vert_image.append([vindex[vmap[u]] for u in vs])
+            self.edge_image.append(
+                [eindex[frozenset(vmap[u] for u in pe)] for pe in pes])
+            self.target.append(self.face_names.index(target))
         self.num_cells = 1
-        self.slot_partner = {}          # slot -> slot, both directions
-        self.verts = _UnionFind()       # keys (cell, vertex name)
-        self.edges = _UnionFind()       # keys (cell, frozenset edge)
+        self.slot_partner = [-1] * self.F
+        self.verts = UnionFind(self.NV)
+        self.edges = UnionFind(self.NE)
         self.stage = 1
 
-    # -- slot helpers ---------------------------------------------------
-
-    def slot(self, cell, fname):
-        return cell * self.F + self.face_index[fname]
-
-    def slot_face(self, s):
-        return divmod(s, self.F)[0], self.face_names[s % self.F]
-
-    def is_open(self, s):
-        return s not in self.slot_partner
-
     def open_slots(self):
-        return [s for s in range(self.num_cells * self.F) if self.is_open(s)]
+        return [s for s, p in enumerate(self.slot_partner) if p < 0]
 
     # -- gluing ---------------------------------------------------------
 
-    def _cycle_length(self, edge_root):
-        cell, pe = self.edges.members[edge_root][0]
-        return self.spec.edge_cycle[pe]
-
     def _glue(self, s1, s2, work):
         """Identify slot s1's face with slot s2's face via the pairing."""
-        c1, f1 = self.slot_face(s1)
-        c2, f2 = self.slot_face(s2)
-        target, vmap = self.spec.pairings[f1]
-        if target != f2:
+        c1, f1 = divmod(s1, self.F)
+        c2, f2 = divmod(s2, self.F)
+        if self.target[f1] != f2:
             raise CoverError(
                 "folding mismatch: faces %s and %s meet along the boundary "
-                "but are not paired" % (f1, f2))
+                "but are not paired" % (self.face_names[f1],
+                                        self.face_names[f2]))
         self.slot_partner[s1] = s2
         self.slot_partner[s2] = s1
-        for u in self.spec.faces[f1].vertices:
-            self.verts.union((c1, u), (c2, vmap[u]))
-        for pe in self.face_edges[f1]:
-            img = frozenset(vmap[u] for u in pe)
-            root = self.edges.union((c1, pe), (c2, img))
-            L = self._cycle_length(root)
-            if self.edges.size(root) > L:
+        union = self.verts.union
+        b1, b2 = c1 * self.NV, c2 * self.NV
+        for u, w in zip(self.face_verts[f1], self.vert_image[f1]):
+            union(b1 + u, b2 + w)
+        union = self.edges.union
+        size = self.edges.size
+        b1, b2 = c1 * self.NE, c2 * self.NE
+        for e, g in zip(self.face_edges[f1], self.edge_image[f1]):
+            root = union(b1 + e, b2 + g)
+            if size[root] > self.cycle[e]:
                 raise CoverError(
                     "edge incidence %d exceeds cycle length %d"
-                    % (self.edges.size(root), L))
+                    % (size[root], self.cycle[e]))
             work.append(root)
 
     def _open_flanking_slots(self, edge_root):
         out = set()
-        for cell, pe in self.edges.members[edge_root]:
-            for fn in self.flank[pe]:
-                s = self.slot(cell, fn)
-                if self.is_open(s):
+        for key in self.edges.members(edge_root):
+            cell, e = divmod(key, self.NE)
+            for fi in self.flank[e]:
+                s = cell * self.F + fi
+                if self.slot_partner[s] < 0:
                     out.add(s)
         return sorted(out)
 
     def _fold_fixpoint(self, work):
+        find = self.edges.find
         while work:
-            root = self.edges.find(work.popleft())
-            if self.edges.size(root) != self._cycle_length(root):
+            root = find(work.popleft())
+            if self.edges.size[root] != self.cycle[root % self.NE]:
                 continue
             slots = self._open_flanking_slots(root)
             if not slots:
@@ -142,20 +123,21 @@ class CoverState:
                     "folding mismatch: saturated edge flanked by %d open "
                     "faces" % len(slots))
             s1, s2 = slots
-            c1, f1 = self.slot_face(s1)
-            c2, f2 = self.slot_face(s2)
+            c1, f1 = divmod(s1, self.F)
+            c2, f2 = divmod(s2, self.F)
             # sanity: the shared edge's endpoints must already agree under
             # the pairing, otherwise the identification is ill-defined
-            _, vmap = self.spec.pairings[f1]
-            for cell, pe in self.edges.members[root]:
-                if cell == c1 and pe in self.face_edges[f1]:
-                    for u in pe:
-                        a = self.verts.find((c1, u))
-                        b = self.verts.find((c2, vmap[u]))
-                        if a != b:
+            vs, img = self.face_verts[f1], self.vert_image[f1]
+            b1, b2 = c1 * self.NV, c2 * self.NV
+            for i, e in enumerate(self.face_edges[f1]):
+                if find(c1 * self.NE + e) == root:
+                    for j in (i, (i + 1) % len(vs)):
+                        if (self.verts.find(b1 + vs[j])
+                                != self.verts.find(b2 + img[j])):
                             raise CoverError(
                                 "folding mismatch: inconsistent edge "
-                                "endpoints at fold of %s/%s" % (f1, f2))
+                                "endpoints at fold of %s/%s"
+                                % (self.face_names[f1], self.face_names[f2]))
                     break
             self._glue(s1, s2, work)
             work.append(root)
@@ -164,17 +146,14 @@ class CoverState:
         """Attach one layer of cells: B(n) -> B(n+1)."""
         work = deque()
         for s in self.open_slots():
-            if not self.is_open(s):
+            if self.slot_partner[s] >= 0:
                 continue
-            c, fname = self.slot_face(s)
-            target, _ = self.spec.pairings[fname]
             c2 = self.num_cells
             self.num_cells += 1
-            for u in self.spec.faces[target].vertices:
-                self.verts.find((c2, u))
-            for pe in self.face_edges[target]:
-                self.edges.find((c2, pe))
-            self._glue(s, self.slot(c2, target), work)
+            self.verts.add(self.NV)
+            self.edges.add(self.NE)
+            self.slot_partner.extend([-1] * self.F)
+            self._glue(s, c2 * self.F + self.target[s % self.F], work)
             self._fold_fixpoint(work)
         self.stage += 1
         return self
@@ -182,25 +161,26 @@ class CoverState:
     # -- boundary extraction ---------------------------------------------
 
     def boundary_sphere(self) -> Tiling:
+        vfind, efind = self.verts.find, self.edges.find
+        size = self.edges.size
+        labels = [self.spec.faces[n].label for n in self.face_names]
         specs = []
         status = {}
-        for s in sorted(self.open_slots()):
-            cell, fname = self.slot_face(s)
-            f = self.spec.faces[fname]
-            vs = [self.verts.find((cell, u)) for u in f.vertices]
+        for s in self.open_slots():
+            cell, fi = divmod(s, self.F)
+            vb, eb = cell * self.NV, cell * self.NE
             es = []
-            for pe in self.face_edges[fname]:
-                root = self.edges.find((cell, pe))
+            for e in self.face_edges[fi]:
+                root = efind(eb + e)
                 es.append(root)
-                k = self.edges.size(root)
-                L = self._cycle_length(root)
-                if k == L - 1:
-                    status[root] = "loaded"
-                elif k == L - 2:
-                    status[root] = "fragile"
-                else:
-                    status[root] = "plain"
-            specs.append(face_spec(f.label, vs, es))
+                gap = self.cycle[e] - size[root]
+                if gap == 1:
+                    status[root] = LOADED
+                elif gap == 2:
+                    status[root] = FRAGILE
+            specs.append(face_spec(labels[fi],
+                                   [vfind(vb + u) for u in self.face_verts[fi]],
+                                   es))
         return Tiling(specs, stage=self.stage, edge_status=status)
 
 

@@ -88,8 +88,7 @@ def classify_growth(series) -> Classification:
 
 def stage_tilings(entry: RuleCatalogEntry, n: int, mode=None):
     """Yield tilings for stages 1..n of a catalog entry."""
-    if mode is None:
-        mode = entry.modes[-1] if entry.modes else "replacement"
+    mode = mode or entry.default_mode
     if mode not in entry.modes:
         raise GrowthError(f"rule {entry.name!r} has no {mode} form")
     t = entry.initial
@@ -109,8 +108,7 @@ def growth_series(entry: RuleCatalogEntry, n: int, mode=None):
 
 def growth_report(entry: RuleCatalogEntry, n: int, mode=None) -> GrowthReport:
     faces, edges, verts = [], [], []
-    if mode is None:
-        mode = entry.modes[-1] if entry.modes else "replacement"
+    mode = mode or entry.default_mode
     for t in stage_tilings(entry, n, mode):
         faces.append(len(t.face_start))
         edges.append(len(t.edges))

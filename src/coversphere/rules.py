@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .tiling import Tiling, RefinementWitness, face_spec
+from .unionfind import UnionFind
 
 ANY = "any"
 
@@ -337,21 +338,13 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
 
 def _loaded_groups(t: Tiling):
     """Partition face ids into components connected by loaded edges."""
-    parent = list(range(t.num_faces))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(t.num_faces)
     for e in range(t.num_edges):
         if t.edge_status[e] == "loaded":
-            f, g = t.edge_faces(e)
-            parent[find(f)] = find(g)
+            uf.union(*t.edge_faces(e))
     groups = {}
     for f in range(t.num_faces):
-        groups.setdefault(find(f), []).append(f)
+        groups.setdefault(uf.find(f), []).append(f)
     return [sorted(g) for g in sorted(groups.values())]
 
 
@@ -445,7 +438,9 @@ def apply_replacement(rule: ReplacementRule, t: Tiling, with_witness=False):
 
     Flap faces declared by the matched patterns are zipped in pairs across
     shared fragile-edge chains: both faces are removed and their remaining
-    boundaries identified.
+    boundaries identified.  New vertices are numbered from
+    ``t.num_vertices`` and new edge keys from ``t.num_edges`` upward, so
+    old and new keys share one union-find.
     """
     specs = []          # (label, [names], [keys])
     status = {}
@@ -455,6 +450,7 @@ def apply_replacement(rule: ReplacementRule, t: Tiling, with_witness=False):
     group_faces = {}    # group index -> spec indices
     survivors_v = set()
     survivors_e = set()
+    nv, ne = t.num_vertices, t.num_edges
 
     for gid, group in enumerate(_loaded_groups(t)):
         matched = None
@@ -483,12 +479,14 @@ def apply_replacement(rule: ReplacementRule, t: Tiling, with_witness=False):
             survivors_e.add(e)
 
         names = dict(sigma)
+        new_keys = {}
         start = len(specs)
         for tf in pat.faces:
             cyc = []
             for nm in tf["cycle"]:
                 if nm not in names:
-                    names[nm] = ("gv", gid, nm)
+                    names[nm] = nv
+                    nv += 1
                 cyc.append(names[nm])
             keys = []
             m = len(cyc)
@@ -496,14 +494,17 @@ def apply_replacement(rule: ReplacementRule, t: Tiling, with_witness=False):
                 sym = frozenset((tf["cycle"][i], tf["cycle"][(i + 1) % m]))
                 if sym in pat.boundary_req:
                     keys.append(edge_of[sym])
+                elif sym in new_keys:
+                    keys.append(new_keys[sym])
                 else:
-                    key = ("ge", gid, sym)
-                    keys.append(key)
+                    new_keys[sym] = ne
+                    keys.append(ne)
                     attrs = pat.edges.get(sym,
                                           {"status": "plain", "added": False})
-                    status[key] = attrs["status"]
+                    status[ne] = attrs["status"]
                     if attrs["added"]:
-                        added.add(key)
+                        added.add(ne)
+                    ne += 1
             specs.append((tf["label"], cyc, keys))
         group_faces[gid] = list(range(start, len(specs)))
         survivors_v |= set(sigma.values())
@@ -519,18 +520,8 @@ def apply_replacement(rule: ReplacementRule, t: Tiling, with_witness=False):
     by_chain = {}
     for idx, chain in flap_records:
         by_chain.setdefault(frozenset(chain), []).append(idx)
-    vert_uf = {}
-    key_uf = {}
-
-    def find(uf, x):
-        while uf.setdefault(x, x) != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
-    def union(uf, a, b):
-        uf[find(uf, a)] = find(uf, b)
-
+    vert_uf = UnionFind(nv)
+    key_uf = UnionFind(ne)
     dead = set()
     for chain_key, idxs in sorted(by_chain.items(), key=lambda kv: sorted(kv[0])):
         if len(idxs) != 2:
@@ -577,36 +568,32 @@ def apply_replacement(rule: ReplacementRule, t: Tiling, with_witness=False):
                 "collapse flap mismatch: flap boundaries cannot be aligned")
         c1r, k1r, c2r, k2r = aligned
         for a, b in zip(c1r, c2r):
-            union(vert_uf, a, b)
+            vert_uf.union(a, b)
         for a, b in zip(k1r, k2r):
-            if find(key_uf, a) != find(key_uf, b):
-                sa = status.get(a, t.edge_status[a] if isinstance(a, int)
+            if key_uf.find(a) != key_uf.find(b):
+                sa = status.get(a, t.edge_status[a] if a < t.num_edges
                                 else None)
-                sb = status.get(b, t.edge_status[b] if isinstance(b, int)
+                sb = status.get(b, t.edge_status[b] if b < t.num_edges
                                 else None)
                 if sa != sb:
                     raise RuleError(
                         "collapse flap mismatch: identified edges carry "
                         "different statuses")
-                union(key_uf, a, b)
+                key_uf.union(a, b)
         dead.add(idxs[0])
         dead.add(idxs[1])
 
+    vfind, kfind = vert_uf.find, key_uf.find
     final = []
     fmap = {}
-    for i, (label, cyc, keys) in enumerate(specs):
+    for i, (label, cyc, ks) in enumerate(specs):
         if i in dead:
             continue
         fmap[i] = len(final)
-        final.append(face_spec(label,
-                               [find(vert_uf, v) for v in cyc],
-                               [find(key_uf, k) for k in keys]))
-    rstatus = {}
-    radded = set()
-    for k, s in status.items():
-        rstatus[find(key_uf, k)] = s
-        if k in added:
-            radded.add(find(key_uf, k))
+        final.append(face_spec(label, [vfind(v) for v in cyc],
+                               [kfind(k) for k in ks]))
+    rstatus = {kfind(k): s for k, s in status.items()}
+    radded = {kfind(k) for k in added}
 
     out = Tiling(final, stage=t.stage + 1, edge_status=rstatus,
                  added_edges=radded)
@@ -617,11 +604,11 @@ def apply_replacement(rule: ReplacementRule, t: Tiling, with_witness=False):
     name_to_id = {nm: i for i, nm in enumerate(out.vertex_names)}
     w = RefinementWitness()
     for v in range(t.num_vertices):
-        v2 = find(vert_uf, v) if v in vert_uf else v
+        v2 = vfind(v)
         if v in survivors_v and v2 in name_to_id:
             w.vertex_map[v] = name_to_id[v2]
     for e in survivors_e:
-        e2 = find(key_uf, e) if e in key_uf else e
+        e2 = kfind(e)
         if e2 in key_to_id:
             w.edge_map[e] = [key_to_id[e2]]
     groups = _loaded_groups(t)

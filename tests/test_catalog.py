@@ -13,6 +13,11 @@ def test_catalog_contents():
                           "sl2r", "s2xr", "s3"}
 
 
+def test_default_mode_prefers_replacement():
+    assert get_rule("torus3").default_mode == "replacement"
+    assert get_rule("barycentric").default_mode == "subdivision"
+
+
 def test_unknown_rule_rejected():
     with pytest.raises(CatalogError):
         get_rule("minkowski")

@@ -2,7 +2,7 @@ import importlib.resources as resources
 
 import pytest
 
-from coversphere.cover import CoverState, build_cover, sphere_series
+from coversphere.cover import CoverError, CoverState, build_cover, sphere_series
 from coversphere.gluing import parse_gluing
 from coversphere.tiling import isomorphic
 
@@ -101,3 +101,10 @@ def test_expand_is_deterministic(cube_spec):
     a = build_cover(cube_spec, 4).boundary_sphere()
     b = build_cover(cube_spec, 4).boundary_sphere()
     assert a.to_json() == b.to_json()
+
+
+def test_wrong_cycle_lengths_fail_at_a_fold():
+    spec = load("cube.glue")
+    spec.edge_cycle = {e: 3 for e in spec.edge_cycle}
+    with pytest.raises(CoverError, match="folding mismatch"):
+        build_cover(spec, 4)

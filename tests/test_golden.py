@@ -1,0 +1,45 @@
+"""Byte-level pins of stage tilings, measured before the cover and
+replacement engines moved to int-keyed union-find.  Ids are dense in order
+of first appearance, so any change to which cells, vertices or edges get
+identified, or to the order faces are emitted in, changes a digest."""
+
+import hashlib
+
+import pytest
+
+from coversphere.catalog import get_rule, load_spec
+from coversphere.cover import build_cover
+from coversphere.growth import stage_tilings
+
+
+def cover_sphere(spec, n):
+    return lambda: build_cover(load_spec(spec), n).boundary_sphere()
+
+
+def rule_stage(rule, n, mode):
+    def make():
+        *_, t = stage_tilings(get_rule(rule), n, mode)
+        return t
+    return make
+
+
+GOLDEN = [
+    ("prism12 S(4)", cover_sphere("prism12", 4),
+     "e22f5b4fb199f188c99596a8fabed8bd83f81c247bdc32a7214184c1085c776c"),
+    ("cube S(5)", cover_sphere("cube", 5),
+     "f93942c3c30d45fa1e12c43cc21760b1e875c27e642e3db32e8b83bf32a6c069"),
+    ("utn S(4)", cover_sphere("utn", 4),
+     "64892b90b5470ad0d68a38d9fc1a96280444bf9c899bd080f867d08064902747"),
+    ("nxs1 replacement 4", rule_stage("nxs1", 4, "replacement"),
+     "41fdb65c24b863fe4247901e8f20a5814ed5d03eacb17bb8c10e47a6f8b8df34"),
+    ("torus3 replacement 4", rule_stage("torus3", 4, "replacement"),
+     "77d3f207909ad36a63f98b5b49f9ab3bb036acd37f34f70661f9898e2e9450f5"),
+    ("torus3 subdivision 4", rule_stage("torus3", 4, "subdivision"),
+     "dcc50d35f0d917dadbda183f1ff187b18389f7722ef2194801069ddb00f65e7d"),
+]
+
+
+@pytest.mark.parametrize("make, digest", [g[1:] for g in GOLDEN],
+                         ids=[g[0] for g in GOLDEN])
+def test_to_json_digest(make, digest):
+    assert hashlib.sha256(make().to_json().encode()).hexdigest() == digest
