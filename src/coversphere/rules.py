@@ -14,12 +14,14 @@ Rules are plain JSON data; see the bundled files under data/.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .tiling import Tiling, RefinementWitness, face_spec
 from .unionfind import UnionFind
 
 ANY = "any"
+_PLAIN = {"status": "plain", "added": False}
 
 
 class RuleError(ValueError):
@@ -39,6 +41,15 @@ class TileType:
     boundary: list              # per position: "default" | {"set": …} | {"split": […]}
     faces: list                 # template faces: {label, cycle of names}
     interior_edges: dict = field(default_factory=dict)   # frozenset -> {status, added}
+
+    def __post_init__(self):
+        # symbolic boundary cycle: corners v<i>, split points e<i>.<j>
+        self.rim = []
+        for i, d in enumerate(self.boundary):
+            self.rim.append("v%d" % i)
+            if isinstance(d, dict) and "split" in d:
+                self.rim += ["e%d.%d" % (i, j)
+                             for j in range(1, len(d["split"]))]
 
 
 @dataclass
@@ -60,12 +71,7 @@ class Pattern:
 
     def __post_init__(self):
         # symbolic edges appearing in two region faces are internal
-        count = {}
-        for f in self.region:
-            cyc = f["cycle"]
-            for i in range(len(cyc)):
-                e = frozenset((cyc[i], cyc[(i + 1) % len(cyc)]))
-                count[e] = count.get(e, 0) + 1
+        count = Counter(e for f in self.region for e in _sides(f["cycle"]))
         self.internal_edges = {e for e, k in count.items() if k == 2}
         for e in self.internal_edges:
             self.internal.setdefault(e, "loaded")
@@ -90,6 +96,75 @@ class Rule:
     name: str
     subdivision: SubdivisionRule | None = None
     replacement: ReplacementRule | None = None
+
+
+def _sides(cycle):
+    """Symbolic sides of a closed cycle; side i joins cycle[i], cycle[i+1]."""
+    return [frozenset(p) for p in zip(cycle, cycle[1:] + cycle[:1])]
+
+
+def _dihedral(vs, es):
+    """The n rotations, then the n reflections, of a face's cycles.
+
+    Yields (vertices, edges) lists in which edge i joins vertex i and
+    vertex i+1, as it does in ``vs`` and ``es``.
+    """
+    n = len(vs)
+    for r in range(n):
+        yield vs[r:] + vs[:r], es[r:] + es[:r]
+    rv, re = vs[::-1], es[::-1]
+    for r in range(n):
+        # through vertex r: vs[r], vs[r-1], ... with es[r-1], es[r-2], ...
+        a, b = n - 1 - r, (n - r) % n
+        yield rv[a:] + rv[:a], re[b:] + re[:b]
+
+
+def _instantiate(faces, names, boundary, edge_attrs, nv, ne, status, added):
+    """Template faces as (label, vertex ids, edge keys).
+
+    ``names`` maps the symbolic boundary vertices to ids and ``boundary``
+    the symbolic boundary sides to edge keys.  Every other vertex and side
+    takes the next int from ``nv`` or ``ne``; a new edge's status and added
+    mark come from ``edge_attrs`` and go into ``status`` and ``added``.
+    Returns (faces, nv, ne).
+    """
+    names, keys = dict(names), dict(boundary)
+    out = []
+    for tf in faces:
+        vs, es = [], []
+        for nm in tf["cycle"]:
+            if nm not in names:
+                names[nm] = nv
+                nv += 1
+            vs.append(names[nm])
+        for sym in _sides(tf["cycle"]):
+            if sym not in keys:
+                keys[sym] = ne
+                attrs = edge_attrs.get(sym, _PLAIN)
+                status[ne] = attrs["status"]
+                if attrs["added"]:
+                    added.add(ne)
+                ne += 1
+            es.append(keys[sym])
+        out.append((tf["label"], vs, es))
+    return out, nv, ne
+
+
+def _witness(out, vertex_names, edge_keys, face_map):
+    """A RefinementWitness from old ids into ``out``'s names and keys.
+
+    Entries naming a vertex or an edge key that ``out`` lacks are left out.
+    """
+    vid = {nm: i for i, nm in enumerate(out.vertex_names)}
+    eid = {k: i for i, k in enumerate(out.edge_keys)}
+    w = RefinementWitness(face_map=face_map)
+    for v, nm in vertex_names.items():
+        if nm in vid:
+            w.vertex_map[v] = vid[nm]
+    for e, keys in edge_keys.items():
+        if all(k in eid for k in keys):
+            w.edge_map[e] = [eid[k] for k in keys]
+    return w
 
 
 def _edge_attrs(items):
@@ -146,68 +221,37 @@ def load_rule_file(path) -> Rule:
 # subdivision
 
 
-def _canonical_chain(e, k):
-    """Segment keys and interior vertex names of edge e split into k parts,
-    oriented from the smaller endpoint id."""
-    segs = [("seg", e, j) for j in range(k)]
-    verts = [("sv", e, j) for j in range(1, k)]
-    return segs, verts
-
-
 def apply_subdivision(rule: SubdivisionRule, t: Tiling):
     """Replace every face by its tile-type template.
 
     Returns (tiling, witness); the witness records how the input embeds in
-    the output (vertex map, per-edge chains, per-face regions).
+    the output (vertex map, per-edge chains, per-face regions).  New
+    vertices are numbered from ``t.num_vertices`` and new edge keys from
+    ``t.num_edges`` upward; surviving edges keep their ids as keys.
     """
     split_plan = {}      # edge id -> list of segment attrs (canonical orient.)
     new_status = {}      # edge key -> {status, added}
     face_plans = []
 
     for f in range(t.num_faces):
-        label = t.face_labels[f]
         vs = t.face_vertices(f)
         es = t.face_edges(f)
         n = len(vs)
-        statuses = None
-        chosen = None
-        for tile in rule.tiles:
-            if tile.label != label or tile.size != n:
-                continue
-            for refl in (False, True):
-                for r in range(n):
-                    if not refl:
-                        avs = [vs[(r + i) % n] for i in range(n)]
-                        aes = [es[(r + i) % n] for i in range(n)]
-                    else:
-                        avs = [vs[(r - i) % n] for i in range(n)]
-                        aes = [es[(r - i - 1) % n] for i in range(n)]
-                    ok = True
-                    for i, want in enumerate(tile.match):
-                        if want is None:
-                            continue
-                        e = aes[i]
-                        if want.get("status", ANY) not in (ANY,
-                                                           t.edge_status[e]):
-                            ok = False
-                            break
-                        if bool(want.get("added", False)) != t.edge_added[e]:
-                            ok = False
-                            break
-                    if ok:
-                        chosen = (tile, avs, aes)
-                        break
-                if chosen:
-                    break
-            if chosen:
-                break
+        chosen = next((
+            (tile, avs, aes) for tile in rule.tiles
+            if tile.label == t.face_labels[f] and tile.size == n
+            for avs, aes in _dihedral(vs, es)
+            if all(want is None
+                   or want.get("status", ANY) in (ANY, t.edge_status[e])
+                   and bool(want.get("added", False)) == t.edge_added[e]
+                   for want, e in zip(tile.match, aes))), None)
         if chosen is None:
             raise RuleError(
                 "no tile type of rule %s matches face %d (label %r, "
-                "statuses %r)" % (rule.name, f, label,
+                "statuses %r)" % (rule.name, f, t.face_labels[f],
                                   [t.edge_status[e] for e in es]))
         tile, avs, aes = chosen
-        face_plans.append((f, tile, avs, aes))
+        face_plans.append(chosen)
 
         for i, directive in enumerate(tile.boundary):
             e = aes[i]
@@ -249,87 +293,41 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
                 "adjacent templates disagree on the subdivision of edge "
                 "%d" % e)
 
-    # instantiate templates
-    specs = []
-    status = {}
-    added = set()
-    face_ranges = {}
-    for f, tile, avs, aes in face_plans:
-        n = tile.size
-        names = {}
-        for i in range(n):
-            names["v%d" % i] = avs[i]
-        side_keys = {}      # frozenset of instantiated names -> edge key
-        for i in range(n):
-            e = aes[i]
-            u, v = avs[i], avs[(i + 1) % n]
-            if e in split_plan:
-                k = len(split_plan[e])
-                segs, ivs = _canonical_chain(e, k)
-                if u > v:
-                    segs, ivs = segs[::-1], ivs[::-1]
-                for j, nm in enumerate(ivs, start=1):
-                    names["e%d.%d" % (i, j)] = nm
-                chain = [u] + ivs + [v]
-                for j in range(k):
-                    side_keys[frozenset((chain[j], chain[j + 1]))] = segs[j]
-            else:
-                side_keys[frozenset((u, v))] = e
-        start = len(specs)
-        for tf in tile.faces:
-            cyc = []
-            for nm in tf["cycle"]:
-                if nm not in names:
-                    names[nm] = ("iv", f, nm)
-                cyc.append(names[nm])
-            keys = []
-            m = len(cyc)
-            for i in range(m):
-                pair = frozenset((cyc[i], cyc[(i + 1) % m]))
-                if pair in side_keys:
-                    keys.append(side_keys[pair])
-                else:
-                    key = ("ie", f, frozenset((tf["cycle"][i],
-                                               tf["cycle"][(i + 1) % m])))
-                    keys.append(key)
-                    sym = frozenset((tf["cycle"][i], tf["cycle"][(i + 1) % m]))
-                    attrs = tile.interior_edges.get(
-                        sym, {"status": "plain", "added": False})
-                    status[key] = attrs["status"]
-                    if attrs["added"]:
-                        added.add(key)
-            specs.append(face_spec(tf["label"], cyc, keys))
-        face_ranges[f] = range(start, len(specs))
+    # each split edge's segments and inner vertices take ints once, in
+    # canonical orientation
+    nv, ne = t.num_vertices, t.num_edges
+    chains = {}          # edge id -> (segment keys, inner vertex ids)
+    for e, attrs in split_plan.items():
+        k = len(attrs)
+        chains[e] = list(range(ne, ne + k)), list(range(nv, nv + k - 1))
+        new_status.update(zip(chains[e][0], attrs))
+        nv, ne = nv + k - 1, ne + k
+    status = {key: a["status"] for key, a in new_status.items()}
+    added = {key for key, a in new_status.items() if a["added"]}
 
-    for e, attrs in new_status.items():
-        status[e] = attrs["status"]
-        if attrs["added"]:
-            added.add(e)
-    for e, attrs_list in split_plan.items():
-        segs, _ = _canonical_chain(e, len(attrs_list))
-        for seg, a in zip(segs, attrs_list):
-            status[seg] = a["status"]
-            if a["added"]:
-                added.add(seg)
+    specs = []
+    face_map = {}
+    for f, (tile, avs, aes) in enumerate(face_plans):
+        rim_vs, rim_es = [], []
+        for u, v, e in zip(avs, avs[1:] + avs[:1], aes):
+            segs, ivs = chains.get(e, ([e], []))
+            if u > v:   # face traverses against canonical orientation
+                segs, ivs = segs[::-1], ivs[::-1]
+            rim_vs += [u] + ivs
+            rim_es += segs
+        faces, nv, ne = _instantiate(
+            tile.faces, dict(zip(tile.rim, rim_vs)),
+            dict(zip(_sides(tile.rim), rim_es)), tile.interior_edges,
+            nv, ne, status, added)
+        face_map[f] = set(range(len(specs), len(specs) + len(faces)))
+        specs += faces
 
     out = Tiling(specs, stage=t.stage + 1, edge_status=status,
                  added_edges=added)
-
-    key_to_id = {k: i for i, k in enumerate(out.edge_keys)}
-    name_to_id = {nm: i for i, nm in enumerate(out.vertex_names)}
-    w = RefinementWitness()
-    for v in range(t.num_vertices):
-        if v in name_to_id:
-            w.vertex_map[v] = name_to_id[v]
-    for e in range(t.num_edges):
-        if e in split_plan:
-            segs, _ = _canonical_chain(e, len(split_plan[e]))
-            w.edge_map[e] = [key_to_id[s] for s in segs]
-        elif e in key_to_id:
-            w.edge_map[e] = [key_to_id[e]]
-    for f, rng in face_ranges.items():
-        w.face_map[f] = set(rng)
-    return out, w
+    return out, _witness(
+        out, {v: v for v in range(t.num_vertices)},
+        {e: chains[e][0] if e in chains else [e] for e in range(t.num_edges)},
+        face_map)
 
 
 # ---------------------------------------------------------------------
@@ -357,54 +355,26 @@ def _match_pattern(pat: Pattern, t: Tiling, group):
     if len(pat.region) != len(group):
         return None
 
-    def face_alignments(pf, g):
-        cyc = pf["cycle"]
-        n = len(cyc)
-        if pf["label"] != t.face_labels[g]:
-            return
-        vs = t.face_vertices(g)
-        es = t.face_edges(g)
-        if len(vs) != n:
-            return
-        for refl in (False, True):
-            for r in range(n):
-                if not refl:
-                    avs = [vs[(r + i) % n] for i in range(n)]
-                    aes = [es[(r + i) % n] for i in range(n)]
-                else:
-                    avs = [vs[(r - i) % n] for i in range(n)]
-                    aes = [es[(r - i - 1) % n] for i in range(n)]
-                yield avs, aes
-
     def extend(idx, sigma, edge_of, used):
         if idx == len(pat.region):
             return sigma, edge_of
         pf = pat.region[idx]
-        cyc = pf["cycle"]
-        n = len(cyc)
+        cyc, sides = pf["cycle"], _sides(pf["cycle"])
         for g in group:
-            if g in used:
+            if g in used or pf["label"] != t.face_labels[g]:
                 continue
-            for avs, aes in face_alignments(pf, g):
+            vs = t.face_vertices(g)
+            if len(vs) != len(cyc):
+                continue
+            for avs, aes in _dihedral(vs, t.face_edges(g)):
                 s2 = dict(sigma)
-                ok = True
-                for nm, v in zip(cyc, avs):
-                    if s2.get(nm, v) != v:
-                        ok = False
-                        break
-                    s2[nm] = v
-                if not ok:
+                if any(s2.setdefault(nm, v) != v for nm, v in zip(cyc, avs)):
                     continue
                 if len(set(s2.values())) != len(s2):
                     continue
                 e2 = dict(edge_of)
-                for i in range(n):
-                    sym = frozenset((cyc[i], cyc[(i + 1) % n]))
-                    if e2.get(sym, aes[i]) != aes[i]:
-                        ok = False
-                        break
-                    e2[sym] = aes[i]
-                if not ok:
+                if any(e2.setdefault(sym, e) != e
+                       for sym, e in zip(sides, aes)):
                     continue
                 res = extend(idx + 1, s2, e2, used | {g})
                 if res:
@@ -442,29 +412,28 @@ def apply_replacement(rule: ReplacementRule, t: Tiling, with_witness=False):
     ``t.num_vertices`` and new edge keys from ``t.num_edges`` upward, so
     old and new keys share one union-find.
     """
-    specs = []          # (label, [names], [keys])
+    specs = []          # (label, [vertex ids], [edge keys])
     status = {}
     added = set()
     flap_records = []   # (spec index, chain of old edge ids)
     boundary_to = {}    # old edge id -> prescribed new status
-    group_faces = {}    # group index -> spec indices
+    group_faces = []    # per group, its range of spec indices
     survivors_v = set()
     survivors_e = set()
     nv, ne = t.num_vertices, t.num_edges
 
-    for gid, group in enumerate(_loaded_groups(t)):
-        matched = None
+    groups = _loaded_groups(t)
+    for group in groups:
         for pat in rule.patterns:
             m = _match_pattern(pat, t, group)
             if m:
-                matched = (pat, m[0], m[1])
                 break
-        if not matched:
+        else:
             raise RuleError(
                 "no pattern of rule %s matches the group of faces %r "
                 "(labels %r)" % (rule.name, group,
                                  [t.face_labels[f] for f in group]))
-        pat, sigma, edge_of = matched
+        sigma, edge_of = m
 
         for sym, req in pat.boundary_req.items():
             e = edge_of[sym]
@@ -478,36 +447,13 @@ def apply_replacement(rule: ReplacementRule, t: Tiling, with_witness=False):
             boundary_to[e] = to
             survivors_e.add(e)
 
-        names = dict(sigma)
-        new_keys = {}
+        faces, nv, ne = _instantiate(
+            pat.faces, sigma, {sym: edge_of[sym] for sym in pat.boundary_req},
+            pat.edges, nv, ne, status, added)
         start = len(specs)
-        for tf in pat.faces:
-            cyc = []
-            for nm in tf["cycle"]:
-                if nm not in names:
-                    names[nm] = nv
-                    nv += 1
-                cyc.append(names[nm])
-            keys = []
-            m = len(cyc)
-            for i in range(m):
-                sym = frozenset((tf["cycle"][i], tf["cycle"][(i + 1) % m]))
-                if sym in pat.boundary_req:
-                    keys.append(edge_of[sym])
-                elif sym in new_keys:
-                    keys.append(new_keys[sym])
-                else:
-                    new_keys[sym] = ne
-                    keys.append(ne)
-                    attrs = pat.edges.get(sym,
-                                          {"status": "plain", "added": False})
-                    status[ne] = attrs["status"]
-                    if attrs["added"]:
-                        added.add(ne)
-                    ne += 1
-            specs.append((tf["label"], cyc, keys))
-        group_faces[gid] = list(range(start, len(specs)))
-        survivors_v |= set(sigma.values())
+        group_faces.append(range(start, start + len(faces)))
+        specs += faces
+        survivors_v.update(sigma.values())
 
         for flap in pat.flaps:
             chain = [edge_of[frozenset(ends)] for ends in flap["chain"]]
@@ -528,42 +474,24 @@ def apply_replacement(rule: ReplacementRule, t: Tiling, with_witness=False):
             raise RuleError(
                 "collapse flap mismatch: fragile chain %r has %d flaps"
                 % (sorted(chain_key), len(idxs)))
-        (l1, c1, k1), (l2, c2, k2) = specs[idxs[0]], specs[idxs[1]]
+        (_, c1, k1), (_, c2, k2) = specs[idxs[0]], specs[idxs[1]]
         if len(c1) != len(c2):
             raise RuleError(
                 "collapse flap mismatch: flap faces of different sizes")
-        n = len(c1)
-        # rotate both cycles so the shared chain occupies the same leading
-        # positions, traversed in opposite directions (book closing)
-        p1 = [i for i in range(n) if k1[i] in chain_key]
-        p2 = [i for i in range(n) if k2[i] in chain_key]
-        if len(p1) != len(chain_key) or len(p2) != len(chain_key):
+        n = len(chain_key)
+        if sum(k in chain_key for k in k1) != n or \
+                sum(k in chain_key for k in k2) != n:
             raise RuleError("collapse flap mismatch: chain not on flap face")
-        # align by matching shared vertex ids along the chain
-        aligned = False
-        for r2 in range(n):
-            c2r = [c2[(r2 + i) % n] for i in range(n)]
-            k2r = [k2[(r2 + i) % n] for i in range(n)]
-            for refl in (True, False):
-                for r1 in range(n):
-                    if refl:
-                        c1r = [c1[(r1 - i) % n] for i in range(n)]
-                        k1r = [k1[(r1 - i - 1) % n] for i in range(n)]
-                    else:
-                        c1r = [c1[(r1 + i) % n] for i in range(n)]
-                        k1r = [k1[(r1 + i) % n] for i in range(n)]
-                    if k1r[:len(chain_key)] == k2r[:len(chain_key)] and \
-                            all(k in chain_key
-                                for k in k2r[:len(chain_key)]) and \
-                            c1r[0] == c2r[0] and \
-                            c1r[len(chain_key)] == c2r[len(chain_key)]:
-                        aligned = (c1r, k1r, c2r, k2r)
-                        break
-                if aligned:
-                    break
-            if aligned:
-                break
-        if not aligned:
+        # align both cycles so that the shared chain occupies the same
+        # leading positions and runs between the same vertex ids
+        rims1 = list(_dihedral(c1, k1))
+        aligned = next((
+            (c1r, k1r, c2r, k2r) for c2r, k2r in _dihedral(c2, k2)
+            if chain_key.issuperset(k2r[:n])
+            for c1r, k1r in rims1
+            if k1r[:n] == k2r[:n] and c1r[0] == c2r[0] and c1r[n] == c2r[n]),
+            None)
+        if aligned is None:
             raise RuleError(
                 "collapse flap mismatch: flap boundaries cannot be aligned")
         c1r, k1r, c2r, k2r = aligned
@@ -580,18 +508,16 @@ def apply_replacement(rule: ReplacementRule, t: Tiling, with_witness=False):
                         "collapse flap mismatch: identified edges carry "
                         "different statuses")
                 key_uf.union(a, b)
-        dead.add(idxs[0])
-        dead.add(idxs[1])
+        dead.update(idxs)
 
     vfind, kfind = vert_uf.find, key_uf.find
     final = []
     fmap = {}
     for i, (label, cyc, ks) in enumerate(specs):
-        if i in dead:
-            continue
-        fmap[i] = len(final)
-        final.append(face_spec(label, [vfind(v) for v in cyc],
-                               [kfind(k) for k in ks]))
+        if i not in dead:
+            fmap[i] = len(final)
+            final.append((label, [vfind(v) for v in cyc],
+                          [kfind(k) for k in ks]))
     rstatus = {kfind(k): s for k, s in status.items()}
     radded = {kfind(k) for k in added}
 
@@ -599,24 +525,12 @@ def apply_replacement(rule: ReplacementRule, t: Tiling, with_witness=False):
                  added_edges=radded)
     if not with_witness:
         return out
-
-    key_to_id = {k: i for i, k in enumerate(out.edge_keys)}
-    name_to_id = {nm: i for i, nm in enumerate(out.vertex_names)}
-    w = RefinementWitness()
-    for v in range(t.num_vertices):
-        v2 = vfind(v)
-        if v in survivors_v and v2 in name_to_id:
-            w.vertex_map[v] = name_to_id[v2]
-    for e in survivors_e:
-        e2 = kfind(e)
-        if e2 in key_to_id:
-            w.edge_map[e] = [key_to_id[e2]]
-    groups = _loaded_groups(t)
-    for gid, group in enumerate(groups):
-        if len(group) == 1:     # only single-face groups map unambiguously
-            ids = {fmap[i] for i in group_faces[gid] if i in fmap}
-            w.face_map[group[0]] = ids
-    return out, w
+    # only single-face groups map unambiguously
+    return out, _witness(
+        out, {v: vfind(v) for v in sorted(survivors_v)},
+        {e: [kfind(e)] for e in survivors_e},
+        {g[0]: {fmap[i] for i in rng if i in fmap}
+         for g, rng in zip(groups, group_faces) if len(g) == 1})
 
 
 # ---------------------------------------------------------------------
@@ -633,14 +547,9 @@ def _check_template_disk(faces, boundary_syms, where, diags):
             diags.append("%s: closed template is not a closed surface (%s)"
                          % (where, exc))
         return
-    sides = {}
-    for f in faces:
-        cyc = f["cycle"]
-        for i in range(len(cyc)):
-            e = frozenset((cyc[i], cyc[(i + 1) % len(cyc)]))
-            sides[e] = sides.get(e, 0) + 1
+    sides = Counter(e for f in faces for e in _sides(f["cycle"]))
     for e in boundary_syms:
-        if sides.get(e, 0) != 1:
+        if sides[e] != 1:
             diags.append("%s: boundary edge %r not covered exactly once"
                          % (where, sorted(e)))
             return
@@ -667,19 +576,8 @@ def validate_rule(rule: Rule):
                 diags.append("%s: matcher/boundary length differs from tile "
                              "size" % where)
                 continue
-            # boundary symbols after splitting
-            bsyms = set()
-            corners = ["v%d" % i for i in range(tile.size)]
-            for i, d in enumerate(tile.boundary):
-                u, v = corners[i], corners[(i + 1) % tile.size]
-                if isinstance(d, dict) and "split" in d:
-                    chain = [u] + ["e%d.%d" % (i, j)
-                                   for j in range(1, len(d["split"]))] + [v]
-                    for j in range(len(chain) - 1):
-                        bsyms.add(frozenset(chain[j:j + 2]))
-                else:
-                    bsyms.add(frozenset((u, v)))
-            _check_template_disk(tile.faces, bsyms, where, diags)
+            _check_template_disk(tile.faces, set(_sides(tile.rim)), where,
+                                 diags)
         out_labels = {f["label"] for tile in rule.subdivision.tiles
                       for f in tile.faces}
         in_labels = {tile.label for tile in rule.subdivision.tiles}

@@ -352,8 +352,19 @@ class Tiling:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise TilingError("a tiling must be a JSON object, not %s"
+                              % type(data).__name__)
+        for key in ("faces", "edges"):
+            if not (isinstance(data[key], list)
+                    and all(isinstance(r, dict) for r in data[key])):
+                raise TilingError("%s must be a list of objects" % key)
         specs = []
         for f in sorted(data["faces"], key=lambda r: r["id"]):
+            for key in ("vertices", "edges"):
+                if not isinstance(f[key], list):
+                    raise TilingError("face %r: %s must be a list"
+                                      % (f["id"], key))
             specs.append(face_spec(f["type"], f["vertices"], f["edges"]))
         status = {}
         added = set()

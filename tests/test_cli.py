@@ -101,6 +101,26 @@ def test_pack_roundtrip(tmp_path, capsys):
     assert svg_path.read_text().count("<circle") == 13
 
 
+@pytest.mark.parametrize("doc, where", [
+    ([], "JSON object"),
+    ({"faces": [{"id": 0, "type": "t", "vertices": 5, "edges": [0, 1, 2]}],
+      "edges": []}, "face 0: vertices"),
+    ({"faces": [{"id": 3, "type": "t", "vertices": [0, 1, 2], "edges": 7}],
+      "edges": []}, "face 3: edges"),
+    ({"faces": 3, "edges": []}, "faces must be a list of objects"),
+    ({"faces": [5], "edges": []}, "faces must be a list of objects"),
+    ({"faces": [], "edges": [5]}, "edges must be a list of objects"),
+])
+def test_pack_rejects_malformed_tiling(tmp_path, capsys, doc, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "pack", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and where in err
+    assert "Traceback" not in err
+
+
 def test_unknown_rule_diagnostic(capsys):
     code, _, err = run(capsys, "subdivide", "--rule", "minkowski",
                        "--steps", "2")

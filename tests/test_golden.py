@@ -1,7 +1,9 @@
-"""Byte-level pins of stage tilings, measured before the cover and
-replacement engines moved to int-keyed union-find.  Ids are dense in order
-of first appearance, so any change to which cells, vertices or edges get
-identified, or to the order faces are emitted in, changes a digest."""
+"""Byte-level pins of stage tilings.  The first six were measured before
+the cover and replacement engines moved to int-keyed union-find, the last
+three before both rule engines shared one template instantiation.  Ids are
+dense in order of first appearance, so any change to which cells, vertices
+or edges get identified, or to the order faces are emitted in, changes a
+digest."""
 
 import hashlib
 
@@ -36,6 +38,12 @@ GOLDEN = [
      "77d3f207909ad36a63f98b5b49f9ab3bb036acd37f34f70661f9898e2e9450f5"),
     ("torus3 subdivision 4", rule_stage("torus3", 4, "subdivision"),
      "dcc50d35f0d917dadbda183f1ff187b18389f7722ef2194801069ddb00f65e7d"),
+    ("barycentric subdivision 4", rule_stage("barycentric", 4, "subdivision"),
+     "40f923ebe4d6aa4bc5efb44fa02b2cbbd4308f3355523b20a455bdaa9e78a8d4"),
+    ("torus3 subdivision 5", rule_stage("torus3", 5, "subdivision"),
+     "1b4a9c0b9445ef66439b19c2c2439dbca13ce14fd2226f2aa967cc27b880c3db"),
+    ("s2xr replacement 4", rule_stage("s2xr", 4, "replacement"),
+     "ea67809782c7857b6924985e7fae5fee3b81ef3e19a0eea0982bca3da842d4eb"),
 ]
 
 

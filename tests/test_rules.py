@@ -202,3 +202,22 @@ def test_validate_flags_non_disk_template():
         }]},
     }
     assert validate_rule(load_rule(bad)) != []
+
+
+@pytest.mark.parametrize("rule, mode", [("nxs1", "replacement"),
+                                        ("torus3", "subdivision")])
+def test_dihedral_alignments(rule, mode):
+    from coversphere.catalog import get_rule
+    from coversphere.growth import stage_tilings
+    from coversphere.rules import _dihedral
+    *_, t = stage_tilings(get_rule(rule), 3, mode)
+    for f in range(t.num_faces):
+        vs, es = t.face_vertices(f), t.face_edges(f)
+        n = len(vs)
+        alignments = list(_dihedral(vs, es))
+        assert len(alignments) == 2 * n
+        assert len({(tuple(a), tuple(b)) for a, b in alignments}) == 2 * n
+        for avs, aes in alignments:
+            for i in range(n):
+                assert set(t.edge_endpoints(aes[i])) == \
+                    {avs[i], avs[(i + 1) % n]}
