@@ -25,7 +25,7 @@ def main():
         label = pack(triangulate(t, args.open))
         path = outdir / f"{args.rule}_stage{i}.svg"
         path.write_text(render_svg(label))
-        print(f"{path}  faces={len(t.face_start)} "
+        print(f"{path}  faces={t.num_faces} "
               f"circles={len(label.center)} residual={label.residual:.2e} "
               f"tangency={tangency_error(label):.2e}")
 

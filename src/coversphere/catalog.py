@@ -11,7 +11,7 @@ from importlib import resources
 from .cover import build_cover
 from .gluing import GluingSpec, load_gluing_spec
 from .rules import Rule, load_rule_file
-from .tiling import Tiling, face_spec
+from .tiling import Tiling
 
 
 class CatalogError(KeyError):
@@ -60,10 +60,10 @@ def _initial_from_spec(name):
 
 def _tetrahedron():
     faces = [
-        face_spec("t", ["a", "b", "c"]),
-        face_spec("t", ["a", "c", "d"]),
-        face_spec("t", ["a", "d", "b"]),
-        face_spec("t", ["b", "d", "c"]),
+        ("t", ["a", "b", "c"]),
+        ("t", ["a", "c", "d"]),
+        ("t", ["a", "d", "b"]),
+        ("t", ["b", "d", "c"]),
     ]
     return Tiling(faces, stage=1)
 

@@ -46,9 +46,9 @@ def _cmd_subdivide(args):
         "rule": entry.name,
         "mode": args.mode or entry.default_mode,
         "steps": args.steps,
-        "face_counts": [len(t.face_start) for t in tilings],
-        "edge_counts": [len(t.edges) for t in tilings],
-        "vertex_counts": [len(t.vertex_names) for t in tilings],
+        "face_counts": [t.num_faces for t in tilings],
+        "edge_counts": [t.num_edges for t in tilings],
+        "vertex_counts": [t.num_vertices for t in tilings],
     }
     if args.stats:
         _emit(stats, args.stats)
@@ -71,7 +71,7 @@ def _cmd_cover(args):
             return 2
         sphere = state.boundary_sphere()
         cells.append(state.num_cells)
-        faces.append(len(sphere.face_start))
+        faces.append(sphere.num_faces)
         spheres.append(sphere.is_sphere())
         state.expand()
     _emit({"spec": spec.name or args.spec, "steps": args.steps,
@@ -143,7 +143,7 @@ def _cmd_verify(args):
         sphere = state.boundary_sphere()
         if not isomorphic(t, sphere):
             print(f"stage {stage}: rule output does not match cover "
-                  f"({len(t.face_start)} vs {len(sphere.face_start)} faces)",
+                  f"({t.num_faces} vs {sphere.num_faces} faces)",
                   file=sys.stderr)
             return 1
         if stage < args.steps:

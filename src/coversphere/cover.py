@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 
 from .gluing import GluingSpec
-from .tiling import FRAGILE, LOADED, Tiling, face_spec
+from .tiling import FRAGILE, LOADED, Tiling
 from .unionfind import UnionFind
 
 
@@ -164,7 +164,7 @@ class CoverState:
         vfind, efind = self.verts.find, self.edges.find
         size = self.edges.size
         labels = [self.spec.faces[n].label for n in self.face_names]
-        specs = []
+        faces = []
         status = {}
         for s in self.open_slots():
             cell, fi = divmod(s, self.F)
@@ -178,10 +178,9 @@ class CoverState:
                     status[root] = LOADED
                 elif gap == 2:
                     status[root] = FRAGILE
-            specs.append(face_spec(labels[fi],
-                                   [vfind(vb + u) for u in self.face_verts[fi]],
-                                   es))
-        return Tiling(specs, stage=self.stage, edge_status=status)
+            faces.append((labels[fi],
+                          [vfind(vb + u) for u in self.face_verts[fi]], es))
+        return Tiling(faces, stage=self.stage, edge_status=status)
 
 
 def build_cover(spec: GluingSpec, stages: int) -> CoverState:

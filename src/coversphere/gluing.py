@@ -42,10 +42,6 @@ class GluingSpec:
     # derived
     edge_cycle: dict = field(default_factory=dict)   # frozenset edge -> int
 
-    @property
-    def face_names(self):
-        return list(self.faces)
-
     def face_of_edge(self, edge):
         """The two (face, position) slots flanking a polyhedron edge."""
         out = []
@@ -69,9 +65,6 @@ class GluingSpec:
         pair = [fn for fn, _ in self.face_of_edge(edge)]
         a, b = pair
         return b if a == face_name else a
-
-    def cycle_length(self, edge):
-        return self.edge_cycle[frozenset(edge)]
 
 
 def _walk_edge_orbit(spec: GluingSpec, edge, start_face):

@@ -103,15 +103,15 @@ def stage_tilings(entry: RuleCatalogEntry, n: int, mode=None):
 
 def growth_series(entry: RuleCatalogEntry, n: int, mode=None):
     """Face counts for stages 1..n."""
-    return [len(t.face_start) for t in stage_tilings(entry, n, mode)]
+    return [t.num_faces for t in stage_tilings(entry, n, mode)]
 
 
 def growth_report(entry: RuleCatalogEntry, n: int, mode=None) -> GrowthReport:
     faces, edges, verts = [], [], []
     mode = mode or entry.default_mode
     for t in stage_tilings(entry, n, mode):
-        faces.append(len(t.face_start))
-        edges.append(len(t.edges))
-        verts.append(len(t.vertex_names))
+        faces.append(t.num_faces)
+        edges.append(t.num_edges)
+        verts.append(t.num_vertices)
     return GrowthReport(entry.name, mode, faces, edges, verts,
                         classify_growth(faces))

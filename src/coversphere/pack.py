@@ -58,12 +58,12 @@ def flower(k: int) -> PackingProblem:
 def triangulate(t: Tiling, removed_face: int) -> PackingProblem:
     if not t.is_sphere():
         raise PackError("packing input must be a sphere tiling")
-    if removed_face not in range(len(t.face_start)):
+    if removed_face not in range(t.num_faces):
         raise PackError(f"no such face: {removed_face}")
     boundary = set(t.face_vertices(removed_face))
     verts = set()
     tris = []
-    for f in range(len(t.face_start)):
+    for f in range(t.num_faces):
         if f == removed_face:
             continue
         cyc = t.face_vertices(f)

@@ -17,7 +17,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .tiling import Tiling, RefinementWitness, face_spec
+from .tiling import Tiling, RefinementWitness
 from .unionfind import UnionFind
 
 ANY = "any"
@@ -542,7 +542,7 @@ def _check_template_disk(faces, boundary_syms, where, diags):
     if not boundary_syms:
         # closed template: must itself be a closed surface
         try:
-            Tiling([face_spec(f["label"], f["cycle"]) for f in faces])
+            Tiling([(f["label"], f["cycle"]) for f in faces])
         except Exception as exc:
             diags.append("%s: closed template is not a closed surface (%s)"
                          % (where, exc))
@@ -624,7 +624,7 @@ def strip_added_edges(t: Tiling, relabel=None) -> Tiling:
         return t
     # walk each merged region's boundary, skipping over added edges
     done = set()
-    specs = []
+    faces = []
     status = {}
     for h0 in range(len(t.h_face)):
         if h0 in done or t.edge_added[t.h_edge[h0]]:
@@ -642,5 +642,5 @@ def strip_added_edges(t: Tiling, relabel=None) -> Tiling:
             while t.edge_added[t.h_edge[h]]:
                 h = t.h_next[t.h_twin[h]]
         label = relabel or t.face_labels[t.h_face[h0]]
-        specs.append(face_spec(label, cyc, keys))
-    return Tiling(specs, stage=t.stage, edge_status=status)
+        faces.append((label, cyc, keys))
+    return Tiling(faces, stage=t.stage, edge_status=status)

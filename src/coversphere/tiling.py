@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
 
 PLAIN = "plain"
 LOADED = "loaded"
@@ -25,211 +24,158 @@ class TilingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FaceSpec:
-    """Input description of one face: a label and its boundary walk.
-
-    ``edges`` may be None, in which case edge identities are inferred by
-    matching endpoint pairs; it must be given explicitly whenever two
-    distinct edges share both endpoints (e.g. the square model of the
-    torus).  Edge keys can be any hashable values.
-    """
-
-    label: str
-    vertices: tuple
-    edges: tuple | None = None
-
-
-def face_spec(label, vertices, edges=None):
-    vertices = tuple(vertices)
-    if edges is not None:
-        edges = tuple(edges)
-        if len(edges) != len(vertices):
-            raise TilingError("edge cycle length differs from vertex cycle")
-    return FaceSpec(label, vertices, edges)
-
-
 class Tiling:
     """An immutable tiling of a closed surface (possibly disconnected).
 
+    Faces are given as ``(label, vertices)`` or ``(label, vertices, edges)``
+    sequences.  Vertex names and edge keys can be any hashable values.
+    Without ``edges``, side i's key is the unordered pair of its endpoints;
+    keys must be given whenever two distinct edges share both endpoints
+    (e.g. the square model of the torus).  Face f's half-edges are the
+    contiguous ids ``face_start[f]..``, side i of the input cycle being
+    ``face_start[f] + i``; a face flipped to orient the surface keeps that
+    start and walks its sides backwards.
+
     The half-edge arrays use the usual conventions: ``next`` walks around a
     face, ``twin`` jumps across an edge, and ``next(twin(h))`` walks the
-    rotation around the origin vertex of ``h``.
+    rotation around the origin vertex of ``h``.  A vertex is loaded when
+    every edge at it is loaded.
     """
 
-    def __init__(self, faces: Sequence[FaceSpec], *, stage: int = 0,
-                 edge_status: Mapping | None = None,
-                 added_edges: Iterable | None = None,
-                 flag_loaded_vertices: bool = True):
+    def __init__(self, faces, *, stage=0, edge_status=None, added_edges=None):
         self.stage = stage
-        specs = [f if isinstance(f, FaceSpec) else face_spec(*f) for f in faces]
-        for f in specs:
-            if len(f.vertices) < 3:
-                raise TilingError(
-                    "face with fewer than 3 boundary vertices: %r" % (f,))
-        self._build(specs, dict(edge_status or {}), set(added_edges or ()))
-        if flag_loaded_vertices:
-            self._flag_loaded_vertices()
+        self.face_labels = []
+        self.face_start = []
+        self.h_face = []
+        origin = []          # per side of the input cycles: its first vertex
+        keys = []            # per side: its edge key
+        vid = {}
+        for fi, (label, vs, *es) in enumerate(faces):
+            n = len(vs)
+            if n < 3:
+                raise TilingError("face %d: fewer than 3 boundary vertices"
+                                  % fi)
+            if es:
+                es, = es
+                if len(es) != n:
+                    raise TilingError(
+                        "face %d: edge cycle length %d differs from vertex "
+                        "cycle length %d" % (fi, len(es), n))
+                keys += es
+            else:
+                keys += map(frozenset, zip(vs, [*vs[1:], vs[0]]))
+            self.face_labels.append(label)
+            self.face_start.append(len(origin))
+            self.h_face += [fi] * n
+            origin += [vid.setdefault(v, len(vid)) for v in vs]
+        self.vertex_names = list(vid)
+        H = len(origin)
+        stops = self.face_start[1:] + [H]
+
+        # Half-edges walk their input cycles until a face is flipped.
+        nxt = list(range(1, H + 1))
+        prev = list(range(-1, H - 1))
+        for s, e in zip(self.face_start, stops):
+            nxt[e - 1], prev[s] = s, e - 1
+        end = [origin[h] for h in nxt]
+
+        eid = {}
+        self.h_edge = [eid.setdefault(k, len(eid)) for k in keys]
+        self.edge_keys = list(eid)
+        first = [-1] * len(eid)
+        twin = [-1] * H
+        for h, e in enumerate(self.h_edge):
+            g = first[e]
+            if g < 0:
+                first[e] = h
+            elif twin[g] < 0:
+                twin[g], twin[h] = h, g
+            else:
+                raise self._side_count_error(e)
+        if -1 in twin:
+            raise self._side_count_error(self.h_edge[twin.index(-1)])
+        self.h_twin = twin
+        self.edges = [(h, twin[h]) for h in first]
+
+        for f in self._orient(origin, end, stops):
+            s, e = self.face_start[f], stops[f]
+            nxt[s:e], prev[s:e] = prev[s:e], nxt[s:e]
+            origin[s:e] = end[s:e]
+        self.h_next, self.h_prev, self.h_origin = nxt, prev, origin
+
+        status = edge_status or {}
+        self.edge_status = [status.get(k, PLAIN) for k in self.edge_keys]
+        for st in self.edge_status:
+            if st not in STATUSES:
+                raise TilingError("unknown edge status %r" % (st,))
+        added = set(added_edges or ())
+        self.edge_added = [k in added for k in self.edge_keys]
+        loaded = [st == LOADED for st in self.edge_status]
+        unloaded = {v for v, e in zip(origin, self.h_edge) if not loaded[e]}
+        self.loaded_vertices = {v for v in range(len(vid))
+                                if v not in unloaded}
         self._validate()
 
     # -- construction -------------------------------------------------
 
-    def _build(self, specs, status_by_key, added_keys):
-        # Vertex ids: dense, in order of first appearance.
-        vid = {}
-        for f in specs:
-            for v in f.vertices:
-                if v not in vid:
-                    vid[v] = len(vid)
-        self.vertex_names = list(vid)
+    def _side_count_error(self, e):
+        return TilingError(
+            "edge %r bounds %d face sides; closed surfaces need exactly 2"
+            % (self.edge_keys[e], self.h_edge.count(e)))
 
-        # Half-edges, one per face side.
-        sides = []           # (face_index, position, vkey_from, vkey_to, edge_key)
-        inferred = {}
-        for fi, f in enumerate(specs):
-            n = len(f.vertices)
-            for p in range(n):
-                a, b = f.vertices[p], f.vertices[(p + 1) % n]
-                if f.edges is not None:
-                    key = f.edges[p]
-                else:
-                    key = ("~", a, b) if repr(a) <= repr(b) else ("~", b, a)
-                sides.append((fi, p, a, b, key))
-                inferred.setdefault(key, []).append(len(sides) - 1)
+    def _orient(self, origin, end, stops):
+        """The faces to flip so that twin half-edges run antiparallel.
 
-        for key, hs in inferred.items():
-            if len(hs) != 2:
-                raise TilingError(
-                    "edge %r bounds %d face sides; closed surfaces need "
-                    "exactly 2" % (key, len(hs)))
-
-        H = len(sides)
-        self.h_face = [s[0] for s in sides]
-        self.h_next = [0] * H
-        self.h_twin = [0] * H
-        self.h_edge = [0] * H
-        self.h_origin = [0] * H
-
-        # Orient face cycles consistently (flip whole faces as needed).
-        flip = self._orient(specs, sides, inferred)
-
-        face_halfedges = {}
-        for hid, (fi, p, a, b, key) in enumerate(sides):
-            face_halfedges.setdefault(fi, []).append(hid)
-        self.face_start = []
-        for fi, f in enumerate(specs):
-            hs = face_halfedges[fi]
-            n = len(hs)
-            order = hs if not flip[fi] else [hs[0]] + hs[:0:-1]
-            # After flipping, side p runs from vertex p+1 back to vertex p.
-            for i, hid in enumerate(order):
-                self.h_next[hid] = order[(i + 1) % n]
-            for hid in hs:
-                fi2, p, a, b, key = sides[hid]
-                self.h_origin[hid] = vid[b] if flip[fi] else vid[a]
-            self.face_start.append(order[0])
-
-        edge_ids = {}
-        self.edges = []       # list of (halfedge, halfedge)
-        self.edge_keys = []
-        for key, hs in inferred.items():
-            eid = len(self.edges)
-            edge_ids[key] = eid
-            self.edges.append(tuple(hs))
-            self.edge_keys.append(key)
-            for h in hs:
-                self.h_edge[h] = eid
-            self.h_twin[hs[0]] = hs[1]
-            self.h_twin[hs[1]] = hs[0]
-
-        self.face_labels = [f.label for f in specs]
-        self.edge_status = []
-        for eid in range(len(self.edges)):
-            st = status_by_key.get(self.edge_keys[eid], PLAIN)
-            if st not in STATUSES:
-                raise TilingError("unknown edge status %r" % (st,))
-            self.edge_status.append(st)
-        self.edge_added = [self.edge_keys[e] in added_keys
-                           for e in range(len(self.edges))]
-        self.loaded_vertices = set()
-
-        self.h_prev = [0] * H
-        for h in range(H):
-            self.h_prev[self.h_next[h]] = h
-
-    def _orient(self, specs, sides, inferred):
-        """Choose a flip flag per face making twin half-edges antiparallel.
-
-        Works component by component (BFS from the lowest face id).  Loop
-        edges give no orientation information and are skipped.
+        ``origin`` and ``end`` give each side's endpoints along its input
+        cycle.  Works component by component (DFS from the lowest face id),
+        each root keeping its input orientation.  Loop edges give no
+        orientation information and are skipped.
         """
-        nfaces = len(specs)
-        flip = [None] * nfaces
-        adj = {}
-        for key, (h1, h2) in inferred.items():
-            f1, _, a1, b1, _ = sides[h1]
-            f2, _, a2, b2, _ = sides[h2]
-            if a1 == b1 or a2 == b2:
-                continue  # loop edge: no constraint derivable
-            # Same direction means one of the two faces must be flipped.
-            same = (a1, b1) == (a2, b2)
-            adj.setdefault(f1, []).append((f2, same))
-            adj.setdefault(f2, []).append((f1, same))
-        for root in range(nfaces):
+        twin, face = self.h_twin, self.h_face
+        flip = [None] * len(self.face_start)
+        for root in range(len(flip)):
             if flip[root] is not None:
                 continue
             flip[root] = False
             stack = [root]
             while stack:
                 f = stack.pop()
-                for g, same in adj.get(f, ()):
-                    want = flip[f] if not same else (not flip[f])
+                for h in range(self.face_start[f], stops[f]):
+                    t = twin[h]
+                    a, b = origin[h], end[h]
+                    if a == b or origin[t] == end[t]:
+                        continue
+                    # Sides running the same way need opposite flips.
+                    want = flip[f] ^ (a == origin[t] and b == end[t])
+                    g = face[t]
                     if flip[g] is None:
                         flip[g] = want
                         stack.append(g)
                     elif flip[g] != want:
                         raise TilingError(
-                            "inconsistent rotation system: faces %d/%d cannot "
-                            "be oriented compatibly" % (f, g))
-        return flip
-
-    def _flag_loaded_vertices(self):
-        for v in range(len(self.vertex_names)):
-            hs = self.vertex_halfedges(v)
-            if hs and all(self.edge_status[self.h_edge[h]] == LOADED
-                          for h in hs):
-                self.loaded_vertices.add(v)
+                            "inconsistent rotation system: faces %d/%d "
+                            "cannot be oriented compatibly" % (f, g))
+        return [f for f, x in enumerate(flip) if x]
 
     def _validate(self):
-        # Rotation orbits must be in bijection with declared vertices.
-        H = len(self.h_face)
-        seen = [False] * H
-        self._vertex_orbit_count = 0
-        orbit_of_vertex = {}
-        for h0 in range(H):
+        # Each vertex's half-edges must form a single rotation orbit.
+        origin, nxt, twin = self.h_origin, self.h_next, self.h_twin
+        seen = bytearray(len(origin))
+        placed = bytearray(len(self.vertex_names))
+        for h0, v in enumerate(origin):
             if seen[h0]:
                 continue
-            self._vertex_orbit_count += 1
-            v = self.h_origin[h0]
-            if v in orbit_of_vertex:
+            if placed[v]:
                 raise TilingError(
                     "inconsistent rotation: vertex %r appears in two "
                     "rotation orbits" % (self.vertex_names[v],))
-            orbit_of_vertex[v] = True
+            placed[v] = 1
             h = h0
             while not seen[h]:
-                seen[h] = True
-                if self.h_origin[h] != v:
+                seen[h] = 1
+                if origin[h] != v:
                     raise TilingError("corrupt rotation orbit")
-                h = self.h_next[self.h_twin[h]]
-        for v, name in enumerate(self.vertex_names):
-            if v not in orbit_of_vertex:
-                raise TilingError("dangling vertex %r" % (name,))
-        for v in self.loaded_vertices:
-            for h in self.vertex_halfedges(v):
-                if self.edge_status[self.h_edge[h]] != LOADED:
-                    raise TilingError(
-                        "vertex flagged loaded but has a non-loaded edge")
+                h = nxt[twin[h]]
 
     # -- basic queries ------------------------------------------------
 
@@ -267,9 +213,6 @@ class Tiling:
                 vh[self.h_origin[h]].append(h)
             self._vh = vh
         return self._vh[v]
-
-    def vertex_degree(self, v):
-        return len(self.vertex_halfedges(v))
 
     def edge_endpoints(self, e):
         h = self.edges[e][0]
@@ -356,23 +299,29 @@ class Tiling:
             raise TilingError("a tiling must be a JSON object, not %s"
                               % type(data).__name__)
         for key in ("faces", "edges"):
+            if key not in data:
+                raise TilingError("tiling: missing field %r" % key)
             if not (isinstance(data[key], list)
                     and all(isinstance(r, dict) for r in data[key])):
                 raise TilingError("%s must be a list of objects" % key)
-        specs = []
-        for f in sorted(data["faces"], key=lambda r: r["id"]):
+        for i, f in enumerate(data["faces"]):
+            _require(f, "face", i, ("id", "type", "vertices", "edges"))
+            if not isinstance(f["id"], int):
+                raise TilingError("faces[%d]: id must be an int, not %s"
+                                  % (i, json.dumps(f["id"])))
             for key in ("vertices", "edges"):
-                if not isinstance(f[key], list):
-                    raise TilingError("face %r: %s must be a list"
-                                      % (f["id"], key))
-            specs.append(face_spec(f["type"], f["vertices"], f["edges"]))
+                _scalars(f[key], "face %d: %s" % (f["id"], key))
         status = {}
         added = set()
-        for e in data["edges"]:
+        for i, e in enumerate(data["edges"]):
+            _require(e, "edge", i, ("id", "status"))
+            _scalars([e["id"]], "edges[%d]: id" % i)
             status[e["id"]] = e["status"]
             if e.get("added"):
                 added.add(e["id"])
-        return cls(specs, stage=data.get("stage", 0), edge_status=status,
+        faces = sorted(data["faces"], key=lambda r: r["id"])
+        return cls([(f["type"], f["vertices"], f["edges"]) for f in faces],
+                   stage=data.get("stage", 0), edge_status=status,
                    added_edges=added)
 
     @classmethod
@@ -429,19 +378,38 @@ class Tiling:
 
     def restrict(self, face_ids):
         """Sub-tiling spanned by the given faces (must be edge-closed)."""
-        specs = []
+        faces = []
         status = {}
         added = set()
         for f in face_ids:
             vs = [self.vertex_names[v] for v in self.face_vertices(f)]
             es = self.face_edges(f)
-            specs.append(face_spec(self.face_labels[f], vs, tuple(es)))
+            faces.append((self.face_labels[f], vs, es))
             for e in es:
                 status[e] = self.edge_status[e]
                 if self.edge_added[e]:
                     added.add(e)
-        return Tiling(specs, stage=self.stage, edge_status=status,
+        return Tiling(faces, stage=self.stage, edge_status=status,
                       added_edges=added)
+
+
+def _require(record, kind, i, fields):
+    """Raise unless a faces/edges record has every field in ``fields``."""
+    for key in fields:
+        if key not in record:
+            where = ("%s %s" % (kind, json.dumps(record["id"]))
+                     if "id" in record else "%ss[%d]" % (kind, i))
+            raise TilingError("%s: missing field %r" % (where, key))
+
+
+def _scalars(values, where):
+    """Raise unless ``values`` is a list of JSON scalars (names or keys)."""
+    if not isinstance(values, list):
+        raise TilingError("%s must be a list" % where)
+    for v in values:
+        if isinstance(v, (list, dict)):
+            raise TilingError("%s entry %s is not a JSON scalar"
+                              % (where, json.dumps(v)))
 
 
 def _flag_vertex(t, mirror):

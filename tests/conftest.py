@@ -105,7 +105,7 @@ class CubeBallOracle:
                       if all(self.edge_status(e) == "loaded" for e in es))
 
     def tiling(self):
-        from coversphere.tiling import Tiling, face_spec
+        from coversphere.tiling import Tiling
         specs = []
         status = {}
         for f in self.boundary_faces:
@@ -113,7 +113,7 @@ class CubeBallOracle:
             es = edges_of_face(f)
             for e in es:
                 status[e] = self.edge_status(e)
-            specs.append(face_spec("sq", cyc, es))
+            specs.append(("sq", cyc, es))
         return Tiling(specs, stage=self.stage, edge_status=status)
 
 

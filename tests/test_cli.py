@@ -110,6 +110,28 @@ def test_pack_roundtrip(tmp_path, capsys):
     ({"faces": 3, "edges": []}, "faces must be a list of objects"),
     ({"faces": [5], "edges": []}, "faces must be a list of objects"),
     ({"faces": [], "edges": [5]}, "edges must be a list of objects"),
+    ({"faces": [{"id": 0, "type": "t", "vertices": [[0], [1], [2]],
+                 "edges": [0, 1, 2]}], "edges": []}, "face 0: vertices"),
+    ({"faces": [{"id": 0, "type": "t", "vertices": [0, 1, 2],
+                 "edges": [0, {"k": 1}, 2]}], "edges": []}, "face 0: edges"),
+    ({"faces": [{"id": [0], "type": "t", "vertices": [0, 1, 2],
+                 "edges": [0, 1, 2]},
+                {"id": 1, "type": "t", "vertices": [0, 2, 1],
+                 "edges": [2, 1, 0]}], "edges": []}, "faces[0]: id"),
+    ({"edges": []}, "missing field 'faces'"),
+    ({"faces": []}, "missing field 'edges'"),
+    ({"faces": [{"type": "t", "vertices": [0, 1, 2], "edges": [0, 1, 2]}],
+      "edges": []}, "faces[0]: missing field 'id'"),
+    ({"faces": [{"id": 4, "vertices": [0, 1, 2], "edges": [0, 1, 2]}],
+      "edges": []}, "face 4: missing field 'type'"),
+    ({"faces": [{"id": 4, "type": "t", "edges": [0, 1, 2]}], "edges": []},
+     "face 4: missing field 'vertices'"),
+    ({"faces": [{"id": 4, "type": "t", "vertices": [0, 1, 2]}], "edges": []},
+     "face 4: missing field 'edges'"),
+    ({"faces": [], "edges": [{"status": "plain"}]},
+     "edges[0]: missing field 'id'"),
+    ({"faces": [], "edges": [{"id": 2}]}, "edge 2: missing field 'status'"),
+    ({"faces": [], "edges": [{"id": [2], "status": "plain"}]}, "edges[0]: id"),
 ])
 def test_pack_rejects_malformed_tiling(tmp_path, capsys, doc, where):
     path = tmp_path / "bad.json"

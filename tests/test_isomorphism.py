@@ -12,7 +12,7 @@ import pytest
 import coversphere
 from coversphere.catalog import get_rule
 from coversphere.growth import stage_tilings
-from coversphere.tiling import Tiling, face_spec, isomorphic
+from coversphere.tiling import Tiling, isomorphic
 
 
 def final_stage(rule, n, mode):
@@ -32,7 +32,7 @@ def rebuilt(t, *, names=None, order=None, reverse=False, labels=None,
         es = t.face_edges(f)
         if reverse:
             vs, es = vs[::-1], es[-2::-1] + es[-1:]
-        specs.append(face_spec(labels[f], vs, es))
+        specs.append((labels[f], vs, es))
     added = [e for e in range(t.num_edges) if t.edge_added[e]]
     return Tiling(specs, edge_status=dict(enumerate(status or t.edge_status)),
                   added_edges=added)

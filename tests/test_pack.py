@@ -6,7 +6,7 @@ from coversphere.catalog import get_rule
 from coversphere.growth import stage_tilings
 from coversphere.pack import (PackError, flower, pack, render_svg,
                               tangency_error, triangulate)
-from coversphere.tiling import Tiling, face_spec
+from coversphere.tiling import Tiling
 
 
 def test_hex_flower_unit_radius():
@@ -40,7 +40,7 @@ def test_tetrahedron_no_starring():
 
 
 def test_torus_input_rejected():
-    sq = face_spec("sq", ["a", "a", "a", "a"], ["e1", "e2", "e1", "e2"])
+    sq = ("sq", ["a", "a", "a", "a"], ["e1", "e2", "e1", "e2"])
     torus = Tiling([sq])
     with pytest.raises(PackError):
         triangulate(torus, 0)

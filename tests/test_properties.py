@@ -69,9 +69,8 @@ def test_ball_sizes_monotone(name, n):
 @settings(max_examples=20, deadline=None)
 @given(st.permutations(list(range(8))))
 def test_isomorphism_invariant_under_relabeling(perm):
-    from coversphere.tiling import face_spec
     t = get_rule("torus3").initial
-    faces = [face_spec(t.face_labels[f],
-                       [perm[v] for v in t.face_vertices(f)])
+    faces = [(t.face_labels[f],
+              [perm[v] for v in t.face_vertices(f)])
              for f in range(len(t.face_start))]
     assert isomorphic(t, Tiling(faces))

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from coversphere.tiling import (
-    Tiling, TilingError, RefinementWitness, face_spec, isomorphic,
+    Tiling, TilingError, RefinementWitness, isomorphic,
     refinement_check,
 )
 
@@ -35,8 +35,7 @@ def test_orientation_makes_twins_antiparallel():
 
 def test_torus_square():
     # one square with opposite sides identified
-    t = Tiling([face_spec("sq", ("v", "v", "v", "v"),
-                          ("e1", "e2", "e1", "e2"))])
+    t = Tiling([("sq", ("v", "v", "v", "v"), ("e1", "e2", "e1", "e2"))])
     assert (t.num_vertices, t.num_edges, t.num_faces) == (1, 2, 1)
     assert t.euler_characteristic() == 0
     assert not t.is_sphere()
@@ -45,6 +44,16 @@ def test_torus_square():
 def test_rejects_open_surface():
     with pytest.raises(TilingError):
         Tiling([("sq", (0, 1, 2, 3))])
+
+
+def test_rejects_face_with_two_vertices():
+    with pytest.raises(TilingError, match="face 0"):
+        Tiling([("t", (0, 1))])
+
+
+def test_rejects_edge_cycle_of_other_length():
+    with pytest.raises(TilingError, match="face 0"):
+        Tiling([("t", (0, 1, 2), ("a", "b"))])
 
 
 def test_rejects_three_faces_on_edge():
@@ -56,8 +65,8 @@ def test_rejects_three_faces_on_edge():
 def test_rejects_split_vertex():
     # two squares glued along two opposite edges: an annulus, not closed
     with pytest.raises(TilingError):
-        Tiling([face_spec("sq", (0, 1, 2, 3), ("a", "x", "b", "y")),
-                face_spec("sq", (1, 0, 3, 2), ("a", "y2", "b", "x2"))])
+        Tiling([("sq", (0, 1, 2, 3), ("a", "x", "b", "y")),
+                ("sq", (1, 0, 3, 2), ("a", "y2", "b", "x2"))])
 
 
 def test_edge_status_and_loaded_vertices():
