@@ -19,6 +19,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from coversphere.gluing import GluingError, parse_gluing  # noqa: E402
+from coversphere.unionfind import UnionFind  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src/coversphere/data"
 
@@ -51,24 +52,14 @@ def glue_text(sigma, flips, twist):
 
 def vertex_classes(sigma, flips):
     """Orbits of top vertices under the side pairings."""
-    parent = list(range(12))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(12)
     for i in range(12):
         j = sigma[i]
         i1, j1 = (i + 1) % 12, (j + 1) % 12
         pairs = [(i, j), (i1, j1)] if not flips[i] else [(i, j1), (i1, j)]
         for a, b in pairs:
-            parent[find(a)] = find(b)
-    sizes = {}
-    for x in range(12):
-        sizes[find(x)] = sizes.get(find(x), 0) + 1
-    return sorted(sizes.values())
+            uf.union(a, b)
+    return sorted(uf.size[x] for x in range(12) if uf.find(x) == x)
 
 
 def candidates():

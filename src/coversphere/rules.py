@@ -50,6 +50,8 @@ class TileType:
             if isinstance(d, dict) and "split" in d:
                 self.rim += ["e%d.%d" % (i, j)
                              for j in range(1, len(d["split"]))]
+        self.rim_sides = _sides(self.rim)
+        self.template = _template(self.faces)
 
 
 @dataclass
@@ -70,8 +72,12 @@ class Pattern:
     internal: dict = field(default_factory=dict)    # frozenset -> required status
 
     def __post_init__(self):
+        self.template = _template(self.faces)
+        self.region_sides = [_sides(f["cycle"]) for f in self.region]
+        self.flap_chains = [(fl["face"], [frozenset(e) for e in fl["chain"]])
+                            for fl in self.flaps]
         # symbolic edges appearing in two region faces are internal
-        count = Counter(e for f in self.region for e in _sides(f["cycle"]))
+        count = Counter(e for sides in self.region_sides for e in sides)
         self.internal_edges = {e for e, k in count.items() if k == 2}
         for e in self.internal_edges:
             self.internal.setdefault(e, "loaded")
@@ -103,6 +109,11 @@ def _sides(cycle):
     return [frozenset(p) for p in zip(cycle, cycle[1:] + cycle[:1])]
 
 
+def _template(faces):
+    """Template faces as (label, cycle, sides), built once per rule."""
+    return [(f["label"], f["cycle"], _sides(f["cycle"])) for f in faces]
+
+
 def _dihedral(vs, es):
     """The n rotations, then the n reflections, of a face's cycles.
 
@@ -119,8 +130,9 @@ def _dihedral(vs, es):
         yield rv[a:] + rv[:a], re[b:] + re[:b]
 
 
-def _instantiate(faces, names, boundary, edge_attrs, nv, ne, status, added):
-    """Template faces as (label, vertex ids, edge keys).
+def _instantiate(template, names, boundary, edge_attrs, nv, ne, status,
+                 added):
+    """A ``_template`` as faces (label, vertex ids, edge keys).
 
     ``names`` maps the symbolic boundary vertices to ids and ``boundary``
     the symbolic boundary sides to edge keys.  Every other vertex and side
@@ -130,14 +142,14 @@ def _instantiate(faces, names, boundary, edge_attrs, nv, ne, status, added):
     """
     names, keys = dict(names), dict(boundary)
     out = []
-    for tf in faces:
+    for label, cycle, sides in template:
         vs, es = [], []
-        for nm in tf["cycle"]:
+        for nm in cycle:
             if nm not in names:
                 names[nm] = nv
                 nv += 1
             vs.append(names[nm])
-        for sym in _sides(tf["cycle"]):
+        for sym in sides:
             if sym not in keys:
                 keys[sym] = ne
                 attrs = edge_attrs.get(sym, _PLAIN)
@@ -146,7 +158,7 @@ def _instantiate(faces, names, boundary, edge_attrs, nv, ne, status, added):
                     added.add(ne)
                 ne += 1
             es.append(keys[sym])
-        out.append((tf["label"], vs, es))
+        out.append((label, vs, es))
     return out, nv, ne
 
 
@@ -316,8 +328,8 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
             rim_vs += [u] + ivs
             rim_es += segs
         faces, nv, ne = _instantiate(
-            tile.faces, dict(zip(tile.rim, rim_vs)),
-            dict(zip(_sides(tile.rim), rim_es)), tile.interior_edges,
+            tile.template, dict(zip(tile.rim, rim_vs)),
+            dict(zip(tile.rim_sides, rim_es)), tile.interior_edges,
             nv, ne, status, added)
         face_map[f] = set(range(len(specs), len(specs) + len(faces)))
         specs += faces
@@ -358,8 +370,8 @@ def _match_pattern(pat: Pattern, t: Tiling, group):
     def extend(idx, sigma, edge_of, used):
         if idx == len(pat.region):
             return sigma, edge_of
-        pf = pat.region[idx]
-        cyc, sides = pf["cycle"], _sides(pf["cycle"])
+        pf, sides = pat.region[idx], pat.region_sides[idx]
+        cyc = pf["cycle"]
         for g in group:
             if g in used or pf["label"] != t.face_labels[g]:
                 continue
@@ -448,16 +460,16 @@ def apply_replacement(rule: ReplacementRule, t: Tiling, with_witness=False):
             survivors_e.add(e)
 
         faces, nv, ne = _instantiate(
-            pat.faces, sigma, {sym: edge_of[sym] for sym in pat.boundary_req},
+            pat.template, sigma,
+            {sym: edge_of[sym] for sym in pat.boundary_req},
             pat.edges, nv, ne, status, added)
         start = len(specs)
         group_faces.append(range(start, start + len(faces)))
         specs += faces
         survivors_v.update(sigma.values())
 
-        for flap in pat.flaps:
-            chain = [edge_of[frozenset(ends)] for ends in flap["chain"]]
-            flap_records.append((start + flap["face"], chain))
+        for face, chain in pat.flap_chains:
+            flap_records.append((start + face, [edge_of[e] for e in chain]))
 
     for e, to in boundary_to.items():
         status[e] = to
@@ -576,7 +588,7 @@ def validate_rule(rule: Rule):
                 diags.append("%s: matcher/boundary length differs from tile "
                              "size" % where)
                 continue
-            _check_template_disk(tile.faces, set(_sides(tile.rim)), where,
+            _check_template_disk(tile.faces, set(tile.rim_sides), where,
                                  diags)
         out_labels = {f["label"] for tile in rule.subdivision.tiles
                       for f in tile.faces}

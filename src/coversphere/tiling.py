@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import eq
 
 PLAIN = "plain"
 LOADED = "loaded"
@@ -95,7 +96,7 @@ class Tiling:
         if -1 in twin:
             raise self._side_count_error(self.h_edge[twin.index(-1)])
         self.h_twin = twin
-        self.edges = [(h, twin[h]) for h in first]
+        self.edge_half = first      # per edge: one side; h_twin the other
 
         for f in self._orient(origin, end, stops):
             s, e = self.face_start[f], stops[f]
@@ -185,7 +186,7 @@ class Tiling:
 
     @property
     def num_edges(self):
-        return len(self.edges)
+        return len(self.edge_half)
 
     @property
     def num_vertices(self):
@@ -206,20 +207,13 @@ class Tiling:
     def face_edges(self, f):
         return [self.h_edge[h] for h in self.face_halfedges(f)]
 
-    def vertex_halfedges(self, v):
-        if not hasattr(self, "_vh"):
-            vh = [[] for _ in range(len(self.vertex_names))]
-            for h in range(len(self.h_face)):
-                vh[self.h_origin[h]].append(h)
-            self._vh = vh
-        return self._vh[v]
-
     def edge_endpoints(self, e):
-        h = self.edges[e][0]
+        h = self.edge_half[e]
         return (self.h_origin[h], self.h_origin[self.h_twin[h]])
 
     def edge_faces(self, e):
-        return tuple(self.h_face[h] for h in self.edges[e])
+        h = self.edge_half[e]
+        return (self.h_face[h], self.h_face[self.h_twin[h]])
 
     def edges_with_status(self, status):
         return [e for e in range(self.num_edges)
@@ -229,18 +223,7 @@ class Tiling:
         return self.num_vertices - self.num_edges + self.num_faces
 
     def is_connected(self):
-        if self.num_faces == 0:
-            return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            f = stack.pop()
-            for h in self.face_halfedges(f):
-                g = self.h_face[self.h_twin[h]]
-                if g not in seen:
-                    seen.add(g)
-                    stack.append(g)
-        return len(seen) == self.num_faces
+        return len(self.components()) == 1
 
     def is_sphere(self):
         return (self.num_faces > 0 and self.is_connected()
@@ -304,11 +287,15 @@ class Tiling:
             if not (isinstance(data[key], list)
                     and all(isinstance(r, dict) for r in data[key])):
                 raise TilingError("%s must be a list of objects" % key)
+        ids = set()
         for i, f in enumerate(data["faces"]):
             _require(f, "face", i, ("id", "type", "vertices", "edges"))
             if not isinstance(f["id"], int):
                 raise TilingError("faces[%d]: id must be an int, not %s"
                                   % (i, json.dumps(f["id"])))
+            if f["id"] in ids:
+                raise TilingError("face %d: repeated face id" % f["id"])
+            ids.add(f["id"])
             for key in ("vertices", "edges"):
                 _scalars(f[key], "face %d: %s" % (f["id"], key))
         status = {}
@@ -316,9 +303,19 @@ class Tiling:
         for i, e in enumerate(data["edges"]):
             _require(e, "edge", i, ("id", "status"))
             _scalars([e["id"]], "edges[%d]: id" % i)
+            if e["id"] in status:
+                raise TilingError("edge %s: repeated edge record"
+                                  % json.dumps(e["id"]))
             status[e["id"]] = e["status"]
             if e.get("added"):
                 added.add(e["id"])
+        # to_dict writes a record for every edge, so a missing one is an
+        # error rather than a plain edge.
+        for f in data["faces"]:
+            for k in f["edges"]:
+                if k not in status:
+                    raise TilingError("face %d: edge %s has no edge record"
+                                      % (f["id"], json.dumps(k)))
         faces = sorted(data["faces"], key=lambda r: r["id"])
         return cls([(f["type"], f["vertices"], f["edges"]) for f in faces],
                    stage=data.get("stage", 0), edge_status=status,
@@ -330,51 +327,24 @@ class Tiling:
 
     # -- isomorphism ---------------------------------------------------
 
-    def _canonical_from(self, root, mirror):
-        """BFS relabeling of the flag graph starting at ``root``.
-
-        Traversal uses (next, twin) moves, or (prev, twin) for the mirror
-        image, where a half-edge's far end plays the part of its origin.
-        Returns an encoding tuple that two tilings share exactly when a
-        label- and status-preserving isomorphism maps one root flag to the
-        other.
-        """
-        step = self.h_prev if mirror else self.h_next
-        vertex = _flag_vertex(self, mirror)
-        order = {root: 0}
-        queue = [root]
-        out = []
-        i = 0
-        while i < len(queue):
-            h = queue[i]
-            i += 1
-            for nh in (step[h], self.h_twin[h]):
-                if nh not in order:
-                    order[nh] = len(order)
-                    queue.append(nh)
-            e = self.h_edge[h]
-            out.append((order[step[h]], order[self.h_twin[h]],
-                        self.face_labels[self.h_face[h]],
-                        self.edge_status[e], self.edge_added[e],
-                        vertex[h] in self.loaded_vertices))
-        if len(order) != len(self.h_face):
-            out.append(("disconnected", len(order)))
-        return tuple(out)
-
     def canonical_form(self):
         if self.num_faces == 0:
             return ("empty",)
-        if not self.is_connected():
-            keys = sorted(
-                self.restrict(comp).canonical_form() for comp in
-                self.components())
-            return ("disjoint",) + tuple(keys)
+        comps = self.components()
+        if len(comps) > 1:
+            return ("disjoint",) + tuple(sorted(
+                self.restrict(comp).canonical_form() for comp in comps))
         for colours, in _wl_colours([self]):
             pass
         root = _root_colour(colours)
-        roots = [h for h, c in enumerate(colours) if c == root]
-        return min(self._canonical_from(r, m)
-                   for r in roots for m in (False, True))
+        keys = {m: [(self.face_labels[f], self.edge_status[e],
+                     self.edge_added[e], v in self.loaded_vertices)
+                    for f, e, v in zip(self.h_face, self.h_edge,
+                                       _flag_vertex(self, m))]
+                for m in (False, True)}
+        return min(tuple(_bfs(self, r, m, keys[m]))
+                   for r, c in enumerate(colours) if c == root
+                   for m in (False, True))
 
     def restrict(self, face_ids):
         """Sub-tiling spanned by the given faces (must be edge-closed)."""
@@ -482,46 +452,39 @@ def _root_colour(colours):
     return min(counts, key=lambda c: (counts[c], c))
 
 
-def _walk(a, b, keys_a, keys_b, r, s, mirror):
-    """Grow the flag map ``r -> s`` breadth-first from a into b.
+def _bfs(t, root, mirror, keys):
+    """Flag codes of t in breadth-first order from ``root``.
 
-    ``next`` in a goes to ``next`` in b, or to ``prev`` for a mirror image,
-    and ``twin`` to ``twin``.  Every mapped pair must agree on its key.
-    Returns False at the first clash and True once every flag is mapped
-    bijectively.
+    The moves are ``next``, or ``prev`` for the mirror image, and ``twin``.
+    Each flag, in the order it is reached, yields the visit positions of
+    its two moves and its key.  Two connected tilings with as many flags
+    give equal codes exactly when matching flags by position is a
+    key-preserving isomorphism between the two roots.  Codes come lazily,
+    so a comparison can stop at its first mismatch.
     """
-    a_next, a_twin = a.h_next, a.h_twin
-    b_step, b_twin = (b.h_prev if mirror else b.h_next), b.h_twin
-    fwd = [-1] * len(a_next)
-    inv = [-1] * len(b_step)
-    fwd[r], inv[s] = s, r
-    queue = [r]
-    i = 0
-    while i < len(queue):
-        h = queue[i]
-        i += 1
-        g = fwd[h]
-        if keys_a[h] != keys_b[g]:
-            return False
-        for x, y in ((a_next[h], b_step[g]), (a_twin[h], b_twin[g])):
-            m = fwd[x]
-            if m < 0:
-                if inv[y] >= 0:
-                    return False
-                fwd[x], inv[y] = y, x
-                queue.append(x)
-            elif m != y:
-                return False
-    return len(queue) == len(fwd)
+    step, twin = (t.h_prev if mirror else t.h_next), t.h_twin
+    order = [-1] * len(step)
+    order[root] = 0
+    queue = [root]
+    for h in queue:         # grows while it is read
+        x, y = step[h], twin[h]
+        if order[x] < 0:
+            order[x] = len(queue)
+            queue.append(x)
+        if order[y] < 0:
+            order[y] = len(queue)
+            queue.append(y)
+        yield order[x], order[y], keys[h]
 
 
 def isomorphic(a: Tiling, b: Tiling) -> bool:
     """Label- and status-preserving isomorphism (mirror images allowed).
 
     The map must preserve face labels, edge statuses, added edges and
-    loaded vertices.  Connected tilings are refined jointly; then one root
-    flag of a, from its smallest colour class, is walked against every
-    flag of b with the same colour, in both orientations.
+    loaded vertices.  Connected tilings are refined jointly; then the code
+    of one root flag of a, from its smallest colour class, is compared
+    with the codes of b from every flag of the same colour, in both
+    orientations.
     """
     if (a.num_faces, a.num_edges, a.num_vertices) != \
             (b.num_faces, b.num_edges, b.num_vertices):
@@ -543,8 +506,8 @@ def isomorphic(a: Tiling, b: Tiling) -> bool:
                   for c, v in zip(cb, _flag_vertex(b, m))]
               for m in (False, True)}
     root = _root_colour(ca)
-    r = ca.index(root)
-    return any(_walk(a, b, keys_a, keys_b[m], r, s, m)
+    code = list(_bfs(a, ca.index(root), False, keys_a))
+    return any(all(map(eq, code, _bfs(b, s, m, keys_b[m])))
                for s, c in enumerate(cb) if c == root
                for m in (False, True))
 

@@ -132,6 +132,25 @@ def test_pack_roundtrip(tmp_path, capsys):
      "edges[0]: missing field 'id'"),
     ({"faces": [], "edges": [{"id": 2}]}, "edge 2: missing field 'status'"),
     ({"faces": [], "edges": [{"id": [2], "status": "plain"}]}, "edges[0]: id"),
+    ({"faces": [{"id": 0, "type": "t", "vertices": [0, 1, 2],
+                 "edges": [0, 1, 2]},
+                {"id": 0, "type": "t", "vertices": [0, 2, 1],
+                 "edges": [2, 1, 0]}],
+      "edges": [{"id": e, "status": "plain"} for e in range(3)]},
+     "face 0: repeated face id"),
+    ({"faces": [{"id": 0, "type": "t", "vertices": [0, 1, 2],
+                 "edges": [0, 1, 2]},
+                {"id": 1, "type": "t", "vertices": [0, 2, 1],
+                 "edges": [2, 1, 0]}],
+      "edges": [{"id": 0, "status": "plain"}, {"id": 0, "status": "loaded"},
+                {"id": 1, "status": "plain"}, {"id": 2, "status": "plain"}]},
+     "edge 0: repeated edge record"),
+    ({"faces": [{"id": 0, "type": "t", "vertices": [0, 1, 2],
+                 "edges": [0, 1, 2]},
+                {"id": 1, "type": "t", "vertices": [0, 2, 1],
+                 "edges": [2, 1, 0]}],
+      "edges": [{"id": 0, "status": "plain"}, {"id": 1, "status": "plain"}]},
+     "face 0: edge 2 has no edge record"),
 ])
 def test_pack_rejects_malformed_tiling(tmp_path, capsys, doc, where):
     path = tmp_path / "bad.json"

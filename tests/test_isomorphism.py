@@ -21,11 +21,13 @@ def final_stage(rule, n, mode):
 
 
 def rebuilt(t, *, names=None, order=None, reverse=False, labels=None,
-            status=None):
+            status=None, added=None):
     """A fresh Tiling of t's faces, optionally renamed, reordered, with
-    every face cycle reversed, or with other face labels or edge statuses.
-    Edge ids serve as edge keys, so loaded vertices are derived anew."""
+    every face cycle reversed, or with other face labels, edge statuses or
+    added marks.  Edge ids serve as edge keys, so loaded vertices are
+    derived anew."""
     labels = labels or t.face_labels
+    added = added or t.edge_added
     specs = []
     for f in order or range(t.num_faces):
         vs = [names[v] if names else v for v in t.face_vertices(f)]
@@ -33,9 +35,8 @@ def rebuilt(t, *, names=None, order=None, reverse=False, labels=None,
         if reverse:
             vs, es = vs[::-1], es[-2::-1] + es[-1:]
         specs.append((labels[f], vs, es))
-    added = [e for e in range(t.num_edges) if t.edge_added[e]]
     return Tiling(specs, edge_status=dict(enumerate(status or t.edge_status)),
-                  added_edges=added)
+                  added_edges=[e for e, a in enumerate(added) if a])
 
 
 def shuffled(t):
@@ -64,12 +65,25 @@ def statuses_swapped(t):
     return rebuilt(t, status=status)
 
 
+def added_swapped(t):
+    """An added and a non-added plain edge trade added marks."""
+    added = list(t.edge_added)
+    plain = [e for e in range(t.num_edges) if t.edge_status[e] == "plain"]
+    i = next(e for e in plain if added[e])
+    j = next(e for e in plain if not added[e])
+    added[i], added[j] = False, True
+    return rebuilt(t, added=added)
+
+
 # nxs1 stage 3: 1,310 faces, 24 loaded vertices.  torus3 stage 3: 78
 # faces, 8 loaded vertices; its faces all carry one label, so its
-# non-isomorphic copy trades edge statuses instead.
+# non-isomorphic copy trades edge statuses instead.  torus3 subdivision
+# stage 3: 102 faces, 24 added and 108 non-added plain edges; its copy
+# trades added marks.
 STAGES = {
     "nxs1": ("nxs1", 3, "replacement", labels_swapped),
     "torus3": ("torus3", 3, "replacement", statuses_swapped),
+    "torus3-subdivision": ("torus3", 3, "subdivision", added_swapped),
 }
 
 
@@ -90,6 +104,7 @@ def test_walk_verdicts_agree_with_canonical_form(stage, variant, expected):
         (t.num_faces, t.num_edges, t.num_vertices)
     assert sorted(u.face_labels) == sorted(t.face_labels)
     assert sorted(u.edge_status) == sorted(t.edge_status)
+    assert sum(u.edge_added) == sum(t.edge_added)
     assert isomorphic(t, u) is expected
     assert (form == u.canonical_form()) is expected
 

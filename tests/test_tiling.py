@@ -28,7 +28,8 @@ def test_cube_is_sphere():
 def test_orientation_makes_twins_antiparallel():
     t = Tiling(cube_faces())
     for e in range(t.num_edges):
-        h1, h2 = t.edges[e]
+        h1 = t.edge_half[e]
+        h2 = t.h_twin[h1]
         assert t.h_origin[h1] == t.h_origin[t.h_next[h2]]
         assert t.h_origin[h2] == t.h_origin[t.h_next[h1]]
 
@@ -217,3 +218,20 @@ def test_components_and_disjoint_iso():
     assert two.euler_characteristic() == 4
     one = two.restrict(two.components()[0])
     assert one.is_sphere()
+    # Disconnected tilings fall back to comparing canonical forms.
+    shuffled = Tiling([(two.face_labels[f],
+                        [("x", v) for v in two.face_vertices(f)])
+                       for f in reversed(range(two.num_faces))])
+    assert isomorphic(two, shuffled)
+
+    # Same counts and the same label multiset, but the components pair
+    # the labels differently: {a,a,a,a}+{b,b,b,b} against twice {a,a,b,b}.
+    def tetras(*labels):
+        return Tiling([(lab, [(c, v) for v in vs])
+                       for c, labs in enumerate(labels)
+                       for lab, vs in zip(labs, [(0, 1, 2), (0, 2, 3),
+                                                 (0, 3, 1), (1, 3, 2)])])
+    split, mixed = tetras("aaaa", "bbbb"), tetras("aabb", "aabb")
+    assert sorted(split.face_labels) == sorted(mixed.face_labels)
+    assert not isomorphic(split, mixed)
+    assert isomorphic(split, tetras("bbbb", "aaaa"))
