@@ -1,9 +1,11 @@
 """Euclidean circle packing of triangulated disk complexes.
 
 A sphere tiling minus one face gives a disk; non-triangular faces are
-star-triangulated with a barycenter vertex.  Radii are solved by the
-uniform-neighbor angle-sum iteration with fixed unit boundary radii, then
-centers are laid out breadth-first by circle intersection.
+star-triangulated with a barycenter vertex.  Boundary radii are fixed at
+1.  Interior radii are solved over vertex-indexed lists by Gauss-Seidel
+sweeps of the uniform-neighbour update, accelerated by Collins and
+Stephenson's superstep, then centers are laid out breadth-first by circle
+intersection from a triangle deep inside the disk.
 """
 
 import math
@@ -14,6 +16,8 @@ from .tiling import Tiling
 
 DEFAULT_TOL = 1e-8
 MAX_ITER = 10 ** 6
+TWO_PI = 2.0 * math.pi
+SETTLED = 0.1
 
 
 class PackError(ValueError):
@@ -78,41 +82,111 @@ def triangulate(t: Tiling, removed_face: int) -> PackingProblem:
     return PackingProblem(sorted(verts, key=str), tris, boundary)
 
 
-def _angle(rv, ru, rw):
-    x = (ru * rw) / ((rv + ru) * (rv + rw))
-    return 2.0 * math.asin(math.sqrt(x))
+def _angle_sum(r, v, petals):
+    """Angle sum at v of its triangles (v, u, w), from the radii in r."""
+    rv = r[v]
+    theta = 0.0
+    for u, w in petals:
+        ru, rw = r[u], r[w]
+        theta += math.asin(math.sqrt(ru * rw / ((rv + ru) * (rv + rw))))
+    return 2.0 * theta
 
 
-def _angle_sum(p, radius, v):
-    return sum(_angle(radius[v], radius[u], radius[w])
-               for u, w in p.tris_at[v])
+def _worst_error(r, flowers):
+    return max(abs(_angle_sum(r, v, petals) - TWO_PI)
+               for v, petals, _ in flowers)
+
+
+def _sweep(r, flowers):
+    """One Gauss-Seidel sweep of uniform-neighbour updates, in place.
+
+    Each interior radius is set so that, were all its petals of one
+    radius, its angle sum would be exactly 2*pi.  Returns the worst and
+    the root-sum-square angle-sum error seen before each update.
+    """
+    worst = squares = 0.0
+    for v, petals, gain in flowers:
+        theta = _angle_sum(r, v, petals)
+        err = abs(theta - TWO_PI)
+        squares += err * err
+        if err > worst:
+            worst = err
+        beta = math.sin(theta / (2 * len(petals)))
+        r[v] *= beta / (1.0 - beta) * gain
+    return worst, math.sqrt(squares)
+
+
+def _superstep(r, last, flowers, fact):
+    """Extrapolate the radii along their last change, in place.
+
+    While sweeps shrink the error by a steady factor ``fact``, the
+    remaining radius change is about ``fact / (1 - fact)`` times the last
+    one.  The step is capped so no radius loses more than half of itself,
+    then halved until the worst error drops; a step below one sweep's
+    change is not worth taking, and the radii are left as they were.
+    """
+    change = [a - b for a, b in zip(r, last)]
+    step = fact / (1.0 - fact)
+    for x, dx in zip(r, change):
+        if dx < 0.0:
+            step = min(step, -0.5 * x / dx)
+    base = r[:]
+    before = _worst_error(r, flowers)
+    while step >= 1.0:
+        r[:] = [x + step * dx for x, dx in zip(base, change)]
+        if _worst_error(r, flowers) < before:
+            return
+        step /= 2.0
+    r[:] = base
+
+
+def _solve(r, flowers, tolerance):
+    """Sweep r until within tolerance; return the residual and sweeps."""
+    facts = []
+    err = None
+    for it in range(1, MAX_ITER + 1):
+        last = r[:]
+        worst, new_err = _sweep(r, flowers)
+        if worst <= tolerance:
+            return worst, it
+        if err:
+            facts = facts[-2:] + [new_err / err]
+        err = new_err
+        # settled: three ratios agree, which pins fact/(1-fact) to 10%
+        fact = facts[-1] if len(facts) == 3 else 1.0
+        if fact < 1.0 and all(abs(f - fact) < SETTLED * (1.0 - fact)
+                              for f in facts[:2]):
+            _superstep(r, last, flowers, fact)
+            facts = []
+            err = None
+    raise PackError(f"no convergence after {MAX_ITER} sweeps "
+                    f"(residual {worst:.3e})")
 
 
 def pack(p: PackingProblem, tolerance=DEFAULT_TOL) -> PackingLabel:
-    radius = {v: 1.0 for v in p.vertices}
-    if not p.interior:
-        label = PackingLabel(p, radius)
-        _layout(label)
-        return label
-    target = 2.0 * math.pi
-    for it in range(1, MAX_ITER + 1):
-        worst = 0.0
-        for v in p.interior:
-            k = len(p.tris_at[v])
-            theta = _angle_sum(p, radius, v)
-            worst = max(worst, abs(theta - target))
-            # uniform-neighbor update: pretend all petals share one
-            # radius, solve for the radius giving angle sum exactly 2*pi
-            beta = math.sin(theta / (2 * k))
-            rhat = radius[v] * beta / (1.0 - beta)
-            delta = math.sin(math.pi / k)
-            radius[v] = rhat * (1.0 - delta) / delta
-        if worst <= tolerance:
-            label = PackingLabel(p, radius, residual=worst, iterations=it)
-            _layout(label)
-            return label
-    raise PackError(f"no convergence after {MAX_ITER} sweeps "
-                    f"(residual {worst:.3e})")
+    """Radii and centers with every interior angle sum within tolerance.
+
+    Sweeps run until the worst ``|theta - 2*pi|`` of a sweep is at most
+    ``tolerance``; ``iterations`` counts them.  Once the ratio of
+    successive sweeps' errors has settled, a superstep (Collins &
+    Stephenson, "A circle packing algorithm", 2003) jumps ahead.
+    """
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise PackError(f"tolerance must be finite and positive, "
+                        f"not {tolerance}")
+    index = {v: i for i, v in enumerate(p.vertices)}
+    flowers = []
+    for v in p.interior:
+        delta = math.sin(math.pi / len(p.tris_at[v]))
+        flowers.append((index[v],
+                        [(index[u], index[w]) for u, w in p.tris_at[v]],
+                        (1.0 - delta) / delta))
+    r = [1.0] * len(p.vertices)
+    worst, sweeps = _solve(r, flowers, tolerance) if flowers else (0.0, 0)
+    label = PackingLabel(p, dict(zip(p.vertices, r)), residual=worst,
+                         iterations=sweeps)
+    _layout(label)
+    return label
 
 
 def _place_third(a, b, c, center, radius):
@@ -128,6 +202,28 @@ def _place_third(a, b, c, center, radius):
     center[c] = (ax + x * ux - y * uy, ay + x * uy + y * ux)
 
 
+def _root_triangle(p: PackingProblem) -> int:
+    """A triangle at the vertex farthest from the boundary (first in order).
+
+    Each residual angle error turns everything laid out after it, so the
+    breadth-first layout starts deep inside, where every circle is fewest
+    steps from the root (CirclePack's "alpha" vertex).
+    """
+    depth = dict.fromkeys(p.boundary, 0)
+    level = list(p.boundary)
+    while level:
+        nxt = []
+        for v in level:
+            for pair in p.tris_at[v]:
+                for u in pair:
+                    if u not in depth:
+                        depth[u] = depth[v] + 1
+                        nxt.append(u)
+        level = nxt
+    alpha = max(p.vertices, key=lambda v: depth.get(v, 0))
+    return next(i for i, tri in enumerate(p.triangles) if alpha in tri)
+
+
 def _layout(label: PackingLabel):
     p, radius = label.problem, label.radius
     if not p.triangles:
@@ -138,12 +234,13 @@ def _layout(label: PackingLabel):
         for i in range(3):
             by_edge.setdefault(frozenset((tri[i], tri[(i + 1) % 3])),
                                []).append(idx)
-    a, b, c = p.triangles[0]
+    root = _root_triangle(p)
+    a, b, c = p.triangles[root]
     center[a] = (0.0, 0.0)
     center[b] = (radius[a] + radius[b], 0.0)
     _place_third(a, b, c, center, radius)
-    done = {0}
-    q = deque([0])
+    done = {root}
+    q = deque([root])
     while q:
         idx = q.popleft()
         tri = p.triangles[idx]

@@ -290,7 +290,7 @@ class Tiling:
         ids = set()
         for i, f in enumerate(data["faces"]):
             _require(f, "face", i, ("id", "type", "vertices", "edges"))
-            if not isinstance(f["id"], int):
+            if not isinstance(f["id"], int) or isinstance(f["id"], bool):
                 raise TilingError("faces[%d]: id must be an int, not %s"
                                   % (i, json.dumps(f["id"])))
             if f["id"] in ids:
@@ -373,12 +373,16 @@ def _require(record, kind, i, fields):
 
 
 def _scalars(values, where):
-    """Raise unless ``values`` is a list of JSON scalars (names or keys)."""
+    """Raise unless ``values`` is a list of JSON scalars (names or keys).
+
+    Booleans are refused too: Python equates ``true`` with ``1``, so one
+    would silently stand for the other.
+    """
     if not isinstance(values, list):
         raise TilingError("%s must be a list" % where)
     for v in values:
-        if isinstance(v, (list, dict)):
-            raise TilingError("%s entry %s is not a JSON scalar"
+        if isinstance(v, (list, dict, bool)):
+            raise TilingError("%s entry %s is not a name or key"
                               % (where, json.dumps(v)))
 
 

@@ -151,6 +151,31 @@ def test_pack_roundtrip(tmp_path, capsys):
                  "edges": [2, 1, 0]}],
       "edges": [{"id": 0, "status": "plain"}, {"id": 1, "status": "plain"}]},
      "face 0: edge 2 has no edge record"),
+    # JSON true equals 1 in Python, so booleans are refused as keys
+    ({"faces": [{"id": True, "type": "t", "vertices": [0, 1, 2],
+                 "edges": [0, 1, 2]},
+                {"id": 0, "type": "t", "vertices": [0, 2, 1],
+                 "edges": [2, 1, 0]}],
+      "edges": [{"id": e, "status": "plain"} for e in range(3)]},
+     "faces[0]: id"),
+    ({"faces": [{"id": 0, "type": "t", "vertices": [0, True, 2],
+                 "edges": [0, 1, 2]},
+                {"id": 1, "type": "t", "vertices": [0, 2, 1],
+                 "edges": [2, 1, 0]}],
+      "edges": [{"id": e, "status": "plain"} for e in range(3)]},
+     "face 0: vertices entry true"),
+    ({"faces": [{"id": 0, "type": "t", "vertices": [0, 1, 2],
+                 "edges": [0, 1, 2]},
+                {"id": 1, "type": "t", "vertices": [0, 2, 1],
+                 "edges": [2, 1, True]}],
+      "edges": [{"id": e, "status": "plain"} for e in range(3)]},
+     "face 1: edges entry true"),
+    ({"faces": [{"id": 0, "type": "t", "vertices": [0, 1, 2],
+                 "edges": [0, 1, 2]},
+                {"id": 1, "type": "t", "vertices": [0, 2, 1],
+                 "edges": [2, 1, 0]}],
+      "edges": [{"id": e, "status": "plain"} for e in (0, True, 2)]},
+     "edges[1]: id entry true"),
 ])
 def test_pack_rejects_malformed_tiling(tmp_path, capsys, doc, where):
     path = tmp_path / "bad.json"
@@ -160,6 +185,19 @@ def test_pack_rejects_malformed_tiling(tmp_path, capsys, doc, where):
     assert out == ""
     assert err.startswith("error:") and where in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
+def test_pack_rejects_bad_tolerance(tmp_path, capsys, tolerance):
+    path = tmp_path / "t.json"
+    code, _, _ = run(capsys, "subdivide", "--rule", "torus3", "--steps", "1",
+                     "--out", str(path))
+    assert code == 0
+    code, out, err = run(capsys, "pack", "--in", str(path),
+                         "--tolerance", tolerance)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "tolerance" in err
 
 
 def test_unknown_rule_diagnostic(capsys):

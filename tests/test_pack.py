@@ -9,16 +9,12 @@ from coversphere.pack import (PackError, flower, pack, render_svg,
 from coversphere.tiling import Tiling
 
 
-def test_hex_flower_unit_radius():
-    label = pack(flower(6))
-    assert label.radius["c"] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_five_flower_scalar_solve():
-    # interior radius r solves 10*arcsin(1/(1+r)) = 2*pi
-    expect = 1.0 / math.sin(math.pi / 5) - 1.0
-    label = pack(flower(5))
-    assert label.radius["c"] == pytest.approx(expect, abs=1e-6)
+@pytest.mark.parametrize("k", range(3, 13))
+def test_flower_closed_form_radius(k):
+    # interior radius r solves 2k*arcsin(1/(1+r)) = 2*pi; r = 1 for k = 6
+    label = pack(flower(k))
+    expect = 1.0 / math.sin(math.pi / k) - 1.0
+    assert label.radius["c"] == pytest.approx(expect, abs=1e-9)
 
 
 def test_seven_flower_radius_exceeds_one():
@@ -52,6 +48,24 @@ def test_shipped_stages_pack_within_tolerance():
         label = pack(triangulate(t, 0))
         assert label.residual <= 1e-8
         assert tangency_error(label) <= 1e-6
+
+
+@pytest.mark.parametrize("stage", [4, 5])
+def test_torus3_replacement_stage_packs_fast(stage):
+    # stage 4 is the benchmark's pack input; plain uniform-neighbour
+    # sweeps need 5,800 there and 9,961 at stage 5
+    t = list(stage_tilings(get_rule("torus3"), stage, "replacement"))[-1]
+    label = pack(triangulate(t, 0))
+    assert label.residual <= 1e-8
+    assert tangency_error(label) <= 1e-6
+    assert all(r > 0 for r in label.radius.values())
+    assert label.iterations <= 1000
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0, 0.0])
+def test_bad_tolerance_rejected(tolerance):
+    with pytest.raises(PackError, match="tolerance"):
+        pack(flower(6), tolerance)
 
 
 def test_symmetric_input_symmetric_radii():
