@@ -1,16 +1,16 @@
 """Cayley-graph experiments: balls, almost-convexity profiles, cone types.
 
 Groups are given by a multiplication on hashable normal forms (integer
-tuples), so the word metric comes from plain BFS.  Cone types are
-approximated at finite depth: the portion of a sphere element's shadow
-within k steps, compared up to rooted labeled-graph isomorphism.
+tuples), so the word metric comes from plain BFS.  A ball is built once
+as a dense indexed graph: element ids in BFS order, and one flat list of
+generator products, so every later pass walks ints and multiplies
+nothing.  Cone types are approximated at finite depth: the portion of a
+sphere element's shadow within k steps, compared up to rooted labeled-graph
+isomorphism.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
-
-import networkx as nx
-from networkx.algorithms import isomorphism
+from functools import cache, cached_property
 
 DEFAULT_CAP = 10 ** 6
 
@@ -50,6 +50,7 @@ def _heis_mul(a, b):
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
 
 
+@cache
 def _mat_pow(s):
     # powers of ((2,1),(1,1)); inverse is ((1,-1),(-1,2))
     m = (1, 0, 0, 1)
@@ -102,68 +103,128 @@ def make_group(name: str) -> GroupSpec:
 
 # --- balls -----------------------------------------------------------
 
+def _nonnegative(value, what):
+    if value < 0:
+        raise CayleyError(f"{what} must be non-negative, not {value}")
+
+
 @dataclass
 class BallData:
+    """B(radius) as a dense graph on element ids.
+
+    Ids follow BFS order, and sorted element order within a sphere, so
+    sphere k is the id range ``offsets[k]:offsets[k + 1]``, an id below
+    ``offsets[k + 1]`` has word length at most k, and ids of one sphere
+    compare as their elements do.  ``gens`` lists the generator names
+    sorted, and ``inv[j]`` is the slot of the inverse of ``gens[j]``;
+    ``nbr[i * len(gens) + j]`` is the id of ``elements[i] * gens[j]``, or
+    -1 when that product lies outside the ball.
+    """
     group: GroupSpec
     radius: int
-    length: dict                # element -> word length
-    elements: list              # BFS order: by (length, element)
+    elements: list              # id -> element
+    index: dict                 # element -> id
+    offsets: list
+    gens: list
+    inv: list
+    nbr: list
+
+    @cached_property
+    def length(self):
+        """Element -> word length."""
+        return {e: k for k in range(self.radius + 1) for e in self.sphere(k)}
 
     def sphere(self, k):
-        return [e for e in self.elements if self.length[e] == k]
+        if not 0 <= k <= self.radius:
+            return []
+        return self.elements[self.offsets[k]:self.offsets[k + 1]]
 
     def ball_size(self, k):
-        return sum(1 for e in self.elements if self.length[e] <= k)
+        return self.offsets[min(k, self.radius) + 1] if k >= 0 else 0
+
+    def row(self, i):
+        """Ids of the products of id i with each generator, -1 outside."""
+        ng = len(self.gens)
+        return self.nbr[i * ng:(i + 1) * ng]
 
     def neighbors(self, e):
-        g = self.group
-        out = []
-        for s in sorted(g.generators):
-            w = g.mul(e, g.generators[s])
-            if w in self.length:
-                out.append((s, w))
-        return out
+        return [(s, self.elements[w])
+                for s, w in zip(self.gens, self.row(self.index[e])) if w >= 0]
 
 
 def ball(g: GroupSpec, n: int, cap=DEFAULT_CAP) -> BallData:
-    length = {g.identity: 0}
-    frontier = [g.identity]
+    """B(n) by BFS, multiplying each edge of the Cayley graph once.
+
+    A product found from one end also fills the inverse generator's slot
+    at the other end, so the products back into the previous sphere are
+    known before a sphere is expanded.
+    """
+    _nonnegative(n, "radius")
+    gens = sorted(g.generators)
+    ng = len(gens)
+    step = [g.generators[s] for s in gens]
+    inv = [gens.index(g.gen_inverse[s]) for s in gens]
+    mul = g.mul
     elements = [g.identity]
-    for depth in range(1, n + 1):
-        nxt = set()
-        for e in frontier:
-            for s in g.generators:
-                w = g.mul(e, g.generators[s])
-                if w not in length:
-                    nxt.add(w)
-        for w in sorted(nxt):
-            length[w] = depth
-        if len(length) > cap:
+    index = {g.identity: 0}
+    offsets = [0, 1]
+    nbr = [None] * ng
+
+    def link(i, j, k):
+        nbr[i * ng + j] = k
+        nbr[k * ng + inv[j]] = i
+
+    for depth in range(n + 1):
+        pending = []        # products not yet in the ball: (id, slot, w)
+        for i in range(offsets[depth], offsets[depth + 1]):
+            e = elements[i]
+            for j in range(ng):
+                if nbr[i * ng + j] is None:
+                    w = mul(e, step[j])
+                    k = index.get(w)
+                    if k is None:
+                        pending.append((i, j, w))
+                    else:
+                        link(i, j, k)
+        if depth == n:
+            for i, j, _ in pending:
+                nbr[i * ng + j] = -1
+            break
+        new = sorted({w for _, _, w in pending})
+        if len(elements) + len(new) > cap:
             raise CayleyError(f"ball exceeds element cap {cap}")
-        frontier = sorted(nxt)
-        elements.extend(frontier)
-    return BallData(g, n, length, elements)
+        for w in new:
+            index[w] = len(elements)
+            elements.append(w)
+        offsets.append(len(elements))
+        nbr.extend([None] * (ng * len(new)))
+        for i, j, w in pending:
+            link(i, j, index[w])
+    return BallData(g, n, elements, index, offsets, gens, inv, nbr)
 
 
 # --- almost convexity ------------------------------------------------
 
-def _dist_within(ball_data: BallData, n: int, src, dst):
-    """Shortest path from src to dst using only elements of B(n)."""
+def _dist_within(bd: BallData, n: int, src, dst):
+    """Shortest path between ids src and dst using only ids of B(n)."""
     if src == dst:
         return 0
-    length = ball_data.length
-    seen = {src: 0}
-    q = deque([src])
-    while q:
-        e = q.popleft()
-        d = seen[e] + 1
-        for _s, w in ball_data.neighbors(e):
-            if length[w] > n or w in seen:
-                continue
-            if w == dst:
-                return d
-            seen[w] = d
-            q.append(w)
+    lim = bd.offsets[n + 1]
+    nbr, ng = bd.nbr, len(bd.gens)
+    seen = {src}
+    level = [src]
+    d = 0
+    while level:
+        d += 1
+        nxt = []
+        for e in level:
+            for w in nbr[e * ng:(e + 1) * ng]:
+                if 0 <= w < lim and w not in seen:
+                    if w == dst:
+                        return d
+                    seen.add(w)
+                    nxt.append(w)
+        level = nxt
     return None  # disconnected within B(n)
 
 
@@ -174,100 +235,82 @@ def ac_profile(g: GroupSpec, n_max: int, m: int = 2, cap=DEFAULT_CAP):
     <= m of their distance inside B(n); when no such pairs exist the bound
     m is vacuously attained and reported.
     """
-    bd = ball(g, n_max + 1, cap)  # +1 so paths of length m between
-    length = bd.length            # sphere elements are enumerable
+    _nonnegative(n_max, "radius")
+    # +1 so paths of length m between sphere elements are enumerable
+    bd = ball(g, n_max + 1, cap)
+    nbr, ng = bd.nbr, len(bd.gens)
     table = {}
     for n in range(2, n_max + 1):
-        sphere = set(bd.sphere(n))
+        hi, lim = bd.offsets[n + 1], bd.offsets[n + 2]
         best = m
-        for v in sorted(sphere):
-            # partners within word distance m (m == 2 supported exactly;
-            # larger m walks products of up to m generators)
+        for v in range(bd.offsets[n], hi):
+            # later sphere-n ids within m steps, walking inside B(n + 1)
             partners = set()
-            stack = [(v, 0)]
-            while stack:
-                e, d = stack.pop()
-                if d == m:
-                    continue
-                for _s, w in bd.neighbors(e):
-                    if w in sphere and w > v:
-                        partners.add(w)
-                    if length[w] <= n + 1:
-                        stack.append((w, d + 1))
-            for w in sorted(partners):
-                # cheap midpoint check: common neighbor inside B(n)
-                halves = {bd.group.mul(v, e2)
-                          for e2 in bd.group.generators.values()}
-                mid = any(u in length and length[u] <= n
-                          and any(bd.group.mul(u, e2) == w
-                                  for e2 in bd.group.generators.values())
-                          for u in halves)
-                if mid:
-                    d_in = 2
-                else:
-                    d_in = _dist_within(bd, n, v, w)
+            level = {v}
+            for _ in range(m):
+                nxt = set()
+                for e in level:
+                    for w in nbr[e * ng:(e + 1) * ng]:
+                        if v < w < hi:
+                            partners.add(w)
+                        if 0 <= w < lim:
+                            nxt.add(w)
+                level = nxt
+            # cheap check first: ends of two steps through a midpoint in B(n)
+            via_mid = set()
+            for u in nbr[v * ng:(v + 1) * ng]:
+                if 0 <= u < hi:
+                    via_mid.update(nbr[u * ng:(u + 1) * ng])
+            for w in partners:
+                d_in = 2 if w in via_mid else _dist_within(bd, n, v, w)
                 if d_in is None:
-                    table[n] = None
+                    best = None
                     break
                 best = max(best, d_in)
-            if table.get(n, 0) is None:
+            if best is None:
                 break
-        else:
-            table[n] = best
+        table[n] = best
     return table
 
 
 # --- cone types ------------------------------------------------------
 
-def _shadow_graph(bd: BallData, small: BallData, v, k):
-    """Depth-k shadow portion around v as a rooted labeled graph.
+def _shadow_graph(bd: BallData, nodes):
+    """Rooted labeled graph on shadow ids, root first in ``nodes``.
 
-    Nodes are elements w with d(v, w) <= k lying on a geodesic from the
-    identity through v (|w| = |v| + d(v, w)); edges are generator moves
-    inside the node set, labeled by unordered generator pairs; the graph
-    is cut to what is reachable from v within k shadow steps.
+    Edges are generator moves inside the node set, labeled by the sorted
+    pair {s, s^-1}.  Returns ``(root, {node: {neighbour: label}})``.
     """
-    g = bd.group
-    lv = bd.length[v]
-    nodes = {}
-    for u, du in small.length.items():
-        w = g.mul(v, u)
-        lw = bd.length.get(w)
-        if lw is not None and lw == lv + du:
-            nodes[w] = du
-    G = nx.Graph()
-    for w in nodes:
-        G.add_node(w, root=(w == v))
-    for w in nodes:
-        for s, x in bd.neighbors(w):
-            if x in nodes:
-                lab = frozenset((s, g.gen_inverse[s]))
+    labels = [tuple(sorted((s, bd.group.gen_inverse[s]))) for s in bd.gens]
+    members = set(nodes)
+    return nodes[0], {w: {x: labels[j] for j, x in enumerate(bd.row(w))
+                          if x in members}
+                      for w in nodes}
+
+
+def _graph_fingerprint(graph):
+    root, adj = graph
+    return tuple(sorted((w == root, tuple(sorted(out.values())))
+                        for w, out in adj.items()))
+
+
+def _rooted_iso(graph1, graph2):
+    """Root- and label-preserving isomorphism, by networkx's VF2."""
+    import networkx as nx
+    from networkx.algorithms import isomorphism
+
+    def to_nx(graph):
+        root, adj = graph
+        G = nx.Graph()
+        for w in adj:
+            G.add_node(w, root=(w == root))
+        for w, out in adj.items():
+            for x, lab in out.items():
                 G.add_edge(w, x, label=lab)
-    keep = {v}
-    q = deque([(v, 0)])
-    while q:
-        e, d = q.popleft()
-        if d == k:
-            continue
-        for x in G.neighbors(e):
-            if x not in keep:
-                keep.add(x)
-                q.append((x, d + 1))
-    return G.subgraph(keep).copy()
+        return G
 
-
-def _graph_fingerprint(G):
-    prof = []
-    for w in G.nodes:
-        labs = sorted(tuple(sorted(G.edges[w, x]["label"]))
-                      for x in G.neighbors(w))
-        prof.append((G.nodes[w]["root"], tuple(labs)))
-    return tuple(sorted(prof))
-
-
-def _rooted_iso(G1, G2):
     gm = isomorphism.GraphMatcher(
-        G1, G2,
+        to_nx(graph1), to_nx(graph2),
         node_match=lambda a, b: a["root"] == b["root"],
         edge_match=lambda a, b: a["label"] == b["label"])
     return gm.is_isomorphic()
@@ -281,23 +324,59 @@ class ConeTypeReport:
     class_count: int
     class_sizes: list
     representatives: list
+    bucket_count: int
 
 
 def cone_type_count(g: GroupSpec, n: int, k: int,
                     cap=DEFAULT_CAP) -> ConeTypeReport:
+    """Depth-k cone types of the sphere S(n).
+
+    A sphere element v's depth-k shadow is {vu : u in B(k), |vu| = |v| +
+    |u|}, with the generator moves among its elements.  Every shadow
+    element is reached from v along a geodesic word for u, whose prefixes
+    lie in the shadow too, so the shadow is its own depth-k portion.
+    Elements are first bucketed by the set of such u: left translation
+    maps equal sets to identical rooted graphs, so only the first member
+    of each bucket is compared, by fingerprint and then VF2, with the
+    classes found so far.  Buckets refine classes: for Z, the two sphere
+    elements are two buckets of one class.
+    """
+    _nonnegative(n, "radius")
+    _nonnegative(k, "depth")
     bd = ball(g, n + k, cap)
-    small = ball(g, k, cap)
-    classes = []  # (fingerprint, graph, rep, size)
-    for v in bd.sphere(n):
-        G = _shadow_graph(bd, small, v, k)
+    nbr, ng, offsets = bd.nbr, len(bd.gens), bd.offsets
+    # each u != 1 of B(k) as (u, parent p, slot j, |u|) with u = p * gens[j]
+    steps = []
+    for d in range(1, k + 1):
+        for u in range(offsets[d], offsets[d + 1]):
+            row = bd.row(u)
+            j = next(j for j, p in enumerate(row) if 0 <= p < offsets[d])
+            steps.append((u, row[j], bd.inv[j], d))
+    buckets = {}    # shadow u-ids -> [shadow ids of first member, size]
+    img = [0] * offsets[k + 1]
+    for v in range(offsets[n], offsets[n + 1]):
+        img[0] = v
+        key = [0]
+        for u, p, j, d in steps:
+            w = img[u] = nbr[img[p] * ng + j]
+            if offsets[n + d] <= w < offsets[n + d + 1]:
+                key.append(u)
+        key = tuple(key)
+        if key in buckets:
+            buckets[key][1] += 1
+        else:
+            buckets[key] = [[img[u] for u in key], 1]
+    classes = []  # [fingerprint, graph, rep, size]
+    for nodes, size in buckets.values():
+        G = _shadow_graph(bd, nodes)
         fp = _graph_fingerprint(G)
         for cls in classes:
             if cls[0] == fp and _rooted_iso(cls[1], G):
-                cls[3] += 1
+                cls[3] += size
                 break
         else:
-            classes.append([fp, G, v, 1])
+            classes.append([fp, G, bd.elements[nodes[0]], size])
     classes.sort(key=lambda c: (-c[3], str(c[2])))
     return ConeTypeReport(g.name, n, k, len(classes),
                           [c[3] for c in classes],
-                          [c[2] for c in classes])
+                          [c[2] for c in classes], len(buckets))

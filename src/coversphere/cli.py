@@ -104,7 +104,8 @@ def _cmd_cayley(args):
                                      cap=args.cap)
         _emit({"group": rep.group, "radius": rep.radius,
                "depth": rep.depth, "class_count": rep.class_count,
-               "class_sizes": rep.class_sizes}, "-")
+               "class_sizes": rep.class_sizes,
+               "bucket_count": rep.bucket_count}, "-")
         return 0
     bd = cayley.ball(g, args.radius, cap=args.cap)
     _emit({"group": g.name, "radius": args.radius,

@@ -9,6 +9,7 @@ intersection from a triangle deep inside the disk.
 """
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -174,6 +175,14 @@ def pack(p: PackingProblem, tolerance=DEFAULT_TOL) -> PackingLabel:
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise PackError(f"tolerance must be finite and positive, "
                         f"not {tolerance}")
+    # an angle sum of k terms near 2*pi carries about k*2*pi*eps of
+    # rounding, so no sweep can be trusted to get closer than that
+    k_max = max((len(p.tris_at[v]) for v in p.interior), default=0)
+    floor = k_max * TWO_PI * sys.float_info.epsilon
+    if tolerance < floor:
+        raise PackError(f"tolerance {tolerance:g} is below {floor:.1e}, "
+                        f"the rounding floor of an angle sum at valence "
+                        f"{k_max}")
     index = {v: i for i, v in enumerate(p.vertices)}
     flowers = []
     for v in p.interior:

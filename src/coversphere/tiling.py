@@ -375,13 +375,13 @@ def _require(record, kind, i, fields):
 def _scalars(values, where):
     """Raise unless ``values`` is a list of JSON scalars (names or keys).
 
-    Booleans are refused too: Python equates ``true`` with ``1``, so one
-    would silently stand for the other.
+    Booleans and floats are refused too: Python equates ``true`` and
+    ``1.0`` with ``1``, so one would silently stand for the other.
     """
     if not isinstance(values, list):
         raise TilingError("%s must be a list" % where)
     for v in values:
-        if isinstance(v, (list, dict, bool)):
+        if isinstance(v, (list, dict, bool, float)):
             raise TilingError("%s entry %s is not a name or key"
                               % (where, json.dumps(v)))
 

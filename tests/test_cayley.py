@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from coversphere.catalog import load_spec
@@ -97,3 +99,73 @@ def test_cube_cover_cells_match_z3_balls():
     for n in range(5):
         assert state.num_cells == bd.ball_size(n)
         state.expand()
+
+
+def test_ball_neighbour_list_matches_multiplication():
+    for name, n in (("Z", 3), ("heis", 4), ("sol", 3)):
+        g = make_group(name)
+        bd = ball(g, n)
+        for k in range(n + 1):
+            sphere = bd.sphere(k)
+            assert sphere == sorted(sphere)
+            assert all(bd.length[e] == k for e in sphere)
+        for i, e in enumerate(bd.elements):
+            assert bd.index[e] == i
+            assert bd.row(i) == [bd.index.get(g.mul(e, g.generators[s]), -1)
+                                 for s in bd.gens]
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: ball(g, -1),
+    lambda g: ac_profile(g, -1),
+    lambda g: cone_type_count(g, -1, 2),
+    lambda g: cone_type_count(g, 3, -1),
+], ids=["ball", "ac_profile", "cone_radius", "cone_depth"])
+def test_negative_radius_or_depth_rejected(call):
+    with pytest.raises(CayleyError, match="must be non-negative"):
+        call(make_group("Z"))
+
+
+# Measured before balls became indexed graphs and cone types were
+# bucketed by shadow; representatives are pinned by the sha256 of their
+# repr.
+PINNED_CONES = [
+    ("heis", 6, 2, [44, 44, 24, 24, 24, 16, 16, 16, 16, 8, 8, 8, 8]
+     + [4] * 8 + [2] * 3,
+     "f10717f341949d7dc354c2d34183831d0f2d5347d86593f95a0d839b31c12a9a"),
+    ("heis", 8, 3, [68, 40, 40, 28, 28, 20, 20] + [16] * 10 + [12] * 4
+     + [8] * 6 + [4] * 55 + [2] * 2,
+     "c90cee3de713c6ccb234a5adccccd4e9069a3db9340f2b36ef1d38829222b6d5"),
+    ("Z3", 5, 2, [48, 16, 16, 16, 2, 2, 2],
+     "7d167cb1439cd992c770ad843f95feafa0cb340620af142e99842327405b9bc8"),
+    ("sol", 5, 2, [13, 13, 10, 10] + [8] * 10 + [6] * 10 + [4] * 24
+     + [2] * 54,
+     "3f6cbe8ff3b84ca7803a6b86c76c72ec41254b1cc3f01d9b78e17eaaaa5da8c0"),
+]
+
+
+@pytest.mark.parametrize("name, n, k, sizes, digest", PINNED_CONES,
+                         ids=[f"{p[0]}-{p[1]}-{p[2]}" for p in PINNED_CONES])
+def test_cone_types_pinned(name, n, k, sizes, digest):
+    rep = cone_type_count(make_group(name), n, k)
+    assert rep.class_count == len(sizes)
+    assert rep.class_sizes == sizes
+    assert hashlib.sha256(repr(rep.representatives).encode()).hexdigest() \
+        == digest
+
+
+def test_ac_profiles_pinned():
+    assert ac_profile(make_group("heis"), 8, 2) == \
+        {2: 2, 3: 6, 4: 6, 5: 10, 6: 10, 7: 10, 8: 10}
+    assert ac_profile(make_group("sol"), 6, 2) == \
+        {2: 3, 3: 3, 4: 4, 5: 4, 6: 4}
+
+
+@pytest.mark.parametrize("name, n, k, buckets, classes", [
+    ("Z", 4, 3, 2, 1),          # a^4 and A^4 shadow opposite rays
+    ("heis", 12, 2, 137, 37),
+    ("Z3", 5, 2, 26, 7),
+])
+def test_bucket_count(name, n, k, buckets, classes):
+    rep = cone_type_count(make_group(name), n, k)
+    assert (rep.bucket_count, rep.class_count) == (buckets, classes)

@@ -1,8 +1,23 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import coversphere
 from coversphere.cli import main
+
+SRC = str(Path(coversphere.__file__).resolve().parents[1])
+
+
+def python(code, seed="0"):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300,
+                          check=True).stdout
 
 
 def run(capsys, *argv):
@@ -58,6 +73,35 @@ def test_cayley_cones(capsys):
                        "--cones", "--depth", "3")
     assert code == 0
     assert json.loads(out)["class_count"] == 1
+    assert json.loads(out)["bucket_count"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--radius", "3", "--cones", "--depth", "-1"),
+    ("--radius", "-1", "--cones"),
+    ("--radius", "-1", "--ac2"),
+    ("--radius", "-1"),
+], ids=["depth", "cones", "ac2", "ball"])
+def test_cayley_rejects_negative_radius_or_depth(capsys, argv):
+    code, out, err = run(capsys, "cayley", "--group", "Z", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be non-negative" in err
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    out = python("import sys, coversphere.cli; "
+                 "print('networkx' in sys.modules)")
+    assert out == "False\n"
+
+
+def test_cayley_cones_stdout_stable_across_hash_seeds():
+    code = ("from coversphere.cli import main; "
+            "main(['cayley', '--group', 'heis', '--radius', '6', "
+            "'--cones', '--depth', '2'])")
+    outputs = {python(code, seed) for seed in ("0", "1")}
+    assert len(outputs) == 1
+    assert json.loads(outputs.pop())["class_count"] == 24
 
 
 def test_verify_exit_codes(capsys):
@@ -176,6 +220,19 @@ def test_pack_roundtrip(tmp_path, capsys):
                  "edges": [2, 1, 0]}],
       "edges": [{"id": e, "status": "plain"} for e in (0, True, 2)]},
      "edges[1]: id entry true"),
+    # 1.0 equals 1 in Python too, so floats are refused as names and keys
+    ({"faces": [{"id": 0, "type": "t", "vertices": [0, 1, 2],
+                 "edges": [0, 1, 2]},
+                {"id": 1, "type": "t", "vertices": [0, 2, 1],
+                 "edges": [2, 1, 1.0]}],
+      "edges": [{"id": e, "status": "plain"} for e in range(3)]},
+     "face 1: edges entry 1.0"),
+    ({"faces": [{"id": 0, "type": "t", "vertices": [0, 1, 2],
+                 "edges": [0, 1, 2]},
+                {"id": 1, "type": "t", "vertices": [0, 2, 1],
+                 "edges": [2, 1.0, 0]}],
+      "edges": [{"id": e, "status": "plain"} for e in range(3)]},
+     "face 1: edges entry 1.0"),
 ])
 def test_pack_rejects_malformed_tiling(tmp_path, capsys, doc, where):
     path = tmp_path / "bad.json"
@@ -187,7 +244,7 @@ def test_pack_rejects_malformed_tiling(tmp_path, capsys, doc, where):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0", "1e-300"])
 def test_pack_rejects_bad_tolerance(tmp_path, capsys, tolerance):
     path = tmp_path / "t.json"
     code, _, _ = run(capsys, "subdivide", "--rule", "torus3", "--steps", "1",

@@ -62,10 +62,19 @@ def test_torus3_replacement_stage_packs_fast(stage):
     assert label.iterations <= 1000
 
 
-@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0, 0.0,
+                                       1e-300])
 def test_bad_tolerance_rejected(tolerance):
     with pytest.raises(PackError, match="tolerance"):
         pack(flower(6), tolerance)
+
+
+def test_tolerance_floor_scales_with_valence():
+    # the floor is k*2*pi*eps: 8.4e-15 at valence 6, 1.7e-14 at 12
+    assert pack(flower(6), 1e-14).residual <= 1e-14
+    with pytest.raises(PackError, match="below 1.7e-14"):
+        pack(flower(12), 1e-14)
+    assert pack(flower(12), 2e-14).residual <= 2e-14
 
 
 def test_symmetric_input_symmetric_radii():
