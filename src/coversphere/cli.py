@@ -5,13 +5,14 @@ invocations produce byte-identical output.
 """
 
 import argparse
+import itertools
 import json
 import sys
 
 from . import catalog, cayley, growth, pack as packmod
-from .cover import build_cover
+from .cover import balls
 from .gluing import load_gluing_spec
-from .rules import apply_replacement, apply_subdivision
+from .rules import apply_replacement  # noqa: F401 (the bench reads it)
 from .tiling import Tiling, isomorphic
 
 
@@ -25,6 +26,13 @@ def _write(text, path):
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
 
 
 def _load_spec(name_or_path):
@@ -63,9 +71,8 @@ def _cmd_subdivide(args):
 
 def _cmd_cover(args):
     spec = _load_spec(args.spec)
-    state = build_cover(spec, 0)
     cells, faces, spheres = [], [], []
-    for _ in range(args.steps):
+    for state in balls(spec, args.steps):
         if state.num_cells > args.cap:
             print(f"cell cap {args.cap} exceeded", file=sys.stderr)
             return 2
@@ -73,7 +80,6 @@ def _cmd_cover(args):
         cells.append(state.num_cells)
         faces.append(sphere.num_faces)
         spheres.append(sphere.is_sphere())
-        state.expand()
     _emit({"spec": spec.name or args.spec, "steps": args.steps,
            "cells": cells, "face_counts": faces,
            "all_spheres": all(spheres)}, args.stats)
@@ -138,18 +144,16 @@ def _cmd_verify(args):
               file=sys.stderr)
         return 2
     spec = catalog.load_spec(entry.companion)
-    state = build_cover(spec, 1)
-    t = entry.initial
-    for stage in range(1, args.steps + 1):
+    # a flat zip, cover before rule: enumerate(zip(...)) peaked higher
+    stages = zip(itertools.count(1), balls(spec, args.steps),
+                 growth.stage_tilings(entry, args.steps, "replacement"))
+    for stage, state, t in stages:
         sphere = state.boundary_sphere()
         if not isomorphic(t, sphere):
             print(f"stage {stage}: rule output does not match cover "
                   f"({t.num_faces} vs {sphere.num_faces} faces)",
                   file=sys.stderr)
             return 1
-        if stage < args.steps:
-            state.expand()
-            t = apply_replacement(entry.rule.replacement, t)
     _emit({"rule": entry.name, "spec": entry.companion,
            "steps": args.steps, "equivalent": True}, "-")
     return 0
@@ -168,7 +172,7 @@ def build_parser():
 
     p = sub.add_parser("subdivide", help="run a rule for N steps")
     p.add_argument("--rule", required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=positive_int, required=True)
     p.add_argument("--mode", choices=["replacement", "subdivision"])
     p.add_argument("--stats", help="stats JSON path or '-'")
     p.add_argument("--out", help="final-stage tiling JSON path or '-'")
@@ -180,14 +184,16 @@ def build_parser():
     p = sub.add_parser("cover", help="grow a cover from a gluing spec")
     p.add_argument("--spec", required=True,
                    help="bundled spec name or .glue path")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=positive_int, required=True)
     p.add_argument("--stats", default="-")
-    p.add_argument("--cap", type=int, default=10 ** 6)
+    p.add_argument("--cap", type=int, default=10 ** 6,
+                   help="exit 2 if a ball B(1)..B(steps) has more than CAP "
+                        "cells; bounds the largest ball built")
     p.set_defaults(fn=_cmd_cover)
 
     p = sub.add_parser("growth", help="classify a rule's face-count growth")
     p.add_argument("--rule", required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=positive_int, required=True)
     p.add_argument("--mode", choices=["replacement", "subdivision"])
     p.set_defaults(fn=_cmd_growth)
 
@@ -213,7 +219,7 @@ def build_parser():
     p = sub.add_parser("verify",
                        help="check a rule against its companion cover")
     p.add_argument("--rule", required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=positive_int, required=True)
     p.set_defaults(fn=_cmd_verify)
     return ap
 

@@ -183,18 +183,25 @@ class CoverState:
         return Tiling(faces, stage=self.stage, edge_status=status)
 
 
-def build_cover(spec: GluingSpec, stages: int) -> CoverState:
+def balls(spec: GluingSpec, stages: int):
+    """Yield the ball B(1), ..., B(stages), one shared CoverState.
+
+    B(n) is expanded to B(n+1) only when the next ball is requested, so
+    no ball beyond B(stages) is ever built.
+    """
+    if stages < 1:
+        raise CoverError("stages must be at least 1, not %d" % stages)
     state = CoverState(spec)
+    yield state
     for _ in range(stages - 1):
-        state.expand()
+        yield state.expand()
+
+
+def build_cover(spec: GluingSpec, stages: int) -> CoverState:
+    *_, state = balls(spec, stages)
     return state
 
 
 def sphere_series(spec: GluingSpec, stages: int):
     """Boundary tilings S(1) .. S(stages)."""
-    state = CoverState(spec)
-    out = [state.boundary_sphere()]
-    for _ in range(stages - 1):
-        state.expand()
-        out.append(state.boundary_sphere())
-    return out
+    return [state.boundary_sphere() for state in balls(spec, stages)]

@@ -358,6 +358,23 @@ def _loaded_groups(t: Tiling):
     return [sorted(g) for g in sorted(groups.values())]
 
 
+def _bind(mapping, keys, values, added, taken=None):
+    """Extend mapping by keys -> values in place, appending each new key
+    to added; False on a clash, or on a value already in taken if given."""
+    for k, v in zip(keys, values):
+        old = mapping.get(k)
+        if old is None:
+            if taken is not None:
+                if v in taken:
+                    return False
+                taken.add(v)
+            mapping[k] = v
+            added.append(k)
+        elif old != v:
+            return False
+    return True
+
+
 def _match_pattern(pat: Pattern, t: Tiling, group):
     """Map pattern region onto the group; returns (sigma, edge_of) or None.
 
@@ -367,9 +384,12 @@ def _match_pattern(pat: Pattern, t: Tiling, group):
     if len(pat.region) != len(group):
         return None
 
-    def extend(idx, sigma, edge_of, used):
+    # one search state, extended in place and undone on backtrack
+    sigma, edge_of, taken, used = {}, {}, set(), set()
+
+    def extend(idx):
         if idx == len(pat.region):
-            return sigma, edge_of
+            return True
         pf, sides = pat.region[idx], pat.region_sides[idx]
         cyc = pf["cycle"]
         for g in group:
@@ -379,24 +399,21 @@ def _match_pattern(pat: Pattern, t: Tiling, group):
             if len(vs) != len(cyc):
                 continue
             for avs, aes in _dihedral(vs, t.face_edges(g)):
-                s2 = dict(sigma)
-                if any(s2.setdefault(nm, v) != v for nm, v in zip(cyc, avs)):
-                    continue
-                if len(set(s2.values())) != len(s2):
-                    continue
-                e2 = dict(edge_of)
-                if any(e2.setdefault(sym, e) != e
-                       for sym, e in zip(sides, aes)):
-                    continue
-                res = extend(idx + 1, s2, e2, used | {g})
-                if res:
-                    return res
-        return None
+                new_v, new_e = [], []
+                if (_bind(sigma, cyc, avs, new_v, taken)
+                        and _bind(edge_of, sides, aes, new_e)):
+                    used.add(g)
+                    if extend(idx + 1):
+                        return True
+                    used.discard(g)
+                for nm in new_v:
+                    taken.discard(sigma.pop(nm))
+                for sym in new_e:
+                    del edge_of[sym]
+        return False
 
-    res = extend(0, {}, {}, frozenset())
-    if not res:
+    if not extend(0):
         return None
-    sigma, edge_of = res
     for sym, want in pat.internal.items():
         if t.edge_status[edge_of[sym]] != want:
             return None

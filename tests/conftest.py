@@ -120,3 +120,20 @@ class CubeBallOracle:
 @pytest.fixture(scope="session")
 def cube_oracle():
     return {n: CubeBallOracle(n) for n in range(1, 7)}
+
+
+@pytest.fixture
+def expand_sizes(monkeypatch):
+    """Cell count of every ball that CoverState.expand builds, in order."""
+    from coversphere.cover import CoverState
+
+    sizes = []
+    expand = CoverState.expand
+
+    def recorded(self):
+        expand(self)
+        sizes.append(self.num_cells)
+        return self
+
+    monkeypatch.setattr(CoverState, "expand", recorded)
+    return sizes

@@ -61,6 +61,48 @@ def test_cover_stats(capsys):
     assert data["all_spheres"]
 
 
+@pytest.mark.parametrize("argv, n", [
+    (("cover", "--spec", "cube", "--steps", "1"), 1),
+    (("cover", "--spec", "cube", "--steps", "3"), 3),
+    (("verify", "--rule", "torus3", "--steps", "1"), 1),
+    (("verify", "--rule", "torus3", "--steps", "3"), 3),
+], ids=["cover-1", "cover-3", "verify-1", "verify-3"])
+def test_cover_and_verify_build_balls_up_to_steps(capsys, expand_sizes,
+                                                  argv, n):
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert expand_sizes == [7, 25][:n - 1]
+
+
+def test_cover_cap_bounds_the_largest_ball(capsys, expand_sizes):
+    code, out, _ = run(capsys, "cover", "--spec", "prism12", "--steps", "4",
+                       "--cap", "1111")
+    assert code == 0
+    assert json.loads(out)["cells"] == [1, 15, 137, 1111]
+    assert expand_sizes == [15, 137, 1111]   # never the 8,793-cell B(5)
+    code, out, err = run(capsys, "cover", "--spec", "prism12", "--steps",
+                         "4", "--cap", "1110")
+    assert code == 2
+    assert out == ""
+    assert "cell cap 1110 exceeded" in err
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ("cover", "--spec", "cube"),
+    ("verify", "--rule", "nxs1"),
+    ("subdivide", "--rule", "torus3", "--stats", "-"),
+    ("growth", "--rule", "torus3"),
+], ids=lambda argv: argv[0])
+def test_steps_below_one_rejected(capsys, argv, steps):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--steps", steps])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"--steps: must be at least 1, not {steps}" in out.err
+
+
 def test_cayley_ac2(capsys):
     code, out, _ = run(capsys, "cayley", "--group", "Z3",
                        "--radius", "4", "--ac2")
@@ -122,7 +164,7 @@ def test_verify_sl2r_against_utn_cover(capsys):
 
 
 def test_verify_reports_first_mismatched_stage(capsys, monkeypatch):
-    monkeypatch.setattr("coversphere.cli.apply_replacement",
+    monkeypatch.setattr("coversphere.growth.apply_replacement",
                         lambda rule, t: t)
     code, out, err = run(capsys, "verify", "--rule", "torus3", "--steps", "3")
     assert code == 1

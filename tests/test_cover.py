@@ -2,7 +2,8 @@ import importlib.resources as resources
 
 import pytest
 
-from coversphere.cover import CoverError, CoverState, build_cover, sphere_series
+from coversphere.cover import (CoverError, CoverState, balls, build_cover,
+                               sphere_series)
 from coversphere.gluing import parse_gluing
 from coversphere.tiling import isomorphic
 
@@ -23,11 +24,8 @@ def cube_spheres(cube_spec):
 
 
 def test_cube_cell_counts(cube_spec, cube_oracle):
-    state = CoverState(cube_spec)
-    for n in range(1, 7):
+    for n, state in enumerate(balls(cube_spec, 6), 1):
         assert state.num_cells == len(cube_oracle[n].cells)
-        if n < 6:
-            state.expand()
 
 
 def test_cube_face_counts(cube_spheres, cube_oracle):
@@ -108,3 +106,25 @@ def test_wrong_cycle_lengths_fail_at_a_fold():
     spec.edge_cycle = {e: 3 for e in spec.edge_cycle}
     with pytest.raises(CoverError, match="folding mismatch"):
         build_cover(spec, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_sphere_series_builds_no_ball_beyond_the_last(cube_spec, n,
+                                                       expand_sizes):
+    assert len(sphere_series(cube_spec, n)) == n
+    assert expand_sizes == [7, 25, 63][:n - 1]
+
+
+def test_balls_expand_only_when_the_next_ball_is_requested(cube_spec,
+                                                           expand_sizes):
+    it = balls(cube_spec, 3)
+    assert next(it).num_cells == 1 and expand_sizes == []
+    assert next(it).num_cells == 7 and expand_sizes == [7]
+    assert next(it).num_cells == 25 and expand_sizes == [7, 25]
+    assert next(it, None) is None and expand_sizes == [7, 25]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_balls_rejects_fewer_than_one_stage(cube_spec, n):
+    with pytest.raises(CoverError, match="at least 1"):
+        build_cover(cube_spec, n)
