@@ -72,10 +72,7 @@ def _cmd_subdivide(args):
 def _cmd_cover(args):
     spec = _load_spec(args.spec)
     cells, faces, spheres = [], [], []
-    for state in balls(spec, args.steps):
-        if state.num_cells > args.cap:
-            print(f"cell cap {args.cap} exceeded", file=sys.stderr)
-            return 2
+    for state in balls(spec, args.steps, args.cap):
         sphere = state.boundary_sphere()
         cells.append(state.num_cells)
         faces.append(sphere.num_faces)
@@ -187,8 +184,8 @@ def build_parser():
     p.add_argument("--steps", type=positive_int, required=True)
     p.add_argument("--stats", default="-")
     p.add_argument("--cap", type=int, default=10 ** 6,
-                   help="exit 2 if a ball B(1)..B(steps) has more than CAP "
-                        "cells; bounds the largest ball built")
+                   help="exit 2 as soon as a ball would pass CAP cells; "
+                        "no ball built holds more")
     p.set_defaults(fn=_cmd_cover)
 
     p = sub.add_parser("growth", help="classify a rule's face-count growth")

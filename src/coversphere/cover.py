@@ -28,11 +28,14 @@ class CoverState:
     Cell c's copy of polyhedron vertex v is the key ``c*NV + v`` of
     ``verts``, and its copy of polyhedron edge e the key ``c*NE + e`` of
     ``edges``.  Face slot ``c*F + f`` is cell c's face f; ``slot_partner``
-    holds the slot it is glued to, or -1 while it is open.
+    holds the slot it is glued to, or -1 while it is open.  With a
+    ``cap``, attaching a cell past ``cap`` cells raises CoverError, so no
+    ball ever holds more.
     """
 
-    def __init__(self, spec: GluingSpec):
+    def __init__(self, spec: GluingSpec, cap: int | None = None):
         self.spec = spec
+        self.cap = cap
         self.face_names = list(spec.faces)
         self.F = len(self.face_names)
         vindex = {}
@@ -62,11 +65,23 @@ class CoverState:
             self.edge_image.append(
                 [eindex[frozenset(vmap[u] for u in pe)] for pe in pes])
             self.target.append(self.face_names.index(target))
-        self.num_cells = 1
-        self.slot_partner = [-1] * self.F
-        self.verts = UnionFind(self.NV)
-        self.edges = UnionFind(self.NE)
+        self.num_cells = 0
+        self.slot_partner = []
+        self.verts = UnionFind(0)
+        self.edges = UnionFind(0)
+        self._new_cell()
         self.stage = 1
+
+    def _new_cell(self):
+        """Add one unglued cell and return its id."""
+        c = self.num_cells
+        if self.cap is not None and c >= self.cap:
+            raise CoverError("cell cap %d exceeded" % self.cap)
+        self.num_cells += 1
+        self.verts.add(self.NV)
+        self.edges.add(self.NE)
+        self.slot_partner.extend([-1] * self.F)
+        return c
 
     def open_slots(self):
         return [s for s, p in enumerate(self.slot_partner) if p < 0]
@@ -148,11 +163,7 @@ class CoverState:
         for s in self.open_slots():
             if self.slot_partner[s] >= 0:
                 continue
-            c2 = self.num_cells
-            self.num_cells += 1
-            self.verts.add(self.NV)
-            self.edges.add(self.NE)
-            self.slot_partner.extend([-1] * self.F)
+            c2 = self._new_cell()
             self._glue(s, c2 * self.F + self.target[s % self.F], work)
             self._fold_fixpoint(work)
         self.stage += 1
@@ -183,15 +194,15 @@ class CoverState:
         return Tiling(faces, stage=self.stage, edge_status=status)
 
 
-def balls(spec: GluingSpec, stages: int):
+def balls(spec: GluingSpec, stages: int, cap: int | None = None):
     """Yield the ball B(1), ..., B(stages), one shared CoverState.
 
     B(n) is expanded to B(n+1) only when the next ball is requested, so
-    no ball beyond B(stages) is ever built.
+    no ball beyond B(stages) is ever built, and none past ``cap`` cells.
     """
     if stages < 1:
         raise CoverError("stages must be at least 1, not %d" % stages)
-    state = CoverState(spec)
+    state = CoverState(spec, cap)
     yield state
     for _ in range(stages - 1):
         yield state.expand()

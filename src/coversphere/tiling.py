@@ -334,9 +334,9 @@ class Tiling:
         if len(comps) > 1:
             return ("disjoint",) + tuple(sorted(
                 self.restrict(comp).canonical_form() for comp in comps))
-        for colours, in _wl_colours([self]):
+        for (colours,), (counts,) in _wl_colours([self]):
             pass
-        root = _root_colour(colours)
+        root = _root_colour(counts)
         keys = {m: [(self.face_labels[f], self.edge_status[e],
                      self.edge_added[e], v in self.loaded_vertices)
                     for f, e, v in zip(self.h_face, self.h_edge,
@@ -395,6 +395,14 @@ def _flag_vertex(t, mirror):
     return [t.h_origin[h] for h in t.h_twin] if mirror else t.h_origin
 
 
+# The most root flags that refinement may stop at before the partition is
+# stable.  On inputs that are not isomorphic every root may be walked, in
+# both orientations, so a larger root class is refined further instead.
+# 24 is the stable root class of every nxs1, sl2r and torus3 stage up to
+# stage 5.
+ROOT_CAP = 24
+
+
 def _relabel(signatures):
     """Dense colours for lists of signatures, ordered by sorted signature."""
     palette = sorted(set().union(*signatures))
@@ -414,8 +422,15 @@ def _wl_colours(tilings):
     keeps them independent of string hashing and equal across tilings and
     processes.
 
-    Yields a list of colour lists, one per tiling, after each round that
-    refines the partition; the last yield is stable.
+    After each round that refines the partition, yields a list of colour
+    lists and a list of class histograms (Counters), one of each per
+    tiling.  Refinement stops once the root class, the smallest class of
+    the first tiling, has not shrunk for two rounds and has at most
+    ROOT_CAP flags; a larger root class refines on, to stability if need
+    be.  Every isomorphism preserves the colours of every round, and the
+    stop round depends only on class sizes, so stopping early changes no
+    verdict and keeps canonical forms invariant: the walks decide.  It
+    only leaves more roots to walk than a stable partition would.
     """
     signatures = []
     for t in tilings:
@@ -435,8 +450,13 @@ def _wl_colours(tilings):
                         t.edge_added[e]) + ((x, y) if x <= y else (y, x)))
         signatures.append(sig)
     colours, classes = _relabel(signatures)
+    roots = []          # root class sizes, never growing
     while True:
-        yield colours
+        counts = [Counter(c) for c in colours]
+        yield colours, counts
+        roots.append(min(counts[0].values()))
+        if len(roots) > 2 and roots[-3] == roots[-1] <= ROOT_CAP:
+            return
         k, kk = classes, classes * classes
         signatures = [
             [(x * k + y) * kk + (p * k + q if p < q else q * k + p)
@@ -450,9 +470,8 @@ def _wl_colours(tilings):
         colours = refined
 
 
-def _root_colour(colours):
-    """The colour of the smallest class, ties broken by lowest colour."""
-    counts = Counter(colours)
+def _root_colour(counts):
+    """The smallest class of a histogram, ties broken by lowest colour."""
     return min(counts, key=lambda c: (counts[c], c))
 
 
@@ -499,8 +518,8 @@ def isomorphic(a: Tiling, b: Tiling) -> bool:
         return False
     if not (a.is_connected() and b.is_connected()):
         return a.canonical_form() == b.canonical_form()
-    for ca, cb in _wl_colours([a, b]):
-        if Counter(ca) != Counter(cb):
+    for (ca, cb), (ha, hb) in _wl_colours([a, b]):
+        if ha != hb:
             return False
     # A key packs a flag's colour, which fixes its face label, edge status
     # and added mark, with whether its vertex is loaded.
@@ -509,7 +528,7 @@ def isomorphic(a: Tiling, b: Tiling) -> bool:
     keys_b = {m: [2 * c + (v in b.loaded_vertices)
                   for c, v in zip(cb, _flag_vertex(b, m))]
               for m in (False, True)}
-    root = _root_colour(ca)
+    root = _root_colour(ha)
     code = list(_bfs(a, ca.index(root), False, keys_a))
     return any(all(map(eq, code, _bfs(b, s, m, keys_b[m])))
                for s, c in enumerate(cb) if c == root

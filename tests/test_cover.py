@@ -128,3 +128,22 @@ def test_balls_expand_only_when_the_next_ball_is_requested(cube_spec,
 def test_balls_rejects_fewer_than_one_stage(cube_spec, n):
     with pytest.raises(CoverError, match="at least 1"):
         build_cover(cube_spec, n)
+
+
+def test_cap_stops_expand_at_the_cell_past_it():
+    # prism12's B(4) has 1,111 cells.  expand refuses the 1,111th, so the
+    # one shared state never holds more than the cap, not even as part
+    # of a ball.
+    it = balls(load("prism12.glue"), 4, cap=1110)
+    state = next(it)
+    assert [next(it).num_cells for _ in range(2)] == [15, 137]
+    with pytest.raises(CoverError, match="cell cap 1110 exceeded"):
+        next(it)
+    assert state.num_cells == 1110
+    assert len(state.slot_partner) == 1110 * state.F
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_cap_below_one_refuses_the_first_cell(cube_spec, cap):
+    with pytest.raises(CoverError, match="cell cap %d exceeded" % cap):
+        CoverState(cube_spec, cap)

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import coversphere
-from coversphere.catalog import get_rule
+from coversphere.catalog import get_rule, load_spec
+from coversphere.cover import balls
 from coversphere.growth import stage_tilings
-from coversphere.tiling import Tiling, isomorphic
+from coversphere.tiling import ROOT_CAP, Tiling, _wl_colours, isomorphic
 
 
 def final_stage(rule, n, mode):
@@ -123,6 +124,44 @@ def test_chiral_tiling_matches_its_mirror_image():
     labels[30] = labels[17]
     labels[17] = t.face_labels[17]
     assert not isomorphic(chiral, rebuilt(t, labels=labels))
+
+
+@pytest.fixture(scope="module")
+def nxs1_stage4():
+    """The rule's stage 4 and the cover sphere S(4) it must match."""
+    *_, state = balls(load_spec(get_rule("nxs1").companion), 4)
+    return final_stage("nxs1", 4, "replacement"), state.boundary_sphere()
+
+
+def refinement(tilings):
+    """Rounds yielded by _wl_colours and the last root class size."""
+    for rounds, (_, counts) in enumerate(_wl_colours(tilings), 1):
+        pass
+    return rounds, min(counts[0].values())
+
+
+def test_refinement_stops_once_the_root_class_stops_shrinking(nxs1_stage4):
+    # The root class runs 432, 432, 48, 48, 24, 24, 24 and would stay at
+    # 24 for 19 more rounds before the partition is stable.
+    assert refinement(nxs1_stage4) == (7, 24)
+    assert isomorphic(*nxs1_stage4)
+
+
+@pytest.mark.parametrize("rule,n,mode,expected", [
+    # stalls at 48 flags for rounds 1-4, then refines on to 24
+    ("nxs1", 3, "replacement", (7, 24)),
+    # stalls at 48 flags from round 3 on, refined to stability
+    ("barycentric", 4, "subdivision", (12, 48)),
+])
+def test_root_class_above_cap_refines_on(rule, n, mode, expected):
+    assert ROOT_CAP < 48
+    assert refinement([final_stage(rule, n, mode)]) == expected
+
+
+@pytest.mark.parametrize("breaker", [labels_swapped, statuses_swapped])
+def test_stage4_broken_copies_rejected(nxs1_stage4, breaker):
+    t, _ = nxs1_stage4
+    assert not isomorphic(t, breaker(t))
 
 
 DIGESTS = """
