@@ -37,7 +37,7 @@ class GluingSpec:
     name: str
     faces: dict = field(default_factory=dict)        # name -> Face
     pairings: dict = field(default_factory=dict)     # name -> (name, vmap)
-    expected_cycles: list = field(default_factory=list)
+    expected_cycles: list = field(default_factory=list)  # (line, u, v, n)
 
     # derived
     edge_cycle: dict = field(default_factory=dict)   # frozenset edge -> int
@@ -96,6 +96,8 @@ def _walk_edge_orbit(spec: GluingSpec, edge, start_face):
 
 
 def validate(spec: GluingSpec):
+    if not spec.faces:
+        raise GluingError("no face lines")
     names = set(spec.faces)
     if spec.pairings.keys() != names:
         raise GluingError("every face needs exactly one pairing")
@@ -129,12 +131,15 @@ def validate(spec: GluingSpec):
     for e in spec.edges():
         start = spec.face_of_edge(e)[0][0]
         spec.edge_cycle[frozenset(e)] = _walk_edge_orbit(spec, e, start)
-    for u, v, length in spec.expected_cycles:
-        got = spec.edge_cycle[frozenset((u, v))]
+    for lineno, u, v, length in spec.expected_cycles:
+        got = spec.edge_cycle.get(frozenset((u, v)))
+        if got is None:
+            raise GluingError("line %d: %s-%s is not a polyhedron edge"
+                              % (lineno, u, v))
         if got != length:
             raise GluingError(
-                "edge (%s,%s): expected cycle length %d, got %d"
-                % (u, v, length, got))
+                "line %d: edge (%s,%s): expected cycle length %d, got %d"
+                % (lineno, u, v, length, got))
 
 
 def parse_gluing(text: str, name: str = "") -> GluingSpec:
@@ -173,7 +178,7 @@ def parse_gluing(text: str, name: str = "") -> GluingSpec:
                 u, v = tokens[1], tokens[2]
                 if tokens[3] != ":":
                     raise GluingError("expected ':'")
-                spec.expected_cycles.append((u, v, int(tokens[4])))
+                spec.expected_cycles.append((lineno, u, v, int(tokens[4])))
             else:
                 raise GluingError("unknown directive %r" % kind)
         except (IndexError, ValueError) as exc:

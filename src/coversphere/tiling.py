@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import takewhile
 from operator import eq
 
 PLAIN = "plain"
@@ -395,14 +396,6 @@ def _flag_vertex(t, mirror):
     return [t.h_origin[h] for h in t.h_twin] if mirror else t.h_origin
 
 
-# The most root flags that refinement may stop at before the partition is
-# stable.  On inputs that are not isomorphic every root may be walked, in
-# both orientations, so a larger root class is refined further instead.
-# 24 is the stable root class of every nxs1, sl2r and torus3 stage up to
-# stage 5.
-ROOT_CAP = 24
-
-
 def _relabel(signatures):
     """Dense colours for lists of signatures, ordered by sorted signature."""
     palette = sorted(set().union(*signatures))
@@ -413,61 +406,51 @@ def _relabel(signatures):
 def _wl_colours(tilings):
     """Weisfeiler-Leman colour refinement of flags on one joint palette.
 
-    A flag starts from its face label and size, its edge status and added
-    mark, and the (degree, loaded) pairs of its two ends taken unordered.
-    Each round adds the colours of its twin and, unordered, of its next and
-    prev flags.  Nothing depends on orientation or on the order of ids, so
-    every isomorphism, mirror images included, preserves colours.  Colours
-    are renumbered each round into dense ints by sorted signature, which
-    keeps them independent of string hashing and equal across tilings and
-    processes.
+    Each round adds to a flag's colour the colours of its twin and,
+    unordered, of its next and prev flags, starting from
+    ``_first_signatures``.  Nothing depends on orientation or on the order
+    of ids, so every isomorphism, mirror images included, preserves the
+    colours of every round.  Colours are renumbered each round into dense
+    ints by sorted signature, which keeps them independent of string
+    hashing and equal across tilings and processes.
 
-    After each round that refines the partition, yields a list of colour
-    lists and a list of class histograms (Counters), one of each per
-    tiling.  Refinement stops once the root class, the smallest class of
-    the first tiling, has not shrunk for two rounds and has at most
-    ROOT_CAP flags; a larger root class refines on, to stability if need
-    be.  Every isomorphism preserves the colours of every round, and the
-    stop round depends only on class sizes, so stopping early changes no
-    verdict and keeps canonical forms invariant: the walks decide.  It
-    only leaves more roots to walk than a stable partition would.
+    Yields a list of colour lists and a list of class histograms
+    (Counters), one of each per tiling: first for the starting colours,
+    then after each round that refines the partition, until it is stable.
     """
-    signatures = []
-    for t in tilings:
-        size = [0] * t.num_faces
-        for f in t.h_face:
-            size[f] += 1
-        degree = [0] * t.num_vertices
-        for v in t.h_origin:
-            degree[v] += 1
-        ends = [(degree[v], v in t.loaded_vertices)
-                for v in range(t.num_vertices)]
-        sig = []
-        for h, f in enumerate(t.h_face):
-            e = t.h_edge[h]
-            x, y = ends[t.h_origin[h]], ends[t.h_origin[t.h_twin[h]]]
-            sig.append((t.face_labels[f], size[f], t.edge_status[e],
-                        t.edge_added[e]) + ((x, y) if x <= y else (y, x)))
-        signatures.append(sig)
-    colours, classes = _relabel(signatures)
-    roots = []          # root class sizes, never growing
+    colours, classes = _relabel([_first_signatures(t) for t in tilings])
     while True:
-        counts = [Counter(c) for c in colours]
-        yield colours, counts
-        roots.append(min(counts[0].values()))
-        if len(roots) > 2 and roots[-3] == roots[-1] <= ROOT_CAP:
-            return
+        yield colours, [Counter(c) for c in colours]
         k, kk = classes, classes * classes
-        signatures = [
+        refined, classes = _relabel([
             [(x * k + y) * kk + (p * k + q if p < q else q * k + p)
              for x, y, p, q in zip(c, [c[h] for h in t.h_twin],
                                    [c[h] for h in t.h_next],
                                    [c[h] for h in t.h_prev])]
-            for t, c in zip(tilings, colours)]
-        refined, classes = _relabel(signatures)
+            for t, c in zip(tilings, colours)])
         if classes == k:
             return
         colours = refined
+
+
+def _first_signatures(t):
+    """Per flag: its face label and size, its edge status and added mark,
+    and the (degree, loaded) pairs of its two ends taken unordered."""
+    size = [0] * t.num_faces
+    for f in t.h_face:
+        size[f] += 1
+    degree = [0] * t.num_vertices
+    for v in t.h_origin:
+        degree[v] += 1
+    ends = [(degree[v], v in t.loaded_vertices)
+            for v in range(t.num_vertices)]
+    sig = []
+    for h, f in enumerate(t.h_face):
+        e = t.h_edge[h]
+        x, y = ends[t.h_origin[h]], ends[t.h_origin[t.h_twin[h]]]
+        sig.append((t.face_labels[f], size[f], t.edge_status[e],
+                    t.edge_added[e]) + ((x, y) if x <= y else (y, x)))
+    return sig
 
 
 def _root_colour(counts):
@@ -504,10 +487,13 @@ def isomorphic(a: Tiling, b: Tiling) -> bool:
     """Label- and status-preserving isomorphism (mirror images allowed).
 
     The map must preserve face labels, edge statuses, added edges and
-    loaded vertices.  Connected tilings are refined jointly; then the code
-    of one root flag of a, from its smallest colour class, is compared
-    with the codes of b from every flag of the same colour, in both
-    orientations.
+    loaded vertices.  After each round of joint refinement, the code of
+    one root flag of a, from its smallest colour class, is compared with
+    the codes of b from the flags of that colour, in both orientations,
+    until one matches in full or the failed walks have visited as many
+    flags as a has; only then is the partition refined once more.  At
+    stability every remaining candidate is walked.  A walk of a that
+    misses flags means a is disconnected, and canonical forms decide.
     """
     if (a.num_faces, a.num_edges, a.num_vertices) != \
             (b.num_faces, b.num_edges, b.num_vertices):
@@ -516,23 +502,37 @@ def isomorphic(a: Tiling, b: Tiling) -> bool:
         return False
     if sorted(a.edge_status) != sorted(b.edge_status):
         return False
-    if not (a.is_connected() and b.is_connected()):
-        return a.canonical_form() == b.canonical_form()
+    flags = len(a.h_face)
+    if not flags:
+        return True
     for (ca, cb), (ha, hb) in _wl_colours([a, b]):
         if ha != hb:
             return False
-    # A key packs a flag's colour, which fixes its face label, edge status
-    # and added mark, with whether its vertex is loaded.
-    keys_a = [2 * c + (v in a.loaded_vertices)
-              for c, v in zip(ca, _flag_vertex(a, False))]
-    keys_b = {m: [2 * c + (v in b.loaded_vertices)
-                  for c, v in zip(cb, _flag_vertex(b, m))]
-              for m in (False, True)}
-    root = _root_colour(ha)
-    code = list(_bfs(a, ca.index(root), False, keys_a))
-    return any(all(map(eq, code, _bfs(b, s, m, keys_b[m])))
-               for s, c in enumerate(cb) if c == root
-               for m in (False, True))
+        # A key packs a flag's colour, which fixes its face label, edge
+        # status and added mark, with whether its vertex is loaded.
+        keys_a = [2 * c + (v in a.loaded_vertices)
+                  for c, v in zip(ca, _flag_vertex(a, False))]
+        keys_b = {m: [2 * c + (v in b.loaded_vertices)
+                      for c, v in zip(cb, _flag_vertex(b, m))]
+                  for m in (False, True)}
+        root = _root_colour(ha)
+        code = list(_bfs(a, ca.index(root), False, keys_a))
+        if len(code) < flags:
+            return a.canonical_form() == b.canonical_form()
+        # Per candidate walk of b, the flags it matches before a mismatch.
+        walks = (sum(takewhile(bool, map(eq, code, _bfs(b, s, m, keys_b[m]))))
+                 for s, c in enumerate(cb) if c == root
+                 for m in (False, True))
+        budget = flags
+        for matched in walks:
+            if matched == flags:
+                return True
+            budget -= matched + 1
+            if budget <= 0:
+                break
+        else:
+            return False
+    return flags in walks
 
 
 # -- refinement witnesses ----------------------------------------------

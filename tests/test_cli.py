@@ -299,6 +299,23 @@ def test_pack_rejects_bad_tolerance(tmp_path, capsys, tolerance):
     assert err.startswith("error:") and "tolerance" in err
 
 
+CUBE_GLUE = Path(coversphere.__file__).parent / "data" / "cube.glue"
+
+
+@pytest.mark.parametrize("text,message", [
+    (CUBE_GLUE.read_text() + "expect-cycle 0 7 : 4\n",
+     "line 16: 0-7 is not a polyhedron edge"),
+    ("polyhedron empty\n", "no face lines"),
+], ids=["non-edge", "no-faces"])
+def test_cover_rejects_malformed_glue(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.glue"
+    path.write_text(text)
+    code, out, err = run(capsys, "cover", "--spec", str(path), "--steps", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_unknown_rule_diagnostic(capsys):
     code, _, err = run(capsys, "subdivide", "--rule", "minkowski",
                        "--steps", "2")

@@ -5,9 +5,12 @@ import pytest
 from coversphere.gluing import GluingError, parse_gluing
 
 
+def load_text(name):
+    return (resources.files("coversphere") / "data" / name).read_text()
+
+
 def load(name):
-    text = (resources.files("coversphere") / "data" / name).read_text()
-    return parse_gluing(text)
+    return parse_gluing(load_text(name))
 
 
 def test_cube_spec_loads():
@@ -69,3 +72,19 @@ expect-cycle a b : 3
 """
     with pytest.raises(GluingError):
         parse_gluing(text)
+
+
+def test_rejects_expected_cycle_off_the_polyhedron_edges():
+    # 0-7 is a diagonal of the cube, not an edge; the error names the line
+    # and the pair in the order written, whatever the hash seed.
+    text = load_text("cube.glue") + "expect-cycle 0 7 : 4\n"
+    lineno = text.count("\n")
+    with pytest.raises(GluingError,
+                       match="^line %d: 0-7 is not a polyhedron edge$"
+                       % lineno):
+        parse_gluing(text)
+
+
+def test_rejects_spec_without_faces():
+    with pytest.raises(GluingError, match="no face"):
+        parse_gluing("polyhedron empty\n")

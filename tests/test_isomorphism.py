@@ -10,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import coversphere
+from coversphere import tiling
 from coversphere.catalog import get_rule, load_spec
 from coversphere.cover import balls
 from coversphere.growth import stage_tilings
-from coversphere.tiling import ROOT_CAP, Tiling, _wl_colours, isomorphic
+from coversphere.tiling import Tiling, _wl_colours, isomorphic
 
 
 def final_stage(rule, n, mode):
@@ -140,21 +141,26 @@ def refinement(tilings):
     return rounds, min(counts[0].values())
 
 
-def test_refinement_stops_once_the_root_class_stops_shrinking(nxs1_stage4):
-    # The root class runs 432, 432, 48, 48, 24, 24, 24 and would stay at
-    # 24 for 19 more rounds before the partition is stable.
-    assert refinement(nxs1_stage4) == (7, 24)
+def test_isomorphic_decides_after_one_round(nxs1_stage4, monkeypatch):
+    # Refined to stability the pair takes 26 rounds, but the first walk
+    # from the starting colours already matches.
+    assert refinement(nxs1_stage4) == (26, 24)
+    rounds = []
+
+    def spy(tilings):
+        for item in _wl_colours(tilings):
+            rounds.append(item)
+            yield item
+    monkeypatch.setattr(tiling, "_wl_colours", spy)
     assert isomorphic(*nxs1_stage4)
+    assert len(rounds) == 1
 
 
 @pytest.mark.parametrize("rule,n,mode,expected", [
-    # stalls at 48 flags for rounds 1-4, then refines on to 24
-    ("nxs1", 3, "replacement", (7, 24)),
-    # stalls at 48 flags from round 3 on, refined to stability
+    ("nxs1", 3, "replacement", (16, 24)),
     ("barycentric", 4, "subdivision", (12, 48)),
 ])
-def test_root_class_above_cap_refines_on(rule, n, mode, expected):
-    assert ROOT_CAP < 48
+def test_refinement_runs_to_a_stable_partition(rule, n, mode, expected):
     assert refinement([final_stage(rule, n, mode)]) == expected
 
 
@@ -162,6 +168,41 @@ def test_root_class_above_cap_refines_on(rule, n, mode, expected):
 def test_stage4_broken_copies_rejected(nxs1_stage4, breaker):
     t, _ = nxs1_stage4
     assert not isomorphic(t, breaker(t))
+
+
+def square_torus(p, q, name=lambda i, j: (i, j)):
+    """The p x q square grid on the torus.  Edge keys are explicit, since
+    for p or q of 2 two edges join the same two vertices."""
+    def v(i, j):
+        return name(i % p, j % q)
+    return [("sq", [v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1)],
+             [(name(i, j), "h"), (name((i + 1) % p, j), "v"),
+              (name(i, (j + 1) % q), "h"), (name(i, j), "v")])
+            for i in range(p) for j in range(q)]
+
+
+# Every flag of a square torus has one colour, and refinement never
+# splits it, so only the walks can tell these apart.
+def test_square_tori_are_told_apart_by_the_walks():
+    t = Tiling(square_torus(4, 4))
+    assert refinement([t, Tiling(square_torus(2, 8))])[0] == 1
+    assert not isomorphic(t, Tiling(square_torus(2, 8)))
+    assert isomorphic(t, Tiling(square_torus(4, 4, lambda i, j: "x%d%d"
+                                             % (j, i))))
+
+
+def test_connected_torus_against_disjoint_tori():
+    t = Tiling(square_torus(4, 4))
+    two = Tiling(square_torus(2, 2, lambda i, j: (0, i, j))
+                 + square_torus(3, 4, lambda i, j: (1, i, j)))
+    assert (two.num_faces, two.num_edges, two.num_vertices) == (16, 32, 16)
+    assert not two.is_connected()
+    assert not isomorphic(t, two)
+    assert not isomorphic(two, t)
+
+
+def test_empty_tilings_are_isomorphic():
+    assert isomorphic(Tiling([]), Tiling([]))
 
 
 DIGESTS = """
