@@ -11,6 +11,7 @@ two short).
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 from .gluing import GluingSpec
@@ -27,10 +28,10 @@ class CoverState:
 
     Cell c's copy of polyhedron vertex v is the key ``c*NV + v`` of
     ``verts``, and its copy of polyhedron edge e the key ``c*NE + e`` of
-    ``edges``.  Face slot ``c*F + f`` is cell c's face f; ``slot_partner``
-    holds the slot it is glued to, or -1 while it is open.  With a
-    ``cap``, attaching a cell past ``cap`` cells raises CoverError, so no
-    ball ever holds more.
+    ``edges``.  Face slot ``c*F + f`` is cell c's face f; ``slot_partner``,
+    an ``array('i')`` like the union-finds' tables, holds the slot it is
+    glued to, or -1 while it is open.  With a ``cap``, attaching a cell
+    past ``cap`` cells raises CoverError, so no ball ever holds more.
     """
 
     def __init__(self, spec: GluingSpec, cap: int | None = None):
@@ -66,7 +67,7 @@ class CoverState:
                 [eindex[frozenset(vmap[u] for u in pe)] for pe in pes])
             self.target.append(self.face_names.index(target))
         self.num_cells = 0
-        self.slot_partner = []
+        self.slot_partner = array("i")
         self.verts = UnionFind(0)
         self.edges = UnionFind(0)
         self._new_cell()
@@ -172,11 +173,18 @@ class CoverState:
     # -- boundary extraction ---------------------------------------------
 
     def boundary_sphere(self) -> Tiling:
+        status = {}
+        # Tiling reads the generated faces once, before it reads status.
+        return Tiling(self._open_faces(status), stage=self.stage,
+                      edge_status=status)
+
+    def _open_faces(self, status):
+        """Yield each open slot's face, named by cover vertex and edge
+        classes, and put each loaded (one cell short of its cycle) or
+        fragile (two short) edge into ``status``."""
         vfind, efind = self.verts.find, self.edges.find
         size = self.edges.size
         labels = [self.spec.faces[n].label for n in self.face_names]
-        faces = []
-        status = {}
         for s in self.open_slots():
             cell, fi = divmod(s, self.F)
             vb, eb = cell * self.NV, cell * self.NE
@@ -189,9 +197,8 @@ class CoverState:
                     status[root] = LOADED
                 elif gap == 2:
                     status[root] = FRAGILE
-            faces.append((labels[fi],
-                          [vfind(vb + u) for u in self.face_verts[fi]], es))
-        return Tiling(faces, stage=self.stage, edge_status=status)
+            yield (labels[fi], [vfind(vb + u) for u in self.face_verts[fi]],
+                   es)
 
 
 def balls(spec: GluingSpec, stages: int, cap: int | None = None):

@@ -143,12 +143,10 @@ def _instantiate(template, names, boundary, edge_attrs, nv, ne, status,
     names, keys = dict(names), dict(boundary)
     out = []
     for label, cycle, sides in template:
-        vs, es = [], []
         for nm in cycle:
             if nm not in names:
                 names[nm] = nv
                 nv += 1
-            vs.append(names[nm])
         for sym in sides:
             if sym not in keys:
                 keys[sym] = ne
@@ -157,8 +155,8 @@ def _instantiate(template, names, boundary, edge_attrs, nv, ne, status,
                 if attrs["added"]:
                     added.add(ne)
                 ne += 1
-            es.append(keys[sym])
-        out.append((label, vs, es))
+        out.append((label, tuple(map(names.__getitem__, cycle)),
+                    tuple(map(keys.__getitem__, sides))))
     return out, nv, ne
 
 
@@ -441,7 +439,22 @@ def apply_replacement(rule: ReplacementRule, t: Tiling, with_witness=False):
     ``t.num_vertices`` and new edge keys from ``t.num_edges`` upward, so
     old and new keys share one union-find.
     """
-    specs = []          # (label, [vertex ids], [edge keys])
+    faces, status, added, witness = _replaced_faces(rule, t, with_witness)
+    out = Tiling(faces, stage=t.stage + 1, edge_status=status,
+                 added_edges=added)
+    if not with_witness:
+        return out
+    return out, _witness(out, *witness)
+
+
+def _replaced_faces(rule, t, with_witness):
+    """The output faces of ``apply_replacement``, their edge statuses and
+    added edge keys, and the witness maps (None without ``with_witness``).
+
+    Every stage-sized table the replacement and the zipping need is local
+    here, so all of them are freed before the output Tiling is built.
+    """
+    specs = []          # (label, (vertex ids), (edge keys))
     status = {}
     added = set()
     flap_records = []   # (spec index, chain of old edge ids)
@@ -539,27 +552,28 @@ def apply_replacement(rule: ReplacementRule, t: Tiling, with_witness=False):
                 key_uf.union(a, b)
         dead.update(idxs)
 
-    vfind, kfind = vert_uf.find, key_uf.find
-    final = []
-    fmap = {}
+    # Only zipped keys are renamed, each to the root of its class.  A
+    # zipped class's keys all carry one status, as the zipping checked.
+    vroot, kroot = vert_uf.non_roots(), key_uf.non_roots()
+    witness = None
+    if with_witness:
+        fmap = {i: n for n, i in enumerate(
+            i for i in range(len(specs)) if i not in dead)}
+        # only single-face groups map unambiguously
+        witness = ({v: vroot.get(v, v) for v in sorted(survivors_v)},
+                   {e: [kroot.get(e, e)] for e in survivors_e},
+                   {g[0]: {fmap[i] for i in rng if i in fmap}
+                    for g, rng in zip(groups, group_faces) if len(g) == 1})
+    # Faces are renamed in place, so the output is never held beside a
+    # copy.
     for i, (label, cyc, ks) in enumerate(specs):
-        if i not in dead:
-            fmap[i] = len(final)
-            final.append((label, [vfind(v) for v in cyc],
-                          [kfind(k) for k in ks]))
-    rstatus = {kfind(k): s for k, s in status.items()}
-    radded = {kfind(k) for k in added}
-
-    out = Tiling(final, stage=t.stage + 1, edge_status=rstatus,
-                 added_edges=radded)
-    if not with_witness:
-        return out
-    # only single-face groups map unambiguously
-    return out, _witness(
-        out, {v: vfind(v) for v in sorted(survivors_v)},
-        {e: [kfind(e)] for e in survivors_e},
-        {g[0]: {fmap[i] for i in rng if i in fmap}
-         for g, rng in zip(groups, group_faces) if len(g) == 1})
+        specs[i] = (label, tuple(map(vroot.get, cyc, cyc)),
+                    tuple(map(kroot.get, ks, ks)))
+    faces = [f for i, f in enumerate(specs) if i not in dead]
+    for k, root in kroot.items():
+        if k in status:
+            status[root] = status.pop(k)
+    return faces, status, {kroot.get(k, k) for k in added}, witness
 
 
 # ---------------------------------------------------------------------

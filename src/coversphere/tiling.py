@@ -5,15 +5,17 @@ closed surface.  Faces carry a type label, edges carry a status in
 {"plain", "loaded", "fragile"} plus an ``added`` marker for edges that were
 drawn onto a tiling rather than inherited from a cell structure, and
 vertices may be flagged as loaded.  Everything is stored with dense integer
-ids so that construction is deterministic.
+ids, in flat int arrays, so that construction is deterministic and a
+stage-sized tiling stays compact.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import takewhile
+from itertools import count, takewhile
 from operator import eq
 
 PLAIN = "plain"
@@ -38,20 +40,29 @@ class Tiling:
     ``face_start[f] + i``; a face flipped to orient the surface keeps that
     start and walks its sides backwards.
 
-    The half-edge arrays use the usual conventions: ``next`` walks around a
-    face, ``twin`` jumps across an edge, and ``next(twin(h))`` walks the
+    The half-edge tables use the usual conventions: ``next`` walks around
+    a face, ``twin`` jumps across an edge, and ``next(twin(h))`` walks the
     rotation around the origin vertex of ``h``.  A vertex is loaded when
     every edge at it is loaded.
+
+    The int tables ``face_start``, ``h_face``, ``h_next``, ``h_prev``,
+    ``h_twin``, ``h_origin``, ``h_edge`` and ``edge_half`` are
+    ``array('i')``: four bytes an entry, no int objects, nothing for the
+    cyclic garbage collector to walk.  ``faces`` is read once, front to
+    back, before ``edge_status`` and ``added_edges`` are read, so it may be
+    a generator that fills them; no face list need outlive its reading.
     """
 
     def __init__(self, faces, *, stage=0, edge_status=None, added_edges=None):
         self.stage = stage
-        self.face_labels = []
-        self.face_start = []
-        self.h_face = []
-        origin = []          # per side of the input cycles: its first vertex
-        keys = []            # per side: its edge key
-        vid = {}
+        self.face_labels = labels = []
+        self.face_start = start = array("i")
+        self.h_face = face = array("i")
+        self.h_edge = edge = array("i")
+        origin = array("i")  # per side of the input cycles: its first vertex
+        # dense ids by first appearance: a new name takes the next count
+        vid, eid = defaultdict(count().__next__), defaultdict(count().__next__)
+        vget, eget = vid.__getitem__, eid.__getitem__
         for fi, (label, vs, *es) in enumerate(faces):
             n = len(vs)
             if n < 3:
@@ -63,30 +74,20 @@ class Tiling:
                     raise TilingError(
                         "face %d: edge cycle length %d differs from vertex "
                         "cycle length %d" % (fi, len(es), n))
-                keys += es
             else:
-                keys += map(frozenset, zip(vs, [*vs[1:], vs[0]]))
-            self.face_labels.append(label)
-            self.face_start.append(len(origin))
-            self.h_face += [fi] * n
-            origin += [vid.setdefault(v, len(vid)) for v in vs]
+                es = map(frozenset, zip(vs, [*vs[1:], vs[0]]))
+            labels.append(label)
+            start.append(len(origin))
+            face.fromlist([fi] * n)
+            origin.fromlist([*map(vget, vs)])
+            edge.fromlist([*map(eget, es)])
         self.vertex_names = list(vid)
-        H = len(origin)
-        stops = self.face_start[1:] + [H]
-
-        # Half-edges walk their input cycles until a face is flipped.
-        nxt = list(range(1, H + 1))
-        prev = list(range(-1, H - 1))
-        for s, e in zip(self.face_start, stops):
-            nxt[e - 1], prev[s] = s, e - 1
-        end = [origin[h] for h in nxt]
-
-        eid = {}
-        self.h_edge = [eid.setdefault(k, len(eid)) for k in keys]
         self.edge_keys = list(eid)
-        first = [-1] * len(eid)
-        twin = [-1] * H
-        for h, e in enumerate(self.h_edge):
+        del vid, eid, vget, eget    # freed before the next tables exist
+
+        first = array("i", [-1]) * len(self.edge_keys)
+        twin = array("i", [-1]) * len(origin)
+        for h, e in enumerate(edge):
             g = first[e]
             if g < 0:
                 first[e] = h
@@ -95,27 +96,23 @@ class Tiling:
             else:
                 raise self._side_count_error(e)
         if -1 in twin:
-            raise self._side_count_error(self.h_edge[twin.index(-1)])
+            raise self._side_count_error(edge[twin.index(-1)])
         self.h_twin = twin
         self.edge_half = first      # per edge: one side; h_twin the other
-
-        for f in self._orient(origin, end, stops):
-            s, e = self.face_start[f], stops[f]
-            nxt[s:e], prev[s:e] = prev[s:e], nxt[s:e]
-            origin[s:e] = end[s:e]
-        self.h_next, self.h_prev, self.h_origin = nxt, prev, origin
+        self._orient(origin)
 
         status = edge_status or {}
-        self.edge_status = [status.get(k, PLAIN) for k in self.edge_keys]
-        for st in self.edge_status:
+        self.edge_status = es = [status.get(k, PLAIN) for k in self.edge_keys]
+        for st in es:
             if st not in STATUSES:
                 raise TilingError("unknown edge status %r" % (st,))
         added = set(added_edges or ())
         self.edge_added = [k in added for k in self.edge_keys]
-        loaded = [st == LOADED for st in self.edge_status]
-        unloaded = {v for v, e in zip(origin, self.h_edge) if not loaded[e]}
-        self.loaded_vertices = {v for v in range(len(vid))
-                                if v not in unloaded}
+        unloaded = bytearray(len(self.vertex_names))
+        for v, e in zip(origin, edge):
+            if es[e] != LOADED:
+                unloaded[v] = 1
+        self.loaded_vertices = {v for v, u in enumerate(unloaded) if not u}
         self._validate()
 
     # -- construction -------------------------------------------------
@@ -125,16 +122,31 @@ class Tiling:
             "edge %r bounds %d face sides; closed surfaces need exactly 2"
             % (self.edge_keys[e], self.h_edge.count(e)))
 
-    def _orient(self, origin, end, stops):
-        """The faces to flip so that twin half-edges run antiparallel.
+    def _face_stops(self):
+        """Per face, one past its last half-edge id."""
+        stops = self.face_start[1:]
+        stops.append(len(self.h_face))
+        return stops
 
-        ``origin`` and ``end`` give each side's endpoints along its input
-        cycle.  Works component by component (DFS from the lowest face id),
-        each root keeping its input orientation.  Loop edges give no
-        orientation information and are skipped.
+    def _orient(self, origin):
+        """Set ``h_next``, ``h_prev`` and ``h_origin``, flipping the faces
+        needed for twin half-edges to run antiparallel.
+
+        ``origin`` gives each side's first vertex along its input cycle.
+        Works component by component (DFS from the lowest face id), each
+        root keeping its input orientation.  Loop edges give no orientation
+        information and are skipped.
         """
-        twin, face = self.h_twin, self.h_face
-        flip = [None] * len(self.face_start)
+        start, twin, face = self.face_start, self.h_twin, self.h_face
+        stops = self._face_stops()
+        # Half-edges walk their input cycles until a face is flipped.
+        ids = array("i", range(-1, len(origin) + 1))
+        nxt, prev = ids[2:], ids[:-2]
+        end = origin[1:]
+        end.append(0)
+        for s, e in zip(start, stops):
+            nxt[e - 1], prev[s], end[e - 1] = s, e - 1, origin[s]
+        flip = [None] * len(start)
         for root in range(len(flip)):
             if flip[root] is not None:
                 continue
@@ -142,13 +154,14 @@ class Tiling:
             stack = [root]
             while stack:
                 f = stack.pop()
-                for h in range(self.face_start[f], stops[f]):
+                flipped = flip[f]
+                for h in range(start[f], stops[f]):
                     t = twin[h]
-                    a, b = origin[h], end[h]
-                    if a == b or origin[t] == end[t]:
+                    a, b, c, d = origin[h], end[h], origin[t], end[t]
+                    if a == b or c == d:
                         continue
                     # Sides running the same way need opposite flips.
-                    want = flip[f] ^ (a == origin[t] and b == end[t])
+                    want = flipped ^ (a == c and b == d)
                     g = face[t]
                     if flip[g] is None:
                         flip[g] = want
@@ -157,7 +170,12 @@ class Tiling:
                         raise TilingError(
                             "inconsistent rotation system: faces %d/%d "
                             "cannot be oriented compatibly" % (f, g))
-        return [f for f, x in enumerate(flip) if x]
+        for f, x in enumerate(flip):
+            if x:
+                s, e = start[f], stops[f]
+                nxt[s:e], prev[s:e] = prev[s:e], nxt[s:e]
+                origin[s:e] = end[s:e]
+        self.h_next, self.h_prev, self.h_origin = nxt, prev, origin
 
     def _validate(self):
         # Each vertex's half-edges must form a single rotation orbit.
@@ -224,31 +242,44 @@ class Tiling:
         return self.num_vertices - self.num_edges + self.num_faces
 
     def is_connected(self):
-        return len(self.components()) == 1
+        return self._component_ids()[1] == 1
 
     def is_sphere(self):
         return (self.num_faces > 0 and self.is_connected()
                 and self.euler_characteristic() == 2)
 
     def components(self):
-        """Face index sets of the connected components, by lowest face id."""
-        seen = set()
-        comps = []
-        for root in range(self.num_faces):
-            if root in seen:
+        """Face index lists of the connected components, by lowest face id."""
+        ids, n = self._component_ids()
+        comps = [[] for _ in range(n)]
+        for f, c in enumerate(ids):
+            comps[c].append(f)
+        return comps
+
+    def _component_ids(self):
+        """Per face, its component's index by lowest face id; and the count.
+
+        Face f's sides are the half-edges ``face_start[f]`` up to the next
+        face's start, so no face is walked around.
+        """
+        start, face, twin = self.face_start, self.h_face, self.h_twin
+        stops = self._face_stops()
+        ids = array("i", [-1]) * len(start)
+        n = 0
+        for root in range(len(start)):
+            if ids[root] >= 0:
                 continue
-            comp = {root}
+            ids[root] = n
             stack = [root]
             while stack:
                 f = stack.pop()
-                for h in self.face_halfedges(f):
-                    g = self.h_face[self.h_twin[h]]
-                    if g not in comp:
-                        comp.add(g)
+                for h in range(start[f], stops[f]):
+                    g = face[twin[h]]
+                    if ids[g] < 0:
+                        ids[g] = n
                         stack.append(g)
-            seen |= comp
-            comps.append(sorted(comp))
-        return comps
+            n += 1
+        return ids, n
 
     # -- serialization ------------------------------------------------
 

@@ -1,7 +1,12 @@
+import gc
 import json
+import tracemalloc
 
 import pytest
 
+from coversphere import catalog
+from coversphere.cover import balls
+from coversphere.rules import apply_replacement
 from coversphere.tiling import (
     Tiling, TilingError, RefinementWitness, isomorphic,
     refinement_check,
@@ -235,3 +240,43 @@ def test_components_and_disjoint_iso():
     assert sorted(split.face_labels) == sorted(mixed.face_labels)
     assert not isomorphic(split, mixed)
     assert isomorphic(split, tetras("bbbb", "aaaa"))
+
+
+def traced_build(build):
+    """(result, traced bytes it holds, traced peak while it was built)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held - base, peak - base
+
+
+def nxs1_stage3():
+    entry = catalog.get_rule("nxs1")
+    t = entry.initial
+    for _ in range(2):
+        t = apply_replacement(entry.rule.replacement, t)
+    return entry.rule.replacement, t
+
+
+def test_rule_stage_is_compact_while_built_and_held():
+    # A stage held in flat int tables takes about 80 traced bytes per
+    # half-edge and peaks near 190 while built; int tables kept as lists
+    # take about 218 and 560, over both bounds.
+    rule, t = nxs1_stage3()
+    out, held, peak = traced_build(lambda: apply_replacement(rule, t))
+    half_edges = len(out.h_face)
+    assert out.num_faces == 10382
+    assert held <= 100 * half_edges
+    assert peak <= 400 * half_edges
+
+
+def test_cover_sphere_is_compact_when_held():
+    *_, state = balls(catalog.load_spec("prism12"), 4)
+    out, held, _ = traced_build(state.boundary_sphere)
+    assert out.num_faces == 10382
+    assert held <= 100 * len(out.h_face)

@@ -28,5 +28,6 @@ def test_matches_naive_partition(case):
         members = uf.members(x)
         assert members[0] == x
         assert len(members) == len(cls) and set(members) == cls
+    assert uf.non_roots() == {x: uf.find(x) for x in keys if uf.find(x) != x}
     roots = {uf.find(x) for x in keys}
     assert len(roots) == len({frozenset(c) for c in naive})
