@@ -135,7 +135,8 @@ class Tiling:
         ``origin`` gives each side's first vertex along its input cycle.
         Works component by component (DFS from the lowest face id), each
         root keeping its input orientation.  Loop edges give no orientation
-        information and are skipped.
+        information and are skipped.  An edge is checked from the first of
+        its faces to be popped; from the other it would pass the same test.
         """
         start, twin, face = self.face_start, self.h_twin, self.h_face
         stops = self._face_stops()
@@ -147,6 +148,7 @@ class Tiling:
         for s, e in zip(start, stops):
             nxt[e - 1], prev[s], end[e - 1] = s, e - 1, origin[s]
         flip = [None] * len(start)
+        done = bytearray(len(start))
         for root in range(len(flip)):
             if flip[root] is not None:
                 continue
@@ -157,12 +159,14 @@ class Tiling:
                 flipped = flip[f]
                 for h in range(start[f], stops[f]):
                     t = twin[h]
+                    g = face[t]
+                    if done[g]:
+                        continue
                     a, b, c, d = origin[h], end[h], origin[t], end[t]
                     if a == b or c == d:
                         continue
                     # Sides running the same way need opposite flips.
                     want = flipped ^ (a == c and b == d)
-                    g = face[t]
                     if flip[g] is None:
                         flip[g] = want
                         stack.append(g)
@@ -170,6 +174,7 @@ class Tiling:
                         raise TilingError(
                             "inconsistent rotation system: faces %d/%d "
                             "cannot be oriented compatibly" % (f, g))
+                done[f] = 1
         for f, x in enumerate(flip):
             if x:
                 s, e = start[f], stops[f]
