@@ -6,6 +6,7 @@ boundary spheres serve as an independent oracle for the rule's output.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .cover import build_cover
@@ -68,10 +69,8 @@ def _tetrahedron():
     return Tiling(faces, stage=1)
 
 
-_CATALOG = None
-
-
-def _build():
+@cache
+def _catalog():
     def rule(name):
         return load_rule_file(_data_path(name + ".json"))
 
@@ -94,21 +93,15 @@ def _build():
 
 
 def get_rule(name: str) -> RuleCatalogEntry:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _build()
     try:
-        return _CATALOG[name]
+        return _catalog()[name]
     except KeyError:
-        known = ", ".join(sorted(_CATALOG))
+        known = ", ".join(sorted(_catalog()))
         raise CatalogError(
             f"unknown rule: {name!r} (available: {known})") from None
 
 
 def list_rules():
     """Deterministic (name, geometry, modes) listing of the catalog."""
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _build()
     return [(e.name, e.geometry, e.modes)
-            for e in sorted(_CATALOG.values(), key=lambda e: e.name)]
+            for e in sorted(_catalog().values(), key=lambda e: e.name)]

@@ -147,10 +147,6 @@ class BallData:
         ng = len(self.gens)
         return self.nbr[i * ng:(i + 1) * ng]
 
-    def neighbors(self, e):
-        return [(s, self.elements[w])
-                for s, w in zip(self.gens, self.row(self.index[e])) if w >= 0]
-
 
 def ball(g: GroupSpec, n: int, cap=DEFAULT_CAP) -> BallData:
     """B(n) by BFS, multiplying each edge of the Cayley graph once.

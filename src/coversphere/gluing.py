@@ -79,8 +79,7 @@ def _walk_edge_orbit(spec: GluingSpec, edge, start_face):
     face, u, v = start_face, u0, v0
     steps = 0
     while True:
-        _, vmap = spec.pairings[face]
-        target, _ = spec.pairings[face]
+        target, vmap = spec.pairings[face]
         u2, v2 = vmap[u], vmap[v]
         face2 = spec.other_face(target, (u2, v2))
         face, u, v = face2, u2, v2
@@ -114,8 +113,9 @@ def validate(spec: GluingSpec):
         n = len(fa.vertices)
         ea = {frozenset((fa.vertices[i], fa.vertices[(i + 1) % n]))
               for i in range(n)}
-        eb = {frozenset((fb.vertices[i], fb.vertices[(i + 1) % n]))
-              for i in range(n)}
+        m = len(fb.vertices)
+        eb = {frozenset((fb.vertices[i], fb.vertices[(i + 1) % m]))
+              for i in range(m)}
         if {frozenset(map(vmap.get, e)) for e in ea} != eb:
             raise GluingError(
                 "pairing %s->%s does not map the face boundary onto the "
@@ -160,6 +160,13 @@ def parse_gluing(text: str, name: str = "") -> GluingSpec:
                 verts = tuple(tokens[4:])
                 if fname in spec.faces:
                     raise GluingError("duplicate face %s" % fname)
+                if len(verts) < 3:
+                    raise GluingError("face %s has fewer than 3 vertices"
+                                      % fname)
+                for i, v in enumerate(verts):
+                    if v in verts[:i]:
+                        raise GluingError("face %s repeats vertex %s"
+                                          % (fname, v))
                 spec.faces[fname] = Face(fname, label, verts)
             elif kind == "pair":
                 a, b = tokens[1], tokens[2]

@@ -97,7 +97,7 @@ def stage_tilings(entry: RuleCatalogEntry, n: int, mode=None):
         if mode == "replacement":
             t = apply_replacement(entry.rule.replacement, t)
         else:
-            t, _w = apply_subdivision(entry.rule.subdivision, t)
+            t = apply_subdivision(entry.rule.subdivision, t)
         yield t
 
 

@@ -17,7 +17,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .tiling import Tiling, RefinementWitness
+from .tiling import Tiling
 from .unionfind import UnionFind
 
 ANY = "any"
@@ -160,23 +160,6 @@ def _instantiate(template, names, boundary, edge_attrs, nv, ne, status,
     return out, nv, ne
 
 
-def _witness(out, vertex_names, edge_keys, face_map):
-    """A RefinementWitness from old ids into ``out``'s names and keys.
-
-    Entries naming a vertex or an edge key that ``out`` lacks are left out.
-    """
-    vid = {nm: i for i, nm in enumerate(out.vertex_names)}
-    eid = {k: i for i, k in enumerate(out.edge_keys)}
-    w = RefinementWitness(face_map=face_map)
-    for v, nm in vertex_names.items():
-        if nm in vid:
-            w.vertex_map[v] = vid[nm]
-    for e, keys in edge_keys.items():
-        if all(k in eid for k in keys):
-            w.edge_map[e] = [eid[k] for k in keys]
-    return w
-
-
 def _edge_attrs(items):
     out = {}
     for rec in items or ():
@@ -234,9 +217,7 @@ def load_rule_file(path) -> Rule:
 def apply_subdivision(rule: SubdivisionRule, t: Tiling):
     """Replace every face by its tile-type template.
 
-    Returns (tiling, witness); the witness records how the input embeds in
-    the output (vertex map, per-edge chains, per-face regions).  New
-    vertices are numbered from ``t.num_vertices`` and new edge keys from
+    New vertices are numbered from ``t.num_vertices`` and new edge keys from
     ``t.num_edges`` upward; surviving edges keep their ids as keys.
     """
     split_plan = {}      # edge id -> list of segment attrs (canonical orient.)
@@ -316,8 +297,7 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
     added = {key for key, a in new_status.items() if a["added"]}
 
     specs = []
-    face_map = {}
-    for f, (tile, avs, aes) in enumerate(face_plans):
+    for tile, avs, aes in face_plans:
         rim_vs, rim_es = [], []
         for u, v, e in zip(avs, avs[1:] + avs[:1], aes):
             segs, ivs = chains.get(e, ([e], []))
@@ -329,15 +309,10 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
             tile.template, dict(zip(tile.rim, rim_vs)),
             dict(zip(tile.rim_sides, rim_es)), tile.interior_edges,
             nv, ne, status, added)
-        face_map[f] = set(range(len(specs), len(specs) + len(faces)))
         specs += faces
 
-    out = Tiling(specs, stage=t.stage + 1, edge_status=status,
-                 added_edges=added)
-    return out, _witness(
-        out, {v: v for v in range(t.num_vertices)},
-        {e: chains[e][0] if e in chains else [e] for e in range(t.num_edges)},
-        face_map)
+    return Tiling(specs, stage=t.stage + 1, edge_status=status,
+                  added_edges=added)
 
 
 # ---------------------------------------------------------------------
@@ -430,7 +405,7 @@ def _match_pattern(pat: Pattern, t: Tiling, group):
     return sigma, edge_of
 
 
-def apply_replacement(rule: ReplacementRule, t: Tiling, with_witness=False):
+def apply_replacement(rule: ReplacementRule, t: Tiling):
     """Combine faces into groups along loaded edges and replace each group.
 
     Flap faces declared by the matched patterns are zipped in pairs across
@@ -439,17 +414,14 @@ def apply_replacement(rule: ReplacementRule, t: Tiling, with_witness=False):
     ``t.num_vertices`` and new edge keys from ``t.num_edges`` upward, so
     old and new keys share one union-find.
     """
-    faces, status, added, witness = _replaced_faces(rule, t, with_witness)
-    out = Tiling(faces, stage=t.stage + 1, edge_status=status,
-                 added_edges=added)
-    if not with_witness:
-        return out
-    return out, _witness(out, *witness)
+    faces, status, added = _replaced_faces(rule, t)
+    return Tiling(faces, stage=t.stage + 1, edge_status=status,
+                  added_edges=added)
 
 
-def _replaced_faces(rule, t, with_witness):
+def _replaced_faces(rule, t):
     """The output faces of ``apply_replacement``, their edge statuses and
-    added edge keys, and the witness maps (None without ``with_witness``).
+    added edge keys.
 
     Every stage-sized table the replacement and the zipping need is local
     here, so all of them are freed before the output Tiling is built.
@@ -459,13 +431,9 @@ def _replaced_faces(rule, t, with_witness):
     added = set()
     flap_records = []   # (spec index, chain of old edge ids)
     boundary_to = {}    # old edge id -> prescribed new status
-    group_faces = []    # per group, its range of spec indices
-    survivors_v = set()
-    survivors_e = set()
     nv, ne = t.num_vertices, t.num_edges
 
-    groups = _loaded_groups(t)
-    for group in groups:
+    for group in _loaded_groups(t):
         for pat in rule.patterns:
             m = _match_pattern(pat, t, group)
             if m:
@@ -487,16 +455,13 @@ def _replaced_faces(rule, t, with_witness):
                     "groups flanking edge %d prescribe different statuses"
                     % e)
             boundary_to[e] = to
-            survivors_e.add(e)
 
         faces, nv, ne = _instantiate(
             pat.template, sigma,
             {sym: edge_of[sym] for sym in pat.boundary_req},
             pat.edges, nv, ne, status, added)
         start = len(specs)
-        group_faces.append(range(start, start + len(faces)))
         specs += faces
-        survivors_v.update(sigma.values())
 
         for face, chain in pat.flap_chains:
             flap_records.append((start + face, [edge_of[e] for e in chain]))
@@ -555,15 +520,6 @@ def _replaced_faces(rule, t, with_witness):
     # Only zipped keys are renamed, each to the root of its class.  A
     # zipped class's keys all carry one status, as the zipping checked.
     vroot, kroot = vert_uf.non_roots(), key_uf.non_roots()
-    witness = None
-    if with_witness:
-        fmap = {i: n for n, i in enumerate(
-            i for i in range(len(specs)) if i not in dead)}
-        # only single-face groups map unambiguously
-        witness = ({v: vroot.get(v, v) for v in sorted(survivors_v)},
-                   {e: [kroot.get(e, e)] for e in survivors_e},
-                   {g[0]: {fmap[i] for i in rng if i in fmap}
-                    for g, rng in zip(groups, group_faces) if len(g) == 1})
     # Faces are renamed in place, so the output is never held beside a
     # copy.
     for i, (label, cyc, ks) in enumerate(specs):
@@ -573,7 +529,7 @@ def _replaced_faces(rule, t, with_witness):
     for k, root in kroot.items():
         if k in status:
             status[root] = status.pop(k)
-    return faces, status, {kroot.get(k, k) for k in added}, witness
+    return faces, status, {kroot.get(k, k) for k in added}
 
 
 # ---------------------------------------------------------------------

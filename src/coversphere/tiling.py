@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from itertools import count, takewhile
 from operator import eq
 
@@ -569,119 +568,3 @@ def isomorphic(a: Tiling, b: Tiling) -> bool:
         else:
             return False
     return flags in walks
-
-
-# -- refinement witnesses ----------------------------------------------
-
-
-@dataclass
-class RefinementWitness:
-    """Maps from a coarse tiling into a finer one.
-
-    vertex_map: coarse vertex id -> fine vertex id
-    edge_map:   coarse edge id -> ordered chain of fine edge ids
-    face_map:   coarse face id -> set of fine face ids
-    """
-
-    vertex_map: dict = field(default_factory=dict)
-    edge_map: dict = field(default_factory=dict)
-    face_map: dict = field(default_factory=dict)
-
-
-def refinement_check(coarse: Tiling, fine: Tiling,
-                     witness: RefinementWitness) -> bool:
-    """True iff the witness embeds coarse into fine cell-by-cell.
-
-    The coarse 1-skeleton must map to edge-disjoint simple paths in the
-    fine 1-skeleton, and the fine faces must partition into disk regions,
-    one per coarse face, each bounded exactly by the images of that coarse
-    face's boundary edges.  Raises TilingError for witnesses referencing
-    unknown ids; an incomplete or non-embedding witness just yields False.
-    """
-    for v, w in witness.vertex_map.items():
-        if not (0 <= v < coarse.num_vertices) or not (0 <= w < fine.num_vertices):
-            raise TilingError("witness references unknown vertex id")
-    for e, chain in witness.edge_map.items():
-        if not (0 <= e < coarse.num_edges):
-            raise TilingError("witness references unknown edge id")
-        for fe in chain:
-            if not (0 <= fe < fine.num_edges):
-                raise TilingError("witness references unknown edge id")
-    for f, fs in witness.face_map.items():
-        if not (0 <= f < coarse.num_faces):
-            raise TilingError("witness references unknown face id")
-        for ff in fs:
-            if not (0 <= ff < fine.num_faces):
-                raise TilingError("witness references unknown face id")
-
-    # Totality and injectivity of the vertex map.
-    if set(witness.vertex_map) != set(range(coarse.num_vertices)):
-        return False
-    if len(set(witness.vertex_map.values())) != coarse.num_vertices:
-        return False
-    if set(witness.edge_map) != set(range(coarse.num_edges)):
-        return False
-    if set(witness.face_map) != set(range(coarse.num_faces)):
-        return False
-
-    # Each coarse edge becomes a simple path between the mapped endpoints;
-    # the paths are pairwise edge-disjoint.  Chains may be listed in either
-    # direction.
-    def walk(chain, start):
-        at = start
-        verts = [at]
-        for fe in chain:
-            a, b = fine.edge_endpoints(fe)
-            if a == at:
-                at = b
-            elif b == at:
-                at = a
-            else:
-                return None
-            verts.append(at)
-        return verts
-
-    used = set()
-    for e in range(coarse.num_edges):
-        chain = witness.edge_map[e]
-        if not chain:
-            return False
-        if len(set(chain)) != len(chain) or used & set(chain):
-            return False
-        used |= set(chain)
-        u, v = coarse.edge_endpoints(e)
-        verts = (walk(chain, witness.vertex_map[u])
-                 or walk(chain[::-1], witness.vertex_map[u]))
-        if verts is None or verts[-1] != witness.vertex_map[v]:
-            return False
-        if len(set(verts)) != len(verts) and not (
-                u == v and verts[0] == verts[-1]
-                and len(set(verts[:-1])) == len(verts) - 1):
-            return False
-
-    # Fine faces partition into one region per coarse face.
-    owner = {}
-    for f, fs in witness.face_map.items():
-        if not fs:
-            return False
-        for ff in fs:
-            if ff in owner:
-                return False
-            owner[ff] = f
-    if len(owner) != fine.num_faces:
-        return False
-
-    # Region boundaries must consist exactly of that face's edge chains.
-    for f in range(coarse.num_faces):
-        expected = set()
-        for e in coarse.face_edges(f):
-            expected |= set(witness.edge_map[e])
-        boundary = set()
-        for ff in witness.face_map[f]:
-            for h in fine.face_halfedges(ff):
-                g = fine.h_face[fine.h_twin[h]]
-                if owner[g] != f:
-                    boundary.add(fine.h_edge[h])
-        if boundary != expected:
-            return False
-    return True

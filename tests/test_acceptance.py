@@ -16,7 +16,7 @@ from coversphere.cli import main as cli_main
 from coversphere.cover import CoverState, build_cover, sphere_series
 from coversphere.growth import classify_growth, growth_series
 from coversphere.pack import flower, pack, tangency_error, triangulate
-from coversphere.rules import apply_replacement, apply_subdivision
+from coversphere.rules import apply_replacement
 from coversphere.tiling import isomorphic
 
 
@@ -97,27 +97,6 @@ def test_criterion_4_nxs1_validity(nxs1_stages):
         assert isomorphic(t, spheres[n - 1])
     report("criterion 4 PASS: nxs1 stages 1-4 are spheres matching the "
            "prism12 cover; no flap mismatch through stage 5")
-
-
-def test_criterion_5_refinement_witness():
-    e = get_rule("torus3")
-    from coversphere.tiling import refinement_check
-    t = e.initial
-    for _n in range(1, 5):
-        t2, w = apply_subdivision(e.rule.subdivision, t)
-        assert refinement_check(t, t2, w)
-        t = t2
-    # replacement loses refinement within the first two applications:
-    # merged face groups drop the shared center line
-    t1 = e.initial
-    t2, w12 = apply_replacement(e.rule.replacement, t1, with_witness=True)
-    ok12 = refinement_check(t1, t2, w12)
-    t3, w23 = apply_replacement(e.rule.replacement, t2, with_witness=True)
-    ok23 = refinement_check(t2, t3, w23)
-    assert not (ok12 and ok23)
-    assert not ok23
-    report("criterion 5 PASS: subdivision refines stages 1-4; replacement "
-           "is not a refinement once face groups merge")
 
 
 def test_criterion_6_almost_convexity():

@@ -88,3 +88,18 @@ def test_rejects_expected_cycle_off_the_polyhedron_edges():
 def test_rejects_spec_without_faces():
     with pytest.raises(GluingError, match="no face"):
         parse_gluing("polyhedron empty\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    # the cycle 0 1 3 2 0 has the vertex set of the square it replaces,
+    # so only the parser can tell the two apart
+    ("face Z0 sq : 0 1 3 2 0", "face Z0 repeats vertex 0"),
+    ("face Z0 sq : 0 1", "face Z0 has fewer than 3 vertices"),
+])
+def test_rejects_degenerate_face(line, message):
+    lines = load_text("cube.glue").splitlines()
+    lineno = lines.index("face Z0 sq : 0 1 3 2") + 1
+    lines[lineno - 1] = line
+    with pytest.raises(GluingError,
+                       match="^line %d: %s$" % (lineno, message)):
+        parse_gluing("\n".join(lines))

@@ -8,7 +8,7 @@ from coversphere.rules import (
     RuleError, apply_replacement, apply_subdivision, load_rule,
     strip_added_edges, validate_rule,
 )
-from coversphere.tiling import Tiling, isomorphic, refinement_check
+from coversphere.tiling import Tiling, isomorphic
 
 
 def load_data(name):
@@ -54,14 +54,6 @@ def test_torus3_group_census(torus3, cube_series):
     assert sizes.count(1) == 6
 
 
-def test_replacement_witness_total_only_for_singles(torus3, cube_series):
-    s1 = cube_series[0]
-    s2, w1 = apply_replacement(torus3.replacement, s1, with_witness=True)
-    assert refinement_check(s1, s2, w1)
-    s3, w2 = apply_replacement(torus3.replacement, s2, with_witness=True)
-    assert not refinement_check(s2, s3, w2)
-
-
 def test_replacement_rejects_unmatched_faces(torus3):
     t = tetra()
     with pytest.raises(RuleError):
@@ -72,28 +64,19 @@ def test_replacement_rejects_unmatched_faces(torus3):
 
 
 def subdivision_stages(rule, start, n):
-    out = [(start, None)]
-    t = start
+    out = [start]
     for _ in range(n - 1):
-        t, w = apply_subdivision(rule.subdivision, t)
-        out.append((t, w))
+        out.append(apply_subdivision(rule.subdivision, out[-1]))
     return out
 
 
-def test_torus3_subdivision_refines(torus3, cube_series):
-    stages = subdivision_stages(torus3, cube_series[0], 5)
-    for i in range(1, 5):
-        coarse = stages[i - 1][0]
-        fine, w = stages[i]
-        assert fine.is_sphere()
-        assert refinement_check(coarse, fine, w)
-
-
 def test_torus3_subdivision_projects_to_cover(torus3, cube_series):
-    """Dropping the added lines recovers the plain boundary spheres."""
+    """Each stage is a sphere, and dropping the added lines recovers the
+    plain boundary spheres."""
     stages = subdivision_stages(torus3, cube_series[0], 5)
     for i in range(5):
-        merged = strip_added_edges(stages[i][0], relabel="sq")
+        assert stages[i].is_sphere()
+        merged = strip_added_edges(stages[i], relabel="sq")
         assert merged.num_faces == cube_series[i].num_faces
         assert isomorphic(merged, cube_series[i])
 
@@ -101,21 +84,36 @@ def test_torus3_subdivision_projects_to_cover(torus3, cube_series):
 def test_torus3_single_square_counts(torus3):
     # a single plain square (as a pillow, to stay closed) -> 5 quads a side
     t = Tiling([("sq", ("a", "b", "c", "d")), ("sq", ("a", "d", "c", "b"))])
-    out, w = apply_subdivision(torus3.subdivision, t)
-    assert len(w.face_map[0]) == 5
-    assert all(out.face_labels[f] == "sq" for f in w.face_map[0])
+    out = apply_subdivision(torus3.subdivision, t)
+    assert out.num_faces == 10
+    assert set(out.face_labels) == {"sq"}
 
 
 def test_barycentric_counts():
     rule = load_rule(load_data("barycentric.json"))
-    t = tetra()
-    out, w = apply_subdivision(rule.subdivision, t)
+    out = apply_subdivision(rule.subdivision, tetra())
     assert out.num_faces == 24
-    assert all(len(fs) == 6 for fs in w.face_map.values())
-    assert refinement_check(t, out, w)
-    out2, w2 = apply_subdivision(rule.subdivision, out)
+    out2 = apply_subdivision(rule.subdivision, out)
     assert out2.num_faces == 144
-    assert refinement_check(out, out2, w2)
+
+
+def test_barycentric_matches_hand_built():
+    """Stage 2 of the barycentric demo is the barycentric subdivision of
+    the tetrahedron, built here face by face: a centre and the midpoints
+    of the three sides give six triangles."""
+    from coversphere.catalog import get_rule
+    entry = get_rule("barycentric")
+    t = entry.initial
+    faces = []
+    for f in range(t.num_faces):
+        vs = [t.vertex_names[v] for v in t.face_vertices(f)]
+        z = ("centre", f)
+        for a, b in zip(vs, vs[1:] + vs[:1]):
+            m = ("mid",) + tuple(sorted((a, b)))
+            faces += [("t", (a, m, z)), ("t", (m, b, z))]
+    hand = Tiling(faces, stage=2)
+    assert hand.num_faces == 24
+    assert isomorphic(hand, apply_subdivision(entry.rule.subdivision, t))
 
 
 def test_subdivision_rejects_unknown_label():

@@ -7,10 +7,7 @@ import pytest
 from coversphere import catalog
 from coversphere.cover import balls
 from coversphere.rules import apply_replacement
-from coversphere.tiling import (
-    Tiling, TilingError, RefinementWitness, isomorphic,
-    refinement_check,
-)
+from coversphere.tiling import Tiling, TilingError, isomorphic
 
 
 def cube_faces():
@@ -127,92 +124,6 @@ def test_not_isomorphic_different_labels():
     faces[0] = ("top", faces[0][1])
     u = Tiling(faces)
     assert not isomorphic(t, u)
-
-
-def tetra():
-    return Tiling([("t", (0, 1, 2)), ("t", (0, 2, 3)),
-                   ("t", (0, 3, 1)), ("t", (1, 3, 2))])
-
-
-def subdivided_tetra():
-    # midpoint subdivision: each face -> 4 triangles
-    faces = []
-    mids = {}
-
-    def mid(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in mids:
-            mids[key] = "m%d%d" % key
-        return mids[key]
-
-    for (a, b, c) in [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        faces += [("t", (a, ab, ca)), ("t", (b, bc, ab)),
-                  ("t", (c, ca, bc)), ("t", (ab, bc, ca))]
-    return Tiling(faces, stage=1)
-
-
-def make_witness(coarse, fine):
-    w = RefinementWitness()
-    for v in range(coarse.num_vertices):
-        name = coarse.vertex_names[v]
-        w.vertex_map[v] = fine.vertex_names.index(name)
-    for e in range(coarse.num_edges):
-        u, v = coarse.edge_endpoints(e)
-        a, b = coarse.vertex_names[u], coarse.vertex_names[v]
-        m = "m%d%d" % (min(a, b), max(a, b))
-        chain = []
-        for name_pair in [(a, m), (m, b)]:
-            for fe in range(fine.num_edges):
-                x, y = fine.edge_endpoints(fe)
-                ns = {fine.vertex_names[x], fine.vertex_names[y]}
-                if ns == set(name_pair):
-                    chain.append(fe)
-        w.edge_map[e] = chain
-    for f in range(coarse.num_faces):
-        corners = {coarse.vertex_names[v] for v in coarse.face_vertices(f)}
-        group = set()
-        for ff in range(fine.num_faces):
-            names = {fine.vertex_names[v] for v in fine.face_vertices(ff)}
-            anchors = {n for n in names if isinstance(n, int)}
-            mids = {n for n in names if isinstance(n, str)}
-            ok = anchors <= corners
-            for m in mids:
-                pts = {int(m[1]), int(m[2])}
-                ok = ok and pts <= corners
-            if ok:
-                group.add(ff)
-        w.face_map[f] = group
-    return w
-
-
-def test_refinement_check_accepts_midpoint_subdivision():
-    coarse, fine = tetra(), subdivided_tetra()
-    w = make_witness(coarse, fine)
-    assert refinement_check(coarse, fine, w)
-
-
-def test_refinement_check_rejects_broken_witness():
-    coarse, fine = tetra(), subdivided_tetra()
-    w = make_witness(coarse, fine)
-    w.edge_map[0] = w.edge_map[0][:1]
-    assert not refinement_check(coarse, fine, w)
-
-    w = make_witness(coarse, fine)
-    del w.face_map[0]
-    assert not refinement_check(coarse, fine, w)
-
-    w = make_witness(coarse, fine)
-    w.face_map[0] = w.face_map[0] | {next(iter(w.face_map[1]))}
-    assert not refinement_check(coarse, fine, w)
-
-
-def test_refinement_check_raises_on_unknown_ids():
-    coarse, fine = tetra(), subdivided_tetra()
-    w = make_witness(coarse, fine)
-    w.edge_map[0] = [9999]
-    with pytest.raises(TilingError):
-        refinement_check(coarse, fine, w)
 
 
 def test_components_and_disjoint_iso():
