@@ -70,12 +70,20 @@ def subdivision_stages(rule, start, n):
     return out
 
 
+def test_torus3_subdivision_refines(torus3, cube_series):
+    """Each stage is a finer sphere that keeps every vertex of the last."""
+    stages = subdivision_stages(torus3, cube_series[0], 5)
+    for coarse, fine in zip(stages, stages[1:]):
+        assert fine.is_sphere()
+        assert fine.stage == coarse.stage + 1
+        assert fine.num_faces > coarse.num_faces
+        assert set(coarse.vertex_names) < set(fine.vertex_names)
+
+
 def test_torus3_subdivision_projects_to_cover(torus3, cube_series):
-    """Each stage is a sphere, and dropping the added lines recovers the
-    plain boundary spheres."""
+    """Dropping the added lines recovers the plain boundary spheres."""
     stages = subdivision_stages(torus3, cube_series[0], 5)
     for i in range(5):
-        assert stages[i].is_sphere()
         merged = strip_added_edges(stages[i], relabel="sq")
         assert merged.num_faces == cube_series[i].num_faces
         assert isomorphic(merged, cube_series[i])
