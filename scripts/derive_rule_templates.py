@@ -73,11 +73,13 @@ def probe(state_factory, name, stage, region):
     for group in groups:
         m = _match_pattern(pat, t, group)
         if m:
-            hit = (group, m[0], m[1])
+            hit = (group, *m)
             break
     if not hit:
         return None
     group, sigma, edge_of = hit
+    sigma = dict(zip(pat.vertex_syms, sigma))
+    edge_of = dict(zip(pat.edge_syms, edge_of))
 
     slots = sorted(state.open_slots())
     group_slots = [slots[f] for f in group]

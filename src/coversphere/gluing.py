@@ -142,6 +142,32 @@ def validate(spec: GluingSpec):
                 % (lineno, u, v, length, got))
 
 
+# per directive, its fixed fields; a face's vertices and a pair's vertex
+# maps follow them
+_HEADS = {
+    "polyhedron": ("name",),
+    "face": ("face name", "label", ":"),
+    "pair": ("first face", "second face", ":"),
+    "expect-cycle": ("first vertex", "second vertex", ":", "cycle length"),
+}
+
+
+def _head(tokens):
+    """A line's directive and fixed fields, each checked present."""
+    kind = tokens[0]
+    if kind not in _HEADS:
+        raise GluingError("unknown directive %r" % kind)
+    names = _HEADS[kind]
+    head = tokens[1:len(names) + 1]
+    for i, field_name in enumerate(names):
+        if field_name == ":":
+            if head[i:i + 1] != [":"]:
+                raise GluingError("expected ':'")
+        elif i >= len(head) or head[i] == ":":
+            raise GluingError("%s line has no %s" % (kind, field_name))
+    return kind, head
+
+
 def parse_gluing(text: str, name: str = "") -> GluingSpec:
     spec = GluingSpec(name=name)
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -149,15 +175,14 @@ def parse_gluing(text: str, name: str = "") -> GluingSpec:
         if not line:
             continue
         tokens = line.split()
-        kind = tokens[0]
         try:
+            kind, head = _head(tokens)
+            rest = tokens[len(head) + 1:]
             if kind == "polyhedron":
-                spec.name = tokens[1]
+                spec.name = head[0]
             elif kind == "face":
-                fname, label = tokens[1], tokens[2]
-                if tokens[3] != ":":
-                    raise GluingError("expected ':'")
-                verts = tuple(tokens[4:])
+                fname, label, _ = head
+                verts = tuple(rest)
                 if fname in spec.faces:
                     raise GluingError("duplicate face %s" % fname)
                 if len(verts) < 3:
@@ -169,26 +194,27 @@ def parse_gluing(text: str, name: str = "") -> GluingSpec:
                                           % (fname, v))
                 spec.faces[fname] = Face(fname, label, verts)
             elif kind == "pair":
-                a, b = tokens[1], tokens[2]
-                if tokens[3] != ":":
-                    raise GluingError("expected ':'")
+                a, b, _ = head
                 vmap = {}
-                for tok in tokens[4:]:
-                    u, v = tok.split("->")
+                for tok in rest:
+                    u, arrow, v = tok.partition("->")
+                    if not (u and arrow and v) or "->" in v:
+                        raise GluingError(
+                            "pair %s %s: vertex map %r is not u->v"
+                            % (a, b, tok))
                     vmap[u] = v
                 if a in spec.pairings or (b in spec.pairings and b != a):
                     raise GluingError("face paired twice")
                 spec.pairings[a] = (b, vmap)
                 if b != a:
                     spec.pairings[b] = (a, {v: u for u, v in vmap.items()})
-            elif kind == "expect-cycle":
-                u, v = tokens[1], tokens[2]
-                if tokens[3] != ":":
-                    raise GluingError("expected ':'")
-                spec.expected_cycles.append((lineno, u, v, int(tokens[4])))
             else:
-                raise GluingError("unknown directive %r" % kind)
-        except (IndexError, ValueError) as exc:
+                u, v, _, length = head
+                if not length.isdecimal():
+                    raise GluingError("expect-cycle %s %s: cycle length %r "
+                                      "is not an integer" % (u, v, length))
+                spec.expected_cycles.append((lineno, u, v, int(length)))
+        except GluingError as exc:
             raise GluingError("line %d: %s" % (lineno, exc)) from exc
     validate(spec)
     return spec

@@ -14,8 +14,10 @@ Rules are plain JSON data; see the bundled files under data/.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import count
+from operator import itemgetter
 
 from .tiling import Tiling
 from .unionfind import UnionFind
@@ -34,6 +36,13 @@ class RuleError(ValueError):
 
 @dataclass
 class TileType:
+    """A face matcher and the template disk that replaces the face.
+
+    On load the template is compiled against the symbolic rim (corners
+    ``v<i>``, split points ``e<i>.<j>``): ``rim`` and ``rim_sides`` give
+    the order in which ``template.instantiate`` takes the rim's vertex ids
+    and edge keys.
+    """
     name: str
     label: str
     size: int
@@ -43,7 +52,6 @@ class TileType:
     interior_edges: dict = field(default_factory=dict)   # frozenset -> {status, added}
 
     def __post_init__(self):
-        # symbolic boundary cycle: corners v<i>, split points e<i>.<j>
         self.rim = []
         for i, d in enumerate(self.boundary):
             self.rim.append("v%d" % i)
@@ -51,7 +59,8 @@ class TileType:
                 self.rim += ["e%d.%d" % (i, j)
                              for j in range(1, len(d["split"]))]
         self.rim_sides = _sides(self.rim)
-        self.template = _template(self.faces)
+        self.template = Template(self.faces, self.rim, self.rim_sides,
+                                 self.interior_edges)
 
 
 @dataclass
@@ -63,6 +72,20 @@ class SubdivisionRule:
 
 @dataclass
 class Pattern:
+    """A region of faces to match, and the template that replaces it.
+
+    On load the region is compiled to int tables.  Its vertex names are
+    numbered in ``vertex_syms`` and its sides in ``edge_syms``, both by
+    first appearance, so each region face first binds a contiguous run of
+    each; ``_match_pattern`` binds them into two flat lists.  Per region
+    face, ``region_faces`` holds its label and size; its anchor, the first
+    cycle position whose vertex an earlier face binds, with that vertex's
+    number (or None); the positions of its new vertices and edges with
+    the runs of numbers they bind; and readers of its whole cycle and
+    sides.  The status checks, the boundary edges' new statuses and the
+    flap chains are lists of edge numbers, and ``template`` takes the
+    bound vertex ids and edge keys in this numbering.
+    """
     name: str
     region: list                # {label, cycle of names}
     boundary: list              # {ends, status, to}
@@ -72,22 +95,56 @@ class Pattern:
     internal: dict = field(default_factory=dict)    # frozenset -> required status
 
     def __post_init__(self):
-        self.template = _template(self.faces)
-        self.region_sides = [_sides(f["cycle"]) for f in self.region]
-        self.flap_chains = [(fl["face"], [frozenset(e) for e in fl["chain"]])
-                            for fl in self.flaps]
+        vid, eid, uses = {}, {}, Counter()
+        self.region_faces = []
+        for f in self.region:
+            nv, ne = len(vid), len(eid)
+            cyc = [vid.setdefault(nm, len(vid)) for nm in f["cycle"]]
+            sides = [eid.setdefault(e, len(eid)) for e in _sides(f["cycle"])]
+            uses.update(sides)
+            anchor = next(((i, v) for i, v in enumerate(cyc) if v < nv),
+                          None)
+            self.region_faces.append((
+                f["label"], len(cyc), anchor,
+                _picker(map(cyc.index, range(nv, len(vid)))),
+                slice(nv, len(vid)),
+                _picker(map(sides.index, range(ne, len(eid)))),
+                slice(ne, len(eid)), _picker(cyc), _picker(sides)))
+        self.vertex_syms, self.edge_syms = list(vid), list(eid)
+        self.region_labels = sorted(f["label"] for f in self.region)
         # symbolic edges appearing in two region faces are internal
-        count = Counter(e for sides in self.region_sides for e in sides)
-        self.internal_edges = {e for e, k in count.items() if k == 2}
+        self.internal_edges = [e for e, k in uses.items() if k == 2]
+        internal = {self._region_edge(eid, e, "internal"): want
+                    for e, want in self.internal.items()}
         for e in self.internal_edges:
-            self.internal.setdefault(e, "loaded")
+            internal.setdefault(e, "loaded")
         self.boundary_req = {frozenset(b["ends"]): b for b in self.boundary}
         declared = set(self.boundary_req)
-        actual = {e for e, k in count.items() if k == 1}
+        actual = {self.edge_syms[e] for e, k in uses.items() if k == 1}
         if declared != actual:
             raise RuleError(
                 "pattern %s: boundary declaration does not match the region "
                 "boundary" % self.name)
+        self.status_checks = list(internal.items()) + [
+            (eid[sym], req["status"]) for sym, req in self.boundary_req.items()
+            if req.get("status", ANY) != ANY]
+        self.boundary_to = [(eid[sym], req["to"])
+                            for sym, req in self.boundary_req.items()
+                            if req.get("to") is not None]
+        self.flap_chains = [(fl["face"], [self._region_edge(eid, e, "flap")
+                                          for e in fl["chain"]])
+                            for fl in self.flaps]
+        self.template = Template(
+            self.faces, self.vertex_syms,
+            [sym if sym in self.boundary_req else None
+             for sym in self.edge_syms], self.edges)
+
+    def _region_edge(self, eid, ends, what):
+        try:
+            return eid[frozenset(ends)]
+        except KeyError:
+            raise RuleError("pattern %s: %s edge %r is not a region edge"
+                            % (self.name, what, sorted(ends))) from None
 
 
 @dataclass
@@ -109,55 +166,84 @@ def _sides(cycle):
     return [frozenset(p) for p in zip(cycle, cycle[1:] + cycle[:1])]
 
 
-def _template(faces):
-    """Template faces as (label, cycle, sides), built once per rule."""
-    return [(f["label"], f["cycle"], _sides(f["cycle"])) for f in faces]
+class Template:
+    """Template faces compiled to index tables, once per rule.
+
+    The template's vertices are the ``bound`` names, then the names only
+    the template has, numbered by first appearance; its sides are the
+    ``sides`` symbols (None marks a position the template may not reuse),
+    then its new sides.  Each face is its label with two itemgetters,
+    which read its vertex ids and edge keys off those two numberings.  A
+    new side's status and added mark come from ``edge_attrs``, else it is
+    plain.
+    """
+
+    def __init__(self, faces, bound, sides, edge_attrs):
+        vid = defaultdict(count(len(bound)).__next__, zip(bound, count()))
+        eid = defaultdict(count(len(sides)).__next__,
+                          ((s, i) for i, s in enumerate(sides)
+                           if s is not None))
+        self.faces = [(f["label"], _picker(map(vid.__getitem__, cyc)),
+                       _picker(map(eid.__getitem__, _sides(cyc))))
+                      for f in faces for cyc in [f["cycle"]]]
+        self.new_vertices = len(vid) - len(bound)
+        attrs = [edge_attrs.get(sym, _PLAIN)
+                 for sym, i in eid.items() if i >= len(sides)]
+        self.new_status = [a["status"] for a in attrs]
+        self.new_added = [j for j, a in enumerate(attrs) if a["added"]]
+
+    def instantiate(self, vertices, edges, nv, ne, status, added):
+        """The faces as (label, vertex ids, edge keys).
+
+        ``vertices`` and ``edges`` give the bound names' ids and the bound
+        sides' keys, in the template's numbering.  New vertices take the
+        next ints from ``nv`` and new edges from ``ne``; a new edge's
+        status goes into ``status`` and its added mark into ``added``.
+        Returns (faces, nv, ne).
+        """
+        vs = [*vertices, *range(nv, nv + self.new_vertices)]
+        # one int object per new key, shared by the faces, status and
+        # added (a range would box a second one for status)
+        new = [*range(ne, ne + len(self.new_status))]
+        es = [*edges, *new]
+        status.update(zip(new, self.new_status))
+        added.update([new[j] for j in self.new_added])
+        return ([(label, getv(vs), gete(es)) for label, getv, gete in
+                 self.faces], nv + self.new_vertices, ne + len(new))
 
 
-def _dihedral(vs, es):
+def _picker(idx):
+    """A function that reads the entries at ``idx`` off a list, as a
+    tuple.  (An itemgetter of one index returns the entry itself.)"""
+    idx = tuple(idx)
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda seq: tuple(seq[i] for i in idx)
+
+
+def _dihedral(vs, es, anchor=None):
     """The n rotations, then the n reflections, of a face's cycles.
 
     Yields (vertices, edges) lists in which edge i joins vertex i and
-    vertex i+1, as it does in ``vs`` and ``es``.
+    vertex i+1, as it does in ``vs`` and ``es``.  With ``anchor = (p, x)``
+    it yields, in the same order, only the images with vertex x at
+    position p.
     """
     n = len(vs)
-    for r in range(n):
+    if anchor is None:
+        rots = refls = range(n)
+    else:
+        p, x = anchor
+        hits = [i for i, v in enumerate(vs) if v == x]
+        rots = sorted((i - p) % n for i in hits)
+        refls = sorted((i + p) % n for i in hits)
+    for r in rots:
         yield vs[r:] + vs[:r], es[r:] + es[:r]
     rv, re = vs[::-1], es[::-1]
-    for r in range(n):
+    for r in refls:
         # through vertex r: vs[r], vs[r-1], ... with es[r-1], es[r-2], ...
         a, b = n - 1 - r, (n - r) % n
         yield rv[a:] + rv[:a], re[b:] + re[:b]
-
-
-def _instantiate(template, names, boundary, edge_attrs, nv, ne, status,
-                 added):
-    """A ``_template`` as faces (label, vertex ids, edge keys).
-
-    ``names`` maps the symbolic boundary vertices to ids and ``boundary``
-    the symbolic boundary sides to edge keys.  Every other vertex and side
-    takes the next int from ``nv`` or ``ne``; a new edge's status and added
-    mark come from ``edge_attrs`` and go into ``status`` and ``added``.
-    Returns (faces, nv, ne).
-    """
-    names, keys = dict(names), dict(boundary)
-    out = []
-    for label, cycle, sides in template:
-        for nm in cycle:
-            if nm not in names:
-                names[nm] = nv
-                nv += 1
-        for sym in sides:
-            if sym not in keys:
-                keys[sym] = ne
-                attrs = edge_attrs.get(sym, _PLAIN)
-                status[ne] = attrs["status"]
-                if attrs["added"]:
-                    added.add(ne)
-                ne += 1
-        out.append((label, tuple(map(names.__getitem__, cycle)),
-                    tuple(map(keys.__getitem__, sides))))
-    return out, nv, ne
 
 
 def _edge_attrs(items):
@@ -305,10 +391,8 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
                 segs, ivs = segs[::-1], ivs[::-1]
             rim_vs += [u] + ivs
             rim_es += segs
-        faces, nv, ne = _instantiate(
-            tile.template, dict(zip(tile.rim, rim_vs)),
-            dict(zip(tile.rim_sides, rim_es)), tile.interior_edges,
-            nv, ne, status, added)
+        faces, nv, ne = tile.template.instantiate(rim_vs, rim_es, nv, ne,
+                                                  status, added)
         specs += faces
 
     return Tiling(specs, stage=t.stage + 1, edge_status=status,
@@ -331,75 +415,69 @@ def _loaded_groups(t: Tiling):
     return [sorted(g) for g in sorted(groups.values())]
 
 
-def _bind(mapping, keys, values, added, taken=None):
-    """Extend mapping by keys -> values in place, appending each new key
-    to added; False on a clash, or on a value already in taken if given."""
-    for k, v in zip(keys, values):
-        old = mapping.get(k)
-        if old is None:
-            if taken is not None:
-                if v in taken:
-                    return False
-                taken.add(v)
-            mapping[k] = v
-            added.append(k)
-        elif old != v:
-            return False
-    return True
-
-
 def _match_pattern(pat: Pattern, t: Tiling, group):
     """Map pattern region onto the group; returns (sigma, edge_of) or None.
 
-    sigma maps symbolic vertex names to tiling vertex ids; edge_of maps
-    symbolic edges (frozensets of names) to tiling edge ids.
+    sigma[i] is the tiling vertex id of ``pat.vertex_syms[i]`` and
+    edge_of[j] the tiling edge id of ``pat.edge_syms[j]``.  The first
+    embedding found, trying group faces in order and each face's dihedral
+    images in ``_dihedral`` order, is the one checked; no other is tried.
     """
-    if len(pat.region) != len(group):
+    if len(pat.region_faces) != len(group):
         return None
+    labels = t.face_labels
+    if sorted(labels[g] for g in group) != pat.region_labels:
+        return None
+    faces = [(g, labels[g], t.face_vertices(g), t.face_edges(g))
+             for g in group]
 
-    # one search state, extended in place and undone on backtrack
-    sigma, edge_of, taken, used = {}, {}, set(), set()
+    # one search state: region face idx binds the vertex and edge symbols
+    # its slices number, and a failed image's values are overwritten
+    sigma = [None] * len(pat.vertex_syms)
+    edge_of = [None] * len(pat.edge_syms)
+    taken, used = set(), set()
 
     def extend(idx):
-        if idx == len(pat.region):
+        if idx == len(faces):
             return True
-        pf, sides = pat.region[idx], pat.region_sides[idx]
-        cyc = pf["cycle"]
-        for g in group:
-            if g in used or pf["label"] != t.face_labels[g]:
+        (label, n, anchor, fresh_v, v_slots, fresh_e, e_slots, read_v,
+         read_e) = pat.region_faces[idx]
+        if anchor is not None:
+            anchor = anchor[0], sigma[anchor[1]]
+        for g, glabel, vs, es in faces:
+            if g in used or glabel != label or len(vs) != n:
                 continue
-            vs = t.face_vertices(g)
-            if len(vs) != len(cyc):
-                continue
-            for avs, aes in _dihedral(vs, t.face_edges(g)):
-                new_v, new_e = [], []
-                if (_bind(sigma, cyc, avs, new_v, taken)
-                        and _bind(edge_of, sides, aes, new_e)):
-                    used.add(g)
-                    if extend(idx + 1):
-                        return True
-                    used.discard(g)
-                for nm in new_v:
-                    taken.discard(sigma.pop(nm))
-                for sym in new_e:
-                    del edge_of[sym]
+            for avs, aes in _dihedral(vs, es, anchor):
+                # new vertices must be distinct and not yet taken; then
+                # every position must read back its image's vertex and edge
+                vals = fresh_v(avs)
+                if not taken.isdisjoint(vals) or len(set(vals)) < len(vals):
+                    continue
+                sigma[v_slots] = vals
+                edge_of[e_slots] = fresh_e(aes)
+                if read_v(sigma) != tuple(avs) or \
+                        read_e(edge_of) != tuple(aes):
+                    continue
+                taken.update(vals)
+                used.add(g)
+                if extend(idx + 1):
+                    return True
+                taken.difference_update(vals)
+                used.discard(g)
         return False
 
     if not extend(0):
         return None
-    for sym, want in pat.internal.items():
-        if t.edge_status[edge_of[sym]] != want:
-            return None
-    for sym, req in pat.boundary_req.items():
-        want = req.get("status", ANY)
-        if want not in (ANY, t.edge_status[edge_of[sym]]):
+    status = t.edge_status
+    for i, want in pat.status_checks:
+        if status[edge_of[i]] != want:
             return None
     # every loaded edge interior to the group must be part of the pattern
-    mapped_internal = {edge_of[sym] for sym in pat.internal_edges}
+    mapped_internal = {edge_of[i] for i in pat.internal_edges}
     gset = set(group)
-    for f in group:
-        for e in t.face_edges(f):
-            if t.edge_status[e] == "loaded" and set(t.edge_faces(e)) <= gset:
+    for _, _, _, es in faces:
+        for e in es:
+            if status[e] == "loaded" and set(t.edge_faces(e)) <= gset:
                 if e not in mapped_internal:
                     return None
     return sigma, edge_of
@@ -445,26 +523,21 @@ def _replaced_faces(rule, t):
                                  [t.face_labels[f] for f in group]))
         sigma, edge_of = m
 
-        for sym, req in pat.boundary_req.items():
-            e = edge_of[sym]
-            to = req.get("to")
-            if to is None:
-                continue
+        for i, to in pat.boundary_to:
+            e = edge_of[i]
             if boundary_to.get(e, to) != to:
                 raise RuleError(
                     "groups flanking edge %d prescribe different statuses"
                     % e)
             boundary_to[e] = to
 
-        faces, nv, ne = _instantiate(
-            pat.template, sigma,
-            {sym: edge_of[sym] for sym in pat.boundary_req},
-            pat.edges, nv, ne, status, added)
+        faces, nv, ne = pat.template.instantiate(sigma, edge_of, nv, ne,
+                                                 status, added)
         start = len(specs)
         specs += faces
 
         for face, chain in pat.flap_chains:
-            flap_records.append((start + face, [edge_of[e] for e in chain]))
+            flap_records.append((start + face, [edge_of[i] for i in chain]))
 
     for e, to in boundary_to.items():
         status[e] = to
@@ -491,13 +564,11 @@ def _replaced_faces(rule, t):
             raise RuleError("collapse flap mismatch: chain not on flap face")
         # align both cycles so that the shared chain occupies the same
         # leading positions and runs between the same vertex ids
-        rims1 = list(_dihedral(c1, k1))
         aligned = next((
             (c1r, k1r, c2r, k2r) for c2r, k2r in _dihedral(c2, k2)
             if chain_key.issuperset(k2r[:n])
-            for c1r, k1r in rims1
-            if k1r[:n] == k2r[:n] and c1r[0] == c2r[0] and c1r[n] == c2r[n]),
-            None)
+            for c1r, k1r in _dihedral(c1, k1, (0, c2r[0]))
+            if k1r[:n] == k2r[:n] and c1r[n] == c2r[n]), None)
         if aligned is None:
             raise RuleError(
                 "collapse flap mismatch: flap boundaries cannot be aligned")

@@ -215,20 +215,25 @@ class Tiling:
     def num_vertices(self):
         return len(self.vertex_names)
 
+    def _face_read(self, table, f):
+        """Face f's entries of a per-half-edge table, in ``h_next`` order
+        from ``face_start[f]``: its contiguous run, walked backwards after
+        the first entry if the face was flipped."""
+        start = self.face_start
+        s = start[f]
+        stop = start[f + 1] if f + 1 < len(start) else len(table)
+        if self.h_next[s] == s + 1:
+            return [*table[s:stop]]
+        return [table[s], *table[stop - 1:s:-1]]
+
     def face_halfedges(self, f):
-        out = []
-        h = self.face_start[f]
-        while True:
-            out.append(h)
-            h = self.h_next[h]
-            if h == self.face_start[f]:
-                return out
+        return self._face_read(range(len(self.h_face)), f)
 
     def face_vertices(self, f):
-        return [self.h_origin[h] for h in self.face_halfedges(f)]
+        return self._face_read(self.h_origin, f)
 
     def face_edges(self, f):
-        return [self.h_edge[h] for h in self.face_halfedges(f)]
+        return self._face_read(self.h_edge, f)
 
     def edge_endpoints(self, e):
         h = self.edge_half[e]

@@ -13,7 +13,7 @@ import pytest
 from coversphere.catalog import get_rule, load_spec
 from coversphere.cayley import ac_profile, cone_type_count, make_group
 from coversphere.cli import main as cli_main
-from coversphere.cover import CoverState, build_cover, sphere_series
+from coversphere.cover import CoverState, sphere_series
 from coversphere.growth import classify_growth, growth_series
 from coversphere.pack import flower, pack, tangency_error, triangulate
 from coversphere.rules import apply_replacement

@@ -1,4 +1,5 @@
 import importlib.resources as resources
+import re
 
 import pytest
 
@@ -103,3 +104,23 @@ def test_rejects_degenerate_face(line, message):
     with pytest.raises(GluingError,
                        match="^line %d: %s$" % (lineno, message)):
         parse_gluing("\n".join(lines))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("polyhedron", "line 1: polyhedron line has no name"),
+    ("polyhedron c\nface T", "line 2: face line has no label"),
+    ("polyhedron c\nface T : 0 1 2", "line 2: face line has no label"),
+    ("polyhedron c\npair T", "line 2: pair line has no second face"),
+    ("polyhedron c\npair T B : 0-4",
+     "line 2: pair T B: vertex map '0-4' is not u->v"),
+    ("polyhedron c\npair T B : 0->4->5",
+     "line 2: pair T B: vertex map '0->4->5' is not u->v"),
+    ("polyhedron c\nexpect-cycle 0 1 :",
+     "line 2: expect-cycle line has no cycle length"),
+    ("polyhedron c\nexpect-cycle 0 1 : x",
+     "line 2: expect-cycle 0 1: cycle length 'x' is not an integer"),
+], ids=["polyhedron", "face", "face-no-label", "pair", "pair-dash",
+        "pair-two-arrows", "cycle-no-length", "cycle-bad-length"])
+def test_rejects_missing_or_malformed_field(text, message):
+    with pytest.raises(GluingError, match="^%s$" % re.escape(message)):
+        parse_gluing(text)

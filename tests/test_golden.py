@@ -6,6 +6,7 @@ or edges get identified, or to the order faces are emitted in, changes a
 digest."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -51,3 +52,25 @@ GOLDEN = [
                          ids=[g[0] for g in GOLDEN])
 def test_to_json_digest(make, digest):
     assert hashlib.sha256(make().to_json().encode()).hexdigest() == digest
+
+
+def table_digest(t):
+    """sha256 of a tiling's int tables, face labels, edge statuses and
+    added marks: everything ``to_json`` reads, hashed without writing it."""
+    h = hashlib.sha256()
+    for table in (t.face_start, t.h_face, t.h_next, t.h_prev, t.h_twin,
+                  t.h_origin, t.h_edge, t.edge_half):
+        h.update(table.tobytes())
+    h.update(json.dumps([t.face_labels, t.edge_status, t.edge_added])
+             .encode())
+    return h.hexdigest()
+
+
+def test_nxs1_replacement_5_tables():
+    # Stage 5 (81,806 faces), pinned by its tables: its to_json digest,
+    # 7a8a3ba8f704cd83d1ae4b57d52bd9558d932ad57ae1b27474427e6d98292068,
+    # takes several times longer to compute than the stage itself.
+    t = rule_stage("nxs1", 5, "replacement")()
+    assert t.num_faces == 81806
+    assert table_digest(t) == \
+        "3452759e16bb43eeabeb3d751f77cd46f03e6c1424e22782a476408bfac62c23"

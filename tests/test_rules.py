@@ -1,4 +1,5 @@
 import importlib.resources as resources
+import json
 
 import pytest
 
@@ -227,3 +228,39 @@ def test_dihedral_alignments(rule, mode):
             for i in range(n):
                 assert set(t.edge_endpoints(aes[i])) == \
                     {avs[i], avs[(i + 1) % n]}
+
+
+@pytest.mark.parametrize("vs", [[0, 1, 2, 3], [0, 1, 2, 1, 3],
+                                list(range(12))])
+def test_dihedral_anchor_filters_in_order(vs):
+    # The anchored images are the unanchored ones with vertex x at
+    # position p, in the same order; vertex 1 repeats in the pentagon.
+    from coversphere.rules import _dihedral
+    es = [10 + i for i in range(len(vs))]
+    images = list(_dihedral(vs, es))
+    for p in range(len(vs)):
+        for x in set(vs):
+            assert list(_dihedral(vs, es, (p, x))) == \
+                [(a, b) for a, b in images if a[p] == x]
+
+
+@pytest.mark.parametrize("shift", [1, 2, 3])
+def test_rotated_region_cycles_match_alike(shift):
+    # Rotating the later region faces' cycles moves their anchors off
+    # position 0; each such face shares an edge with an earlier one, so
+    # its image, and the replaced stage, stay the same.
+    from coversphere.catalog import get_rule
+    data = json.loads(load_data("nxs1.json"))
+    for pat in data["replacement"]["patterns"]:
+        for face in pat["region"][1:]:
+            face["cycle"] = face["cycle"][shift:] + face["cycle"][:shift]
+    rotated = load_rule(data)
+    assert any(f[2] is not None and f[2][0] != 0
+               for pat in rotated.replacement.patterns
+               for f in pat.region_faces)
+    entry = get_rule("nxs1")
+    t = u = entry.initial
+    for _ in range(2):
+        t = apply_replacement(entry.rule.replacement, t)
+        u = apply_replacement(rotated.replacement, u)
+    assert u.to_json() == t.to_json()

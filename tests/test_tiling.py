@@ -1,5 +1,4 @@
 import gc
-import json
 import tracemalloc
 
 import pytest
@@ -151,6 +150,37 @@ def test_components_and_disjoint_iso():
     assert sorted(split.face_labels) == sorted(mixed.face_labels)
     assert not isomorphic(split, mixed)
     assert isomorphic(split, tetras("bbbb", "aaaa"))
+
+
+def nxs1_stage4():
+    entry = catalog.get_rule("nxs1")
+    t = entry.initial
+    for _ in range(3):
+        t = apply_replacement(entry.rule.replacement, t)
+    return t
+
+
+def prism12_sphere4():
+    *_, state = balls(catalog.load_spec("prism12"), 4)
+    return state.boundary_sphere()
+
+
+@pytest.mark.parametrize("make, flipped", [(nxs1_stage4, 996),
+                                           (prism12_sphere4, 5215)])
+def test_face_reads_follow_h_next(make, flipped):
+    # The contiguous-range reads against a walk of h_next, on tilings
+    # where orienting flipped many faces.
+    t = make()
+    walked_back = 0
+    for f in range(t.num_faces):
+        walk = [t.face_start[f]]
+        while t.h_next[walk[-1]] != walk[0]:
+            walk.append(t.h_next[walk[-1]])
+        walked_back += walk[1] != walk[0] + 1
+        assert t.face_halfedges(f) == walk
+        assert t.face_vertices(f) == [t.h_origin[h] for h in walk]
+        assert t.face_edges(f) == [t.h_edge[h] for h in walk]
+    assert walked_back == flipped
 
 
 def traced_build(build):
