@@ -181,24 +181,39 @@ class CoverState:
     def _open_faces(self, status):
         """Yield each open slot's face, named by cover vertex and edge
         classes, and put each loaded (one cell short of its cycle) or
-        fragile (two short) edge into ``status``."""
+        fragile (two short) edge into ``status``.
+
+        A key whose parent is a root is named by that parent, as ``find``
+        would name it; only a deeper key calls ``find``.  In the balls of
+        the bundled specs every parent is a root.
+        """
         vfind, efind = self.verts.find, self.edges.find
-        size = self.edges.size
+        vparent, eparent = self.verts.parent, self.edges.parent
+        size, cycle = self.edges.size, self.cycle
+        F, NV, NE = self.F, self.NV, self.NE
+        face_verts, face_edges = self.face_verts, self.face_edges
         labels = [self.spec.faces[n].label for n in self.face_names]
         for s in self.open_slots():
-            cell, fi = divmod(s, self.F)
-            vb, eb = cell * self.NV, cell * self.NE
+            cell, fi = divmod(s, F)
+            vb, eb = cell * NV, cell * NE
+            vs = []
+            for u in face_verts[fi]:
+                root = vparent[vb + u]
+                if vparent[root] != root:
+                    root = vfind(vb + u)
+                vs.append(root)
             es = []
-            for e in self.face_edges[fi]:
-                root = efind(eb + e)
+            for e in face_edges[fi]:
+                root = eparent[eb + e]
+                if eparent[root] != root:
+                    root = efind(eb + e)
                 es.append(root)
-                gap = self.cycle[e] - size[root]
+                gap = cycle[e] - size[root]
                 if gap == 1:
                     status[root] = LOADED
                 elif gap == 2:
                     status[root] = FRAGILE
-            yield (labels[fi], [vfind(vb + u) for u in self.face_verts[fi]],
-                   es)
+            yield labels[fi], vs, es
 
 
 def balls(spec: GluingSpec, stages: int, cap: int | None = None):

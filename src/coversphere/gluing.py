@@ -178,6 +178,9 @@ def parse_gluing(text: str, name: str = "") -> GluingSpec:
         try:
             kind, head = _head(tokens)
             rest = tokens[len(head) + 1:]
+            if rest and kind in ("polyhedron", "expect-cycle"):
+                raise GluingError("%s line has extra words %r"
+                                  % (kind, " ".join(rest)))
             if kind == "polyhedron":
                 spec.name = head[0]
             elif kind == "face":

@@ -591,16 +591,24 @@ def _replaced_faces(rule, t):
     # Only zipped keys are renamed, each to the root of its class.  A
     # zipped class's keys all carry one status, as the zipping checked.
     vroot, kroot = vert_uf.non_roots(), key_uf.non_roots()
-    # Faces are renamed in place, so the output is never held beside a
-    # copy.
-    for i, (label, cyc, ks) in enumerate(specs):
-        specs[i] = (label, tuple(map(vroot.get, cyc, cyc)),
+    # One pass drops the flaps and rebuilds only the faces holding a
+    # zipped vertex or key; the rest are kept as they are, in place.
+    vzip, kzip = vroot.keys(), kroot.keys()
+    kept = 0
+    for i, face in enumerate(specs):
+        if i in dead:
+            continue
+        label, cyc, ks = face
+        if not (vzip.isdisjoint(cyc) and kzip.isdisjoint(ks)):
+            face = (label, tuple(map(vroot.get, cyc, cyc)),
                     tuple(map(kroot.get, ks, ks)))
-    faces = [f for i, f in enumerate(specs) if i not in dead]
+        specs[kept] = face
+        kept += 1
+    del specs[kept:]
     for k, root in kroot.items():
         if k in status:
             status[root] = status.pop(k)
-    return faces, status, {kroot.get(k, k) for k in added}
+    return specs, status, {kroot.get(k, k) for k in added}
 
 
 # ---------------------------------------------------------------------

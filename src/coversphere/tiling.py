@@ -14,13 +14,18 @@ from __future__ import annotations
 import json
 from array import array
 from collections import Counter, defaultdict
-from itertools import count, takewhile
-from operator import eq
+from itertools import (accumulate, compress, count, filterfalse, repeat,
+                       takewhile)
+from operator import eq, mul
+from struct import Struct
+
+from .unionfind import UnionFind
 
 PLAIN = "plain"
 LOADED = "loaded"
 FRAGILE = "fragile"
 STATUSES = (PLAIN, LOADED, FRAGILE)
+_INT = Struct("i")      # one array('i') entry
 
 
 class TilingError(ValueError):
@@ -42,47 +47,54 @@ class Tiling:
     The half-edge tables use the usual conventions: ``next`` walks around
     a face, ``twin`` jumps across an edge, and ``next(twin(h))`` walks the
     rotation around the origin vertex of ``h``.  A vertex is loaded when
-    every edge at it is loaded.
+    every edge at it is loaded.  Components are labelled at construction:
+    ``face_component[f]`` numbers face f's component by lowest face id,
+    and there are ``num_components`` of them.
 
-    The int tables ``face_start``, ``h_face``, ``h_next``, ``h_prev``,
-    ``h_twin``, ``h_origin``, ``h_edge`` and ``edge_half`` are
-    ``array('i')``: four bytes an entry, no int objects, nothing for the
-    cyclic garbage collector to walk.  ``faces`` is read once, front to
-    back, before ``edge_status`` and ``added_edges`` are read, so it may be
-    a generator that fills them; no face list need outlive its reading.
+    The int tables ``face_start``, ``face_component``, ``h_face``,
+    ``h_next``, ``h_prev``, ``h_twin``, ``h_origin``, ``h_edge`` and
+    ``edge_half`` are ``array('i')``: four bytes an entry, no int objects,
+    nothing for the cyclic garbage collector to walk.  ``faces`` is read
+    once, front to back, before ``edge_status`` and ``added_edges`` are
+    read, so it may be a generator that fills them; no face list need
+    outlive its reading.
     """
 
     def __init__(self, faces, *, stage=0, edge_status=None, added_edges=None):
         self.stage = stage
         self.face_labels = labels = []
-        self.face_start = start = array("i")
-        self.h_face = face = array("i")
+        sizes = []
         self.h_edge = edge = array("i")
         origin = array("i")  # per side of the input cycles: its first vertex
         # dense ids by first appearance: a new name takes the next count
         vid, eid = defaultdict(count().__next__), defaultdict(count().__next__)
         vget, eget = vid.__getitem__, eid.__getitem__
-        for fi, (label, vs, *es) in enumerate(faces):
+        for fi, face in enumerate(faces):
+            label, vs, es = face if len(face) == 3 else (*face, None)
             n = len(vs)
             if n < 3:
                 raise TilingError("face %d: fewer than 3 boundary vertices"
                                   % fi)
-            if es:
-                es, = es
-                if len(es) != n:
-                    raise TilingError(
-                        "face %d: edge cycle length %d differs from vertex "
-                        "cycle length %d" % (fi, len(es), n))
-            else:
+            if es is None:
                 es = map(frozenset, zip(vs, [*vs[1:], vs[0]]))
+            elif len(es) != n:
+                raise TilingError(
+                    "face %d: edge cycle length %d differs from vertex "
+                    "cycle length %d" % (fi, len(es), n))
             labels.append(label)
-            start.append(len(origin))
-            face.fromlist([fi] * n)
+            sizes.append(n)
             origin.fromlist([*map(vget, vs)])
             edge.fromlist([*map(eget, es)])
         self.vertex_names = list(vid)
         self.edge_keys = list(eid)
         del vid, eid, vget, eget    # freed before the next tables exist
+        self.face_start = array("i", accumulate(sizes, initial=0))
+        self.face_start.pop()
+        self.h_face = face = array("i")
+        # face f's id once per side, appended as the bytes of its entries
+        for run in map(mul, map(_INT.pack, range(len(sizes))), sizes):
+            face.frombytes(run)
+        del sizes
 
         first = array("i", [-1]) * len(self.edge_keys)
         twin = array("i", [-1]) * len(origin)
@@ -101,18 +113,14 @@ class Tiling:
         self._orient(origin)
 
         status = edge_status or {}
-        self.edge_status = es = [status.get(k, PLAIN) for k in self.edge_keys]
-        for st in es:
-            if st not in STATUSES:
-                raise TilingError("unknown edge status %r" % (st,))
-        added = set(added_edges or ())
-        self.edge_added = [k in added for k in self.edge_keys]
-        unloaded = bytearray(len(self.vertex_names))
-        for v, e in zip(origin, edge):
-            if es[e] != LOADED:
-                unloaded[v] = 1
-        self.loaded_vertices = {v for v, u in enumerate(unloaded) if not u}
+        self.edge_status = es = [*map(status.get, self.edge_keys,
+                                      repeat(PLAIN))]
+        for st in filterfalse(STATUSES.__contains__, es):
+            raise TilingError("unknown edge status %r" % (st,))
+        self.edge_added = [*map(set(added_edges or ()).__contains__,
+                                self.edge_keys)]
         self._validate()
+        self.loaded_vertices = self._loaded_vertices()
 
     # -- construction -------------------------------------------------
 
@@ -121,24 +129,21 @@ class Tiling:
             "edge %r bounds %d face sides; closed surfaces need exactly 2"
             % (self.edge_keys[e], self.h_edge.count(e)))
 
-    def _face_stops(self):
-        """Per face, one past its last half-edge id."""
-        stops = self.face_start[1:]
-        stops.append(len(self.h_face))
-        return stops
-
     def _orient(self, origin):
         """Set ``h_next``, ``h_prev`` and ``h_origin``, flipping the faces
-        needed for twin half-edges to run antiparallel.
+        needed for twin half-edges to run antiparallel, and label each face
+        with its connected component.
 
         ``origin`` gives each side's first vertex along its input cycle.
         Works component by component (DFS from the lowest face id), each
         root keeping its input orientation.  Loop edges give no orientation
-        information and are skipped.  An edge is checked from the first of
+        information: the DFS does not cross them, and the components they
+        join are merged afterwards.  An edge is checked from the first of
         its faces to be popped; from the other it would pass the same test.
         """
         start, twin, face = self.face_start, self.h_twin, self.h_face
-        stops = self._face_stops()
+        stops = start[1:]
+        stops.append(len(origin))
         # Half-edges walk their input cycles until a face is flipped.
         ids = array("i", range(-1, len(origin) + 1))
         nxt, prev = ids[2:], ids[:-2]
@@ -147,11 +152,14 @@ class Tiling:
         for s, e in zip(start, stops):
             nxt[e - 1], prev[s], end[e - 1] = s, e - 1, origin[s]
         flip = [None] * len(start)
+        comp = array("i", [-1]) * len(start)
         done = bytearray(len(start))
+        loops = []      # half-edges whose loop edge the DFS did not cross
+        n = 0
         for root in range(len(flip)):
             if flip[root] is not None:
                 continue
-            flip[root] = False
+            flip[root], comp[root] = False, n
             stack = [root]
             while stack:
                 f = stack.pop()
@@ -163,23 +171,26 @@ class Tiling:
                         continue
                     a, b, c, d = origin[h], end[h], origin[t], end[t]
                     if a == b or c == d:
+                        loops.append(h)
                         continue
                     # Sides running the same way need opposite flips.
                     want = flipped ^ (a == c and b == d)
                     if flip[g] is None:
-                        flip[g] = want
+                        flip[g], comp[g] = want, n
                         stack.append(g)
                     elif flip[g] != want:
                         raise TilingError(
                             "inconsistent rotation system: faces %d/%d "
                             "cannot be oriented compatibly" % (f, g))
                 done[f] = 1
-        for f, x in enumerate(flip):
-            if x:
-                s, e = start[f], stops[f]
-                nxt[s:e], prev[s:e] = prev[s:e], nxt[s:e]
-                origin[s:e] = end[s:e]
+            n += 1
+        for f in compress(range(len(flip)), flip):
+            s, e = start[f], stops[f]
+            nxt[s:e], prev[s:e] = prev[s:e], nxt[s:e]
+            origin[s:e] = end[s:e]
         self.h_next, self.h_prev, self.h_origin = nxt, prev, origin
+        self.face_component, self.num_components = _merge_components(
+            comp, n, [(comp[face[h]], comp[face[twin[h]]]) for h in loops])
 
     def _validate(self):
         # Each vertex's half-edges must form a single rotation orbit.
@@ -200,6 +211,29 @@ class Tiling:
                 if origin[h] != v:
                     raise TilingError("corrupt rotation orbit")
                 h = nxt[twin[h]]
+
+    def _loaded_vertices(self):
+        """The vertices every edge at which is loaded.
+
+        Only the ends of loaded edges can qualify, so only their rotations
+        are walked; each end is decided once.
+        """
+        status, origin, edge = self.edge_status, self.h_origin, self.h_edge
+        nxt, twin, half = self.h_next, self.h_twin, self.edge_half
+        loaded = set()
+        seen = bytearray(len(self.vertex_names))
+        for e in compress(count(), map(eq, status, repeat(LOADED))):
+            for h0 in (half[e], twin[half[e]]):
+                v = origin[h0]
+                if seen[v]:
+                    continue
+                seen[v] = 1
+                h = nxt[twin[h0]]
+                while h != h0 and status[edge[h]] == LOADED:
+                    h = nxt[twin[h]]
+                if h == h0:
+                    loaded.add(v)
+        return loaded
 
     # -- basic queries ------------------------------------------------
 
@@ -251,7 +285,7 @@ class Tiling:
         return self.num_vertices - self.num_edges + self.num_faces
 
     def is_connected(self):
-        return self._component_ids()[1] == 1
+        return self.num_components == 1
 
     def is_sphere(self):
         return (self.num_faces > 0 and self.is_connected()
@@ -259,36 +293,10 @@ class Tiling:
 
     def components(self):
         """Face index lists of the connected components, by lowest face id."""
-        ids, n = self._component_ids()
-        comps = [[] for _ in range(n)]
-        for f, c in enumerate(ids):
+        comps = [[] for _ in range(self.num_components)]
+        for f, c in enumerate(self.face_component):
             comps[c].append(f)
         return comps
-
-    def _component_ids(self):
-        """Per face, its component's index by lowest face id; and the count.
-
-        Face f's sides are the half-edges ``face_start[f]`` up to the next
-        face's start, so no face is walked around.
-        """
-        start, face, twin = self.face_start, self.h_face, self.h_twin
-        stops = self._face_stops()
-        ids = array("i", [-1]) * len(start)
-        n = 0
-        for root in range(len(start)):
-            if ids[root] >= 0:
-                continue
-            ids[root] = n
-            stack = [root]
-            while stack:
-                f = stack.pop()
-                for h in range(start[f], stops[f]):
-                    g = face[twin[h]]
-                    if ids[g] < 0:
-                        ids[g] = n
-                        stack.append(g)
-            n += 1
-        return ids, n
 
     # -- serialization ------------------------------------------------
 
@@ -402,6 +410,21 @@ class Tiling:
                     added.add(e)
         return Tiling(faces, stage=self.stage, edge_status=status,
                       added_edges=added)
+
+
+def _merge_components(comp, n, crossings):
+    """Per face its component, and the count, once the ``n`` components of
+    ``comp`` that a pair in ``crossings`` joins are merged.  Components
+    stay numbered by their lowest face id."""
+    uf = UnionFind(n)
+    for a, b in crossings:
+        uf.union(a, b)
+    roots = [*map(uf.find, range(n))]
+    if roots == [*range(n)]:
+        return comp, n
+    dense = defaultdict(count().__next__)
+    renumber = [*map(dense.__getitem__, roots)]
+    return array("i", map(renumber.__getitem__, comp)), len(dense)
 
 
 def _require(record, kind, i, fields):

@@ -306,7 +306,12 @@ CUBE_GLUE = Path(coversphere.__file__).parent / "data" / "cube.glue"
     (CUBE_GLUE.read_text() + "expect-cycle 0 7 : 4\n",
      "line 16: 0-7 is not a polyhedron edge"),
     ("polyhedron empty\n", "no face lines"),
-], ids=["non-edge", "no-faces"])
+    (CUBE_GLUE.read_text().replace("polyhedron cube", "polyhedron cube x"),
+     "line 3: polyhedron line has extra words 'x'"),
+    (CUBE_GLUE.read_text() + "expect-cycle 0 1 : 4 junk\n",
+     "line 16: expect-cycle line has extra words 'junk'"),
+], ids=["non-edge", "no-faces", "polyhedron-extra-words",
+        "cycle-extra-words"])
 def test_cover_rejects_malformed_glue(tmp_path, capsys, text, message):
     path = tmp_path / "bad.glue"
     path.write_text(text)

@@ -147,3 +147,37 @@ def test_cap_stops_expand_at_the_cell_past_it():
 def test_cap_below_one_refuses_the_first_cell(cube_spec, cap):
     with pytest.raises(CoverError, match="cell cap %d exceeded" % cap):
         CoverState(cube_spec, cap)
+
+
+def deepen(uf, keys):
+    """Point the first key among ``keys`` whose root has another non-root
+    child at that sibling, making its parent chain two deep without
+    changing any class.  Returns (key, its root)."""
+    parent = uf.parent
+    for k in keys:
+        root = parent[k]
+        if root == k:
+            continue
+        for m in uf.members(root):
+            if m not in (k, root) and parent[m] == root:
+                parent[k] = m
+                return k, root
+    raise AssertionError("no class with two non-root members")
+
+
+def test_boundary_names_deeper_keys_by_their_root(cube_spec):
+    # Every parent in the bundled specs' balls is a root; a deeper chain
+    # must still name each vertex and edge by its class root.
+    *_, state = balls(cube_spec, 3)
+    want = state.boundary_sphere()
+    F = state.F
+    for uf, per_cell, table in ((state.verts, state.NV, state.face_verts),
+                                (state.edges, state.NE, state.face_edges)):
+        keys = [s // F * per_cell + x for s in state.open_slots()
+                for x in table[s % F]]
+        k, root = deepen(uf, keys)
+        assert uf.parent[k] != root == uf.parent[uf.parent[k]]
+    got = state.boundary_sphere()
+    assert got.vertex_names == want.vertex_names
+    assert got.edge_keys == want.edge_keys
+    assert got.to_json() == want.to_json()

@@ -119,8 +119,13 @@ def test_rejects_degenerate_face(line, message):
      "line 2: expect-cycle line has no cycle length"),
     ("polyhedron c\nexpect-cycle 0 1 : x",
      "line 2: expect-cycle 0 1: cycle length 'x' is not an integer"),
+    ("polyhedron cube extra words",
+     "line 1: polyhedron line has extra words 'extra words'"),
+    ("polyhedron c\nexpect-cycle 0 1 : 4 junk",
+     "line 2: expect-cycle line has extra words 'junk'"),
 ], ids=["polyhedron", "face", "face-no-label", "pair", "pair-dash",
-        "pair-two-arrows", "cycle-no-length", "cycle-bad-length"])
+        "pair-two-arrows", "cycle-no-length", "cycle-bad-length",
+        "polyhedron-extra-words", "cycle-extra-words"])
 def test_rejects_missing_or_malformed_field(text, message):
     with pytest.raises(GluingError, match="^%s$" % re.escape(message)):
         parse_gluing(text)

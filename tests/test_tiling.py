@@ -1,5 +1,7 @@
 import gc
+import random
 import tracemalloc
+from itertools import zip_longest
 
 import pytest
 
@@ -7,6 +9,7 @@ from coversphere import catalog
 from coversphere.cover import balls
 from coversphere.rules import apply_replacement
 from coversphere.tiling import Tiling, TilingError, isomorphic
+from test_isomorphism import square_torus
 
 
 def cube_faces():
@@ -85,6 +88,17 @@ def test_edge_status_and_loaded_vertices():
     assert len(t2.edges_with_status("loaded")) == 3
     loaded = {t2.vertex_names[v] for v in t2.loaded_vertices}
     assert loaded == {0}
+
+
+def test_unknown_status_is_the_first_in_edge_order():
+    keys = Tiling(cube_faces()).edge_keys
+    # the dict lists the later edge first; the error names the earlier
+    status = {keys[5]: ["loaded"], keys[2]: "bent"}
+    with pytest.raises(TilingError, match=r"^unknown edge status 'bent'$"):
+        Tiling(cube_faces(), edge_status=status)
+    with pytest.raises(TilingError,
+                       match=r"^unknown edge status \['loaded'\]$"):
+        Tiling(cube_faces(), edge_status={keys[5]: ["loaded"]})
 
 
 def test_json_roundtrip_preserves_structure():
@@ -221,3 +235,126 @@ def test_cover_sphere_is_compact_when_held():
     out, held, _ = traced_build(state.boundary_sphere)
     assert out.num_faces == 10382
     assert held <= 100 * len(out.h_face)
+
+
+def twin_components(t):
+    """Components by breadth-first search over faces joined by h_twin."""
+    comp = [None] * t.num_faces
+    comps = []
+    for root in range(t.num_faces):
+        if comp[root] is not None:
+            continue
+        comp[root] = len(comps)
+        queue = [root]
+        for f in queue:
+            for h in range(len(t.h_face)):
+                g = t.h_face[t.h_twin[h]]
+                if t.h_face[h] == f and comp[g] is None:
+                    comp[g] = len(comps)
+                    queue.append(g)
+        comps.append(sorted(queue))
+    return comps
+
+
+def loaded_by_definition(t):
+    """The vertices all of whose edges are loaded."""
+    unloaded = set()
+    for e in range(t.num_edges):
+        if t.edge_status[e] != "loaded":
+            unloaded.update(t.edge_endpoints(e))
+    return set(range(t.num_vertices)) - unloaded
+
+
+def with_random_status(t, seed):
+    rng = random.Random(seed)
+    status = {k: rng.choice(["plain", "loaded", "loaded", "fragile"])
+              for k in t.edge_keys}
+    faces = [(t.face_labels[f],
+              [t.vertex_names[v] for v in t.face_vertices(f)],
+              [t.edge_keys[e] for e in t.face_edges(f)])
+             for f in range(t.num_faces)]
+    return Tiling(faces, edge_status=status)
+
+
+def interleave(a, b):
+    return [f for pair in zip_longest(a, b) for f in pair if f is not None]
+
+
+def tagged_torus(p, q, tag):
+    return square_torus(p, q, lambda i, j: (tag, i, j))
+
+
+# For p = 1 every horizontal edge of the p x q square torus is a loop, so
+# its faces meet only across loop edges.
+CUBE_AND_TORUS = cube_faces() + tagged_torus(1, 3, "t")
+CONNECTIVITY_CASES = {
+    "torus-1x1": square_torus(1, 1),
+    "torus-1x2": square_torus(1, 2),
+    "torus-1x5": square_torus(1, 5),
+    "torus-3x1": square_torus(3, 1),
+    "torus-3x4": square_torus(3, 4),
+    "cube+torus": CUBE_AND_TORUS,
+    "torus+cube": tagged_torus(1, 3, "t") + cube_faces(),
+    "cube-torus-interleaved": interleave(tagged_torus(1, 3, "t"),
+                                         cube_faces()),
+    "two-tori": interleave(tagged_torus(1, 4, "a"), tagged_torus(2, 2, "b")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONNECTIVITY_CASES))
+def test_components_match_a_twin_search(name):
+    t = Tiling(CONNECTIVITY_CASES[name])
+    comps = twin_components(t)
+    assert t.components() == comps
+    assert t.is_connected() == (len(comps) == 1)
+    assert t.loaded_vertices == loaded_by_definition(t) == set()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_loaded_vertices_match_the_definition(seed):
+    cube = with_random_status(Tiling(cube_faces()), seed)
+    _, stage3 = nxs1_stage3()
+    nxs1 = with_random_status(stage3, seed)
+    for t in (cube, nxs1):
+        assert t.loaded_vertices == loaded_by_definition(t)
+    # a random status set at stage 3 leaves some vertices loaded
+    assert nxs1.loaded_vertices
+
+
+def test_every_edge_loaded_loads_every_vertex():
+    t = Tiling(CUBE_AND_TORUS)
+    u = Tiling(CUBE_AND_TORUS,
+               edge_status={k: "loaded" for k in t.edge_keys})
+    assert u.loaded_vertices == set(range(u.num_vertices))
+
+
+def loop_strip():
+    """A torus of three rows of two triangles.  A row's triangles meet
+    across non-loop edges; rows meet only across loop edges.  Row 1 lists
+    its top triangle first, reversed (face 2), then its bottom one (face
+    3), so the loop edge from face 1 reaches face 3 before face 2 roots
+    their orientation component."""
+    def bottom(j):
+        return ("t", (j, j, (j + 1) % 3), (("h", j), ("v", j), ("d", j)))
+
+    def top(j):
+        return ("t", (j, (j + 1) % 3, (j + 1) % 3),
+                (("d", j), ("h", (j + 1) % 3), ("v", j)))
+
+    def reverse(face):
+        label, vs, es = face
+        return label, (vs[0],) + vs[:0:-1], es[::-1]
+    return [bottom(0), top(0), reverse(top(1)), bottom(1), top(2),
+            reverse(bottom(2))]
+
+
+def test_loop_edges_join_components_but_not_orientations():
+    # Each orientation component keeps its lowest face's input cycle:
+    # faces 3 and 5 are flipped, faces 2 and 4 are not.
+    t = Tiling(loop_strip())
+    assert t.components() == [[0, 1, 2, 3, 4, 5]]
+    assert t.euler_characteristic() == 0
+    assert list(t.h_next) == [1, 2, 0, 4, 5, 3, 7, 8, 6, 11, 9, 10,
+                              13, 14, 12, 17, 15, 16]
+    assert list(t.h_origin) == [0, 0, 1, 0, 1, 1, 1, 2, 2, 1, 2, 1,
+                                2, 0, 0, 0, 2, 2]
