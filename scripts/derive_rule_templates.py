@@ -127,13 +127,12 @@ def probe(state_factory, name, stage, region):
                      for sym in pat.boundary_req
                      if old_status[sym] == "fragile"}
 
-    for fi, fname in enumerate(state.face_names):
+    for fi, fc in enumerate(spec.faces.values()):
         s = c2 * state.F + fi
-        fc = spec.faces[fname]
         cyc = [name_of(state.verts.find(c2 * state.NV + u))
-               for u in state.face_verts[fi]]
+               for u in spec.face_verts[fi]]
         eroots = [state.edges.find(c2 * state.NE + e)
-                  for e in state.face_edges[fi]]
+                  for e in spec.face_edges[fi]]
         if s in slots2:     # still open: a proper template face
             template_faces.append({"label": fc.label, "cycle": cyc})
             for i, r in enumerate(eroots):

@@ -19,6 +19,11 @@ class CatalogError(KeyError):
     pass
 
 
+class GrowthError(ValueError):
+    """A rule has no form for the mode asked for, or a stage series is
+    too short to classify."""
+
+
 @dataclass
 class RuleCatalogEntry:
     name: str
@@ -41,6 +46,14 @@ class RuleCatalogEntry:
         """The mode used when none is asked for: replacement if the rule
         has that form, else subdivision."""
         return self.modes[-1]
+
+    def resolve_mode(self, mode=None):
+        """``mode``, or the default mode when it is None; raises
+        GrowthError if the rule has no form for it."""
+        mode = mode or self.default_mode
+        if mode not in self.modes:
+            raise GrowthError(f"rule {self.name!r} has no {mode} form")
+        return mode
 
 
 def _data_path(fname):

@@ -49,10 +49,11 @@ def _cmd_rules(args):
 
 def _cmd_subdivide(args):
     entry = catalog.get_rule(args.rule)
-    tilings = list(growth.stage_tilings(entry, args.steps, args.mode))
+    mode = entry.resolve_mode(args.mode)
+    tilings = list(growth.stage_tilings(entry, args.steps, mode))
     stats = {
         "rule": entry.name,
-        "mode": args.mode or entry.default_mode,
+        "mode": mode,
         "steps": args.steps,
         "face_counts": [t.num_faces for t in tilings],
         "edge_counts": [t.num_edges for t in tilings],
@@ -143,7 +144,7 @@ def _cmd_verify(args):
     spec = catalog.load_spec(entry.companion)
     # a flat zip, cover before rule: enumerate(zip(...)) peaked higher
     stages = zip(itertools.count(1), balls(spec, args.steps),
-                 growth.stage_tilings(entry, args.steps, "replacement"))
+                 growth.stage_tilings(entry, args.steps))
     for stage, state, t in stages:
         sphere = state.boundary_sphere()
         if not isomorphic(t, sphere):

@@ -26,46 +26,21 @@ class CoverError(ValueError):
 class CoverState:
     """A ball in the universal cover, keyed by dense ints.
 
-    Cell c's copy of polyhedron vertex v is the key ``c*NV + v`` of
-    ``verts``, and its copy of polyhedron edge e the key ``c*NE + e`` of
-    ``edges``.  Face slot ``c*F + f`` is cell c's face f; ``slot_partner``,
-    an ``array('i')`` like the union-finds' tables, holds the slot it is
-    glued to, or -1 while it is open.  With a ``cap``, attaching a cell
-    past ``cap`` cells raises CoverError, so no ball ever holds more.
+    Polyhedron vertices, edges and faces are numbered as in the spec's
+    tables, which ``gluing.validate`` fills in.  Cell c's copy of
+    polyhedron vertex v is the key ``c*NV + v`` of ``verts``, and its copy
+    of polyhedron edge e the key ``c*NE + e`` of ``edges``.  Face slot
+    ``c*F + f`` is cell c's face f; ``slot_partner``, an ``array('i')``
+    like the union-finds' tables, holds the slot it is glued to, or -1
+    while it is open.  With a ``cap``, attaching a cell past ``cap`` cells
+    raises CoverError, so no ball ever holds more.
     """
 
     def __init__(self, spec: GluingSpec, cap: int | None = None):
         self.spec = spec
         self.cap = cap
-        self.face_names = list(spec.faces)
-        self.F = len(self.face_names)
-        vindex = {}
-        for f in spec.faces.values():
-            for u in f.vertices:
-                vindex.setdefault(u, len(vindex))
-        polyhedron_edges = spec.edges()
-        eindex = {e: i for i, e in enumerate(polyhedron_edges)}
-        self.NV, self.NE = len(vindex), len(eindex)
-        self.cycle = [spec.edge_cycle[e] for e in polyhedron_edges]
-        self.flank = [[] for _ in polyhedron_edges]   # edge -> its 2 faces
-        # per face: vertex and edge indices, their images under the
-        # pairing, and the index of the target face
-        self.face_verts, self.face_edges = [], []
-        self.vert_image, self.edge_image = [], []
-        self.target = []
-        for fi, fname in enumerate(self.face_names):
-            vs = spec.faces[fname].vertices
-            target, vmap = spec.pairings[fname]
-            pes = [frozenset((vs[i], vs[(i + 1) % len(vs)]))
-                   for i in range(len(vs))]
-            for pe in pes:
-                self.flank[eindex[pe]].append(fi)
-            self.face_verts.append([vindex[u] for u in vs])
-            self.face_edges.append([eindex[pe] for pe in pes])
-            self.vert_image.append([vindex[vmap[u]] for u in vs])
-            self.edge_image.append(
-                [eindex[frozenset(vmap[u] for u in pe)] for pe in pes])
-            self.target.append(self.face_names.index(target))
+        self.F = len(spec.faces)
+        self.NV, self.NE = len(spec.vertices), len(spec.cycle)
         self.num_cells = 0
         self.slot_partner = array("i")
         self.verts = UnionFind(0)
@@ -90,73 +65,77 @@ class CoverState:
     # -- gluing ---------------------------------------------------------
 
     def _glue(self, s1, s2, work):
-        """Identify slot s1's face with slot s2's face via the pairing."""
+        """Identify slot s1's face with slot s2's face via the pairing,
+        and queue each edge class the gluing brings to its cycle length."""
+        spec = self.spec
         c1, f1 = divmod(s1, self.F)
         c2, f2 = divmod(s2, self.F)
-        if self.target[f1] != f2:
+        if spec.target[f1] != f2:
+            names = list(spec.faces)
             raise CoverError(
                 "folding mismatch: faces %s and %s meet along the boundary "
-                "but are not paired" % (self.face_names[f1],
-                                        self.face_names[f2]))
+                "but are not paired" % (names[f1], names[f2]))
         self.slot_partner[s1] = s2
         self.slot_partner[s2] = s1
         union = self.verts.union
         b1, b2 = c1 * self.NV, c2 * self.NV
-        for u, w in zip(self.face_verts[f1], self.vert_image[f1]):
+        for u, w in zip(spec.face_verts[f1], spec.vert_image[f1]):
             union(b1 + u, b2 + w)
-        union = self.edges.union
-        size = self.edges.size
+        find, union, size = self.edges.find, self.edges.union, self.edges.size
         b1, b2 = c1 * self.NE, c2 * self.NE
-        for e, g in zip(self.face_edges[f1], self.edge_image[f1]):
-            root = union(b1 + e, b2 + g)
-            if size[root] > self.cycle[e]:
+        for e, g in zip(spec.face_edges[f1], spec.edge_image[f1]):
+            r1, r2 = find(b1 + e), find(b2 + g)
+            if r1 == r2:
+                continue
+            root = union(r1, r2)
+            if size[root] > spec.cycle[e]:
                 raise CoverError(
                     "edge incidence %d exceeds cycle length %d"
-                    % (size[root], self.cycle[e]))
-            work.append(root)
+                    % (size[root], spec.cycle[e]))
+            if size[root] == spec.cycle[e]:
+                work.append(root)
 
     def _open_flanking_slots(self, edge_root):
-        out = set()
+        """The open face slots around an edge class, each with the
+        position of the class's edge in that face, in slot order."""
+        out = {}
+        F, NE, flank = self.F, self.NE, self.spec.flank
         for key in self.edges.members(edge_root):
-            cell, e = divmod(key, self.NE)
-            for fi in self.flank[e]:
-                s = cell * self.F + fi
+            cell, e = divmod(key, NE)
+            for f, i in flank[e]:
+                s = cell * F + f
                 if self.slot_partner[s] < 0:
-                    out.add(s)
-        return sorted(out)
+                    out.setdefault(s, i)
+        return sorted(out.items())
 
     def _fold_fixpoint(self, work):
-        find = self.edges.find
+        """Fold each queued edge class: glue its two open flanking faces.
+
+        A queued class is at its cycle length, so it never grows again and
+        its root stays put; it may have been closed by an earlier fold."""
+        spec, vfind = self.spec, self.verts.find
         while work:
-            root = find(work.popleft())
-            if self.edges.size[root] != self.cycle[root % self.NE]:
-                continue
-            slots = self._open_flanking_slots(root)
+            slots = self._open_flanking_slots(work.popleft())
             if not slots:
                 continue
             if len(slots) != 2:
                 raise CoverError(
                     "folding mismatch: saturated edge flanked by %d open "
                     "faces" % len(slots))
-            s1, s2 = slots
+            (s1, i), (s2, _) = slots
             c1, f1 = divmod(s1, self.F)
             c2, f2 = divmod(s2, self.F)
             # sanity: the shared edge's endpoints must already agree under
             # the pairing, otherwise the identification is ill-defined
-            vs, img = self.face_verts[f1], self.vert_image[f1]
+            vs, img = spec.face_verts[f1], spec.vert_image[f1]
             b1, b2 = c1 * self.NV, c2 * self.NV
-            for i, e in enumerate(self.face_edges[f1]):
-                if find(c1 * self.NE + e) == root:
-                    for j in (i, (i + 1) % len(vs)):
-                        if (self.verts.find(b1 + vs[j])
-                                != self.verts.find(b2 + img[j])):
-                            raise CoverError(
-                                "folding mismatch: inconsistent edge "
-                                "endpoints at fold of %s/%s"
-                                % (self.face_names[f1], self.face_names[f2]))
-                    break
+            for j in (i, (i + 1) % len(vs)):
+                if vfind(b1 + vs[j]) != vfind(b2 + img[j]):
+                    names = list(spec.faces)
+                    raise CoverError(
+                        "folding mismatch: inconsistent edge endpoints at "
+                        "fold of %s/%s" % (names[f1], names[f2]))
             self._glue(s1, s2, work)
-            work.append(root)
 
     def expand(self):
         """Attach one layer of cells: B(n) -> B(n+1)."""
@@ -165,7 +144,7 @@ class CoverState:
             if self.slot_partner[s] >= 0:
                 continue
             c2 = self._new_cell()
-            self._glue(s, c2 * self.F + self.target[s % self.F], work)
+            self._glue(s, c2 * self.F + self.spec.target[s % self.F], work)
             self._fold_fixpoint(work)
         self.stage += 1
         return self
@@ -189,10 +168,10 @@ class CoverState:
         """
         vfind, efind = self.verts.find, self.edges.find
         vparent, eparent = self.verts.parent, self.edges.parent
-        size, cycle = self.edges.size, self.cycle
+        size, cycle = self.edges.size, self.spec.cycle
         F, NV, NE = self.F, self.NV, self.NE
-        face_verts, face_edges = self.face_verts, self.face_edges
-        labels = [self.spec.faces[n].label for n in self.face_names]
+        face_verts, face_edges = self.spec.face_verts, self.spec.face_edges
+        labels = [f.label for f in self.spec.faces.values()]
         for s in self.open_slots():
             cell, fi = divmod(s, F)
             vb, eb = cell * NV, cell * NE

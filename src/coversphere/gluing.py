@@ -34,72 +34,81 @@ class Face:
 
 @dataclass
 class GluingSpec:
+    """A parsed spec and, once ``validate`` has run, its int tables.
+
+    Vertices are numbered by first appearance in the face cycles and edges
+    in order of their sorted endpoint names.  Faces keep the order of
+    ``faces``; a face's position i is its edge from vertex i to i + 1.
+    """
     name: str
     faces: dict = field(default_factory=dict)        # name -> Face
     pairings: dict = field(default_factory=dict)     # name -> (name, vmap)
     expected_cycles: list = field(default_factory=list)  # (line, u, v, n)
 
-    # derived
-    edge_cycle: dict = field(default_factory=dict)   # frozenset edge -> int
-
-    def face_of_edge(self, edge):
-        """The two (face, position) slots flanking a polyhedron edge."""
-        out = []
-        for f in self.faces.values():
-            n = len(f.vertices)
-            for i in range(n):
-                if {f.vertices[i], f.vertices[(i + 1) % n]} == set(edge):
-                    out.append((f.name, i))
-        return out
-
-    def edges(self):
-        seen = set()
-        for f in self.faces.values():
-            n = len(f.vertices)
-            for i in range(n):
-                e = frozenset((f.vertices[i], f.vertices[(i + 1) % n]))
-                seen.add(e)
-        return sorted(seen, key=sorted)
-
-    def other_face(self, face_name, edge):
-        pair = [fn for fn, _ in self.face_of_edge(edge)]
-        a, b = pair
-        return b if a == face_name else a
+    # derived by validate
+    vertices: list = field(default_factory=list)     # vertex -> name
+    face_verts: list = field(default_factory=list)   # face -> vertices
+    face_edges: list = field(default_factory=list)   # face -> edges
+    vert_image: list = field(default_factory=list)   # face -> paired vertices
+    edge_image: list = field(default_factory=list)   # face -> paired edges
+    target: list = field(default_factory=list)       # face -> paired face
+    flank: list = field(default_factory=list)        # edge -> 2 (face, pos)
+    cycle: list = field(default_factory=list)        # edge -> cycle length
 
 
-def _walk_edge_orbit(spec: GluingSpec, edge, start_face):
+def _walk_edge_orbit(spec: GluingSpec, edge, ends):
     """Follow an edge around the manifold edge it projects to.
 
-    Starting at (edge, face) we repeatedly apply the face pairing and cross
-    to the other face of the image edge.  The walk must return to the start
-    with the identity correspondence on the edge's endpoints; the number of
-    steps is the cycle length (= polyhedra glued around the cover edge).
+    Starting at the edge's first flank slot we repeatedly apply the face
+    pairing and cross to the other face of the image edge.  The walk must
+    return to the start with the identity correspondence on the edge's
+    endpoints; the number of steps is the cycle length (= polyhedra glued
+    around the cover edge).
     """
-    u0, v0 = sorted(edge, key=repr)
-    face, u, v = start_face, u0, v0
+    start = f, i = spec.flank[edge][0]
+    u0 = u = spec.face_verts[f][i]      # one endpoint, followed along
     steps = 0
     while True:
-        target, vmap = spec.pairings[face]
-        u2, v2 = vmap[u], vmap[v]
-        face2 = spec.other_face(target, (u2, v2))
-        face, u, v = face2, u2, v2
+        vs = spec.face_verts[f]
+        u = spec.vert_image[f][i if vs[i] == u else (i + 1) % len(vs)]
+        target = spec.target[f]
+        (f, i), other = spec.flank[spec.edge_image[f][i]]
+        if f == target:
+            f, i = other
         steps += 1
-        if face == start_face and {u, v} == {u0, v0}:
-            if (u, v) != (u0, v0):
+        if (f, i) == start:
+            if u != u0:
                 raise GluingError(
                     "ill-defined identification on edge %r: the gluings "
-                    "around it swap its endpoints" % (sorted(edge, key=repr),))
+                    "around it swap its endpoints" % (sorted(ends, key=repr),))
             return steps
         if steps > 10000:
             raise GluingError("edge orbit fails to close")
 
 
 def validate(spec: GluingSpec):
+    """Check the spec and fill in its int tables (see GluingSpec)."""
     if not spec.faces:
         raise GluingError("no face lines")
-    names = set(spec.faces)
-    if spec.pairings.keys() != names:
+    if spec.pairings.keys() != spec.faces.keys():
         raise GluingError("every face needs exactly one pairing")
+    faces = list(spec.faces.values())
+    vindex = {}
+    for f in faces:
+        for u in f.vertices:
+            vindex.setdefault(u, len(vindex))
+    rims = [[frozenset(e) for e in zip(f.vertices,
+                                       f.vertices[1:] + f.vertices[:1])]
+            for f in faces]
+    eindex = {e: i for i, e in enumerate(
+        sorted({e for rim in rims for e in rim}, key=sorted))}
+    findex = {name: i for i, name in enumerate(spec.faces)}
+    spec.vertices = list(vindex)
+    spec.face_verts = [[vindex[u] for u in f.vertices] for f in faces]
+    spec.face_edges = [[eindex[e] for e in rim] for rim in rims]
+    spec.target = [0] * len(faces)
+    spec.vert_image = [None] * len(faces)
+    spec.edge_image = [None] * len(faces)
     for a, (b, vmap) in spec.pairings.items():
         fa, fb = spec.faces[a], spec.faces[b]
         if fa.label != fb.label:
@@ -109,37 +118,38 @@ def validate(spec: GluingSpec):
         back, backmap = spec.pairings[b]
         if back != a or any(backmap[v] != u for u, v in vmap.items()):
             raise GluingError("pairing %s->%s is not involutive" % (a, b))
-        # adjacency must be preserved
-        n = len(fa.vertices)
-        ea = {frozenset((fa.vertices[i], fa.vertices[(i + 1) % n]))
-              for i in range(n)}
-        m = len(fb.vertices)
-        eb = {frozenset((fb.vertices[i], fb.vertices[(i + 1) % m]))
-              for i in range(m)}
-        if {frozenset(map(vmap.get, e)) for e in ea} != eb:
+        # adjacency must be preserved: a's edges map onto b's
+        f = findex[a]
+        image = [eindex.get(frozenset(map(vmap.get, e))) for e in rims[f]]
+        if set(image) != set(spec.face_edges[findex[b]]):
             raise GluingError(
                 "pairing %s->%s does not map the face boundary onto the "
                 "target boundary" % (a, b))
+        spec.target[f] = findex[b]
+        spec.vert_image[f] = [vindex[vmap[u]] for u in fa.vertices]
+        spec.edge_image[f] = image
     # each polyhedron edge flanked by exactly two face slots
-    for e in spec.edges():
-        slots = spec.face_of_edge(e)
+    spec.flank = [[] for _ in eindex]
+    for f, es in enumerate(spec.face_edges):
+        for i, e in enumerate(es):
+            spec.flank[e].append((f, i))
+    for e, slots in zip(eindex, spec.flank):
         if len(slots) != 2:
             raise GluingError(
                 "edge %r flanked by %d faces" % (sorted(e, key=repr),
                                                  len(slots)))
     # compute and check cycle lengths
-    for e in spec.edges():
-        start = spec.face_of_edge(e)[0][0]
-        spec.edge_cycle[frozenset(e)] = _walk_edge_orbit(spec, e, start)
+    spec.cycle = [_walk_edge_orbit(spec, e, ends)
+                  for e, ends in enumerate(eindex)]
     for lineno, u, v, length in spec.expected_cycles:
-        got = spec.edge_cycle.get(frozenset((u, v)))
-        if got is None:
+        e = eindex.get(frozenset((u, v)))
+        if e is None:
             raise GluingError("line %d: %s-%s is not a polyhedron edge"
                               % (lineno, u, v))
-        if got != length:
+        if spec.cycle[e] != length:
             raise GluingError(
                 "line %d: edge (%s,%s): expected cycle length %d, got %d"
-                % (lineno, u, v, length, got))
+                % (lineno, u, v, length, spec.cycle[e]))
 
 
 # per directive, its fixed fields; a face's vertices and a pair's vertex

@@ -7,14 +7,10 @@ analysis: desk-scale series are short, so exact tests beat fitting.
 import math
 from dataclasses import dataclass, field
 
-from .catalog import RuleCatalogEntry
+from .catalog import GrowthError, RuleCatalogEntry
 from .rules import apply_replacement, apply_subdivision
 
 MAX_POLY_DEGREE = 4
-
-
-class GrowthError(ValueError):
-    pass
 
 
 @dataclass
@@ -88,9 +84,7 @@ def classify_growth(series) -> Classification:
 
 def stage_tilings(entry: RuleCatalogEntry, n: int, mode=None):
     """Yield tilings for stages 1..n of a catalog entry."""
-    mode = mode or entry.default_mode
-    if mode not in entry.modes:
-        raise GrowthError(f"rule {entry.name!r} has no {mode} form")
+    mode = entry.resolve_mode(mode)
     t = entry.initial
     yield t
     for _ in range(n - 1):
@@ -108,7 +102,7 @@ def growth_series(entry: RuleCatalogEntry, n: int, mode=None):
 
 def growth_report(entry: RuleCatalogEntry, n: int, mode=None) -> GrowthReport:
     faces, edges, verts = [], [], []
-    mode = mode or entry.default_mode
+    mode = entry.resolve_mode(mode)
     for t in stage_tilings(entry, n, mode):
         faces.append(t.num_faces)
         edges.append(t.num_edges)

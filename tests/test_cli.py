@@ -310,8 +310,14 @@ CUBE_GLUE = Path(coversphere.__file__).parent / "data" / "cube.glue"
      "line 3: polyhedron line has extra words 'x'"),
     (CUBE_GLUE.read_text() + "expect-cycle 0 1 : 4 junk\n",
      "line 16: expect-cycle line has extra words 'junk'"),
+    (CUBE_GLUE.read_text().replace("pair Z0 Z1 : 0->4 1->5 3->7 2->6",
+                                   "pair Z0 Z1 : 0->4 1->5 3->6 2->7"),
+     "pairing Z0->Z1 does not map the face boundary onto the target "
+     "boundary"),
+    ("face A t : 0 1 2\nface B t : 0 2 3\npair A B : 0->0 1->2 2->3\n",
+     "edge ['0', '1'] flanked by 1 faces"),
 ], ids=["non-edge", "no-faces", "polyhedron-extra-words",
-        "cycle-extra-words"])
+        "cycle-extra-words", "twisted-pairing", "one-flank"])
 def test_cover_rejects_malformed_glue(tmp_path, capsys, text, message):
     path = tmp_path / "bad.glue"
     path.write_text(text)

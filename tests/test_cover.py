@@ -103,9 +103,25 @@ def test_expand_is_deterministic(cube_spec):
 
 def test_wrong_cycle_lengths_fail_at_a_fold():
     spec = load("cube.glue")
-    spec.edge_cycle = {e: 3 for e in spec.edge_cycle}
+    spec.cycle = [3] * len(spec.cycle)
     with pytest.raises(CoverError, match="folding mismatch"):
         build_cover(spec, 4)
+
+
+def test_fold_scans_each_edge_class_once(monkeypatch):
+    # a class is folded when it reaches its cycle length and never grows
+    # after that, so no root needs a second look for open faces
+    scanned = []
+    scan = CoverState._open_flanking_slots
+
+    def spy(self, root):
+        scanned.append(root)
+        return scan(self, root)
+
+    monkeypatch.setattr(CoverState, "_open_flanking_slots", spy)
+    *_, state = balls(load("prism12.glue"), 4)
+    assert state.num_cells == 1111
+    assert scanned and len(set(scanned)) == len(scanned)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -171,8 +187,9 @@ def test_boundary_names_deeper_keys_by_their_root(cube_spec):
     *_, state = balls(cube_spec, 3)
     want = state.boundary_sphere()
     F = state.F
-    for uf, per_cell, table in ((state.verts, state.NV, state.face_verts),
-                                (state.edges, state.NE, state.face_edges)):
+    spec = state.spec
+    for uf, per_cell, table in ((state.verts, state.NV, spec.face_verts),
+                                (state.edges, state.NE, spec.face_edges)):
         keys = [s // F * per_cell + x for s in state.open_slots()
                 for x in table[s % F]]
         k, root = deepen(uf, keys)

@@ -17,47 +17,14 @@ def load(name):
 def test_cube_spec_loads():
     spec = load("cube.glue")
     assert len(spec.faces) == 6
-    assert len(spec.edges()) == 12
-    assert all(L == 4 for L in spec.edge_cycle.values())
+    assert len(spec.cycle) == 12
+    assert all(L == 4 for L in spec.cycle)
 
 
 def test_shell_spec_loads():
     spec = load("s2.glue")
     assert len(spec.faces) == 4
-    assert all(L == 2 for L in spec.edge_cycle.values())
-
-
-def test_rejects_unpaired_face():
-    text = """
-polyhedron bad
-face A t : 0 1 2
-face B t : 0 2 1
-"""
-    with pytest.raises(GluingError):
-        parse_gluing(text)
-
-
-def test_rejects_non_bijective_pairing():
-    text = """
-polyhedron bad
-face A t : 0 1 2
-face B t : 0 2 1
-pair A B : 0->0 1->0 2->1
-"""
-    with pytest.raises(GluingError):
-        parse_gluing(text)
-
-
-def test_rejects_edge_swapping_orbit():
-    # pairing that reverses an edge on itself after one loop
-    text = """
-polyhedron bad
-face A t : 0 1 2
-face B t : 0 2 1
-pair A B : 0->1 1->0 2->2
-"""
-    with pytest.raises(GluingError):
-        parse_gluing(text)
+    assert all(L == 2 for L in spec.cycle)
 
 
 def test_rejects_wrong_expected_cycle():
@@ -71,7 +38,8 @@ pair I1 O1 : a->d b->e c->f
 pair I2 O2 : a->d c->f b->e
 expect-cycle a b : 3
 """
-    with pytest.raises(GluingError):
+    message = "line 9: edge (a,b): expected cycle length 3, got 2"
+    with pytest.raises(GluingError, match="^%s$" % re.escape(message)):
         parse_gluing(text)
 
 
@@ -83,6 +51,36 @@ def test_rejects_expected_cycle_off_the_polyhedron_edges():
     with pytest.raises(GluingError,
                        match="^line %d: 0-7 is not a polyhedron edge$"
                        % lineno):
+        parse_gluing(text)
+
+
+TRIANGLES = "polyhedron bad\nface A t : 0 1 2\nface B t : 0 2 1\n"
+# the cube with the Z0 -> Z1 map sending the edge 1-3 to the diagonal 5-6
+TWISTED_CUBE = load_text("cube.glue").replace(
+    "pair Z0 Z1 : 0->4 1->5 3->7 2->6", "pair Z0 Z1 : 0->4 1->5 3->6 2->7")
+# two triangles that share only the edge 0-2
+ONE_FLANK = "face A t : 0 1 2\nface B t : 0 2 3\npair A B : 0->0 1->2 2->3\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (TRIANGLES, "every face needs exactly one pairing"),
+    (TRIANGLES.replace("B t", "B u") + "pair A B : 0->0 1->2 2->1",
+     "paired faces A/B have different labels"),
+    (TRIANGLES + "pair A B : 0->0 1->0 2->1",
+     "pairing A->B is not a vertex bijection"),
+    ("face A t : 0 1 2\npair A A : 0->1 1->2 2->0",
+     "pairing A->A is not involutive"),
+    (TWISTED_CUBE, "pairing Z0->Z1 does not map the face boundary onto the "
+                   "target boundary"),
+    (ONE_FLANK, "edge ['0', '1'] flanked by 1 faces"),
+    # a pairing that reverses an edge on itself after one loop
+    (TRIANGLES + "pair A B : 0->1 1->0 2->2",
+     "ill-defined identification on edge ['0', '1']: the gluings around it "
+     "swap its endpoints"),
+], ids=["unpaired", "labels", "bijection", "involutive", "boundary",
+        "one-flank", "swap"])
+def test_rejects_inconsistent_gluing(text, message):
+    with pytest.raises(GluingError, match="^%s$" % re.escape(message)):
         parse_gluing(text)
 
 
