@@ -15,8 +15,8 @@ from .rules import Rule, load_rule_file
 from .tiling import Tiling
 
 
-class CatalogError(KeyError):
-    pass
+class CatalogError(ValueError):
+    """An unknown rule or spec name, or a rule with no companion spec."""
 
 
 class GrowthError(ValueError):

@@ -63,10 +63,6 @@ def _cmd_subdivide(args):
         _emit(stats, args.stats)
     if args.out:
         _write(tilings[-1].to_json() + "\n", args.out)
-    if args.svg:
-        t = tilings[-1]
-        label = packmod.pack(packmod.triangulate(t, args.open))
-        _write(packmod.render_svg(label), args.svg)
     return 0
 
 
@@ -138,9 +134,8 @@ def _cmd_pack(args):
 def _cmd_verify(args):
     entry = catalog.get_rule(args.rule)
     if entry.companion is None:
-        print(f"rule {entry.name!r} has no companion gluing spec",
-              file=sys.stderr)
-        return 2
+        raise catalog.CatalogError(
+            f"rule {entry.name!r} has no companion gluing spec")
     spec = catalog.load_spec(entry.companion)
     # a flat zip, cover before rule: enumerate(zip(...)) peaked higher
     stages = zip(itertools.count(1), balls(spec, args.steps),
@@ -174,9 +169,6 @@ def build_parser():
     p.add_argument("--mode", choices=["replacement", "subdivision"])
     p.add_argument("--stats", help="stats JSON path or '-'")
     p.add_argument("--out", help="final-stage tiling JSON path or '-'")
-    p.add_argument("--svg", help="circle-pack the final stage to SVG")
-    p.add_argument("--open", type=int, default=0,
-                   help="face to remove before packing")
     p.set_defaults(fn=_cmd_subdivide)
 
     p = sub.add_parser("cover", help="grow a cover from a gluing spec")

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 from itertools import count
 from operator import itemgetter
 
-from .tiling import Tiling
+from .tiling import STATUSES, Tiling
 from .unionfind import UnionFind
 
 ANY = "any"
-_PLAIN = {"status": "plain", "added": False}
+_PLAIN = ("plain", False)
 
 
 class RuleError(ValueError):
@@ -38,36 +38,71 @@ class RuleError(ValueError):
 class TileType:
     """A face matcher and the template disk that replaces the face.
 
-    On load the template is compiled against the symbolic rim (corners
-    ``v<i>``, split points ``e<i>.<j>``): ``rim`` and ``rim_sides`` give
-    the order in which ``template.instantiate`` takes the rim's vertex ids
-    and edge keys.
+    Per boundary position, ``match`` holds None, which admits any edge,
+    or the (status, added) pair an edge must have, its status possibly
+    ANY; ``boundary`` holds None to keep the edge under the default
+    transition, a (status, added) pair to keep it with, or a list of
+    pairs to split it into.  On load the template is compiled against
+    the symbolic rim (corners ``v<i>``, split points ``e<i>.<j>``):
+    ``rim`` and ``rim_sides`` give the order in which
+    ``template.instantiate`` takes the rim's vertex ids and edge keys.
     """
     name: str
     label: str
     size: int
-    match: list                 # per boundary position: {status, added} or None
-    boundary: list              # per position: "default" | {"set": …} | {"split": […]}
+    match: list
+    boundary: list
     faces: list                 # template faces: {label, cycle of names}
-    interior_edges: dict = field(default_factory=dict)   # frozenset -> {status, added}
+    interior_edges: dict = field(default_factory=dict)   # frozenset -> pair
 
     def __post_init__(self):
         self.rim = []
         for i, d in enumerate(self.boundary):
             self.rim.append("v%d" % i)
-            if isinstance(d, dict) and "split" in d:
-                self.rim += ["e%d.%d" % (i, j)
-                             for j in range(1, len(d["split"]))]
+            if isinstance(d, list):
+                self.rim += ["e%d.%d" % (i, j) for j in range(1, len(d))]
         self.rim_sides = _sides(self.rim)
         self.template = Template(self.faces, self.rim, self.rim_sides,
                                  self.interior_edges)
 
+    def problems(self, transition):
+        """Diagnostics for this tile type under ``transition``."""
+        where = "tile %s" % self.name
+        diags = []
+        if len(self.rim) < 3:
+            diags.append("%s: template boundary has fewer than three "
+                         "vertices" % where)
+        if len(self.match) != self.size or len(self.boundary) != self.size:
+            return diags + ["%s: matcher/boundary length differs from "
+                            "tile size" % where]
+        _check_template_disk(self.faces, self.rim_sides, where, diags)
+        for i, (want, d) in enumerate(zip(self.match, self.boundary)):
+            if d is not None:
+                continue
+            status = want[0] if want else ANY
+            missing = sorted(set(STATUSES if status == ANY else [status])
+                             .difference(transition))
+            if missing:
+                diags.append("%s: no transition declared for surviving %s "
+                             "edges on side %d"
+                             % (where, " or ".join(missing), i))
+        return diags
+
 
 @dataclass
 class SubdivisionRule:
+    """Tile types, checked on build, and the default transition."""
     name: str
     tiles: list
     default_transition: dict    # old status -> new status for surviving edges
+
+    def __post_init__(self):
+        _raise_problems(
+            self.name, [d for tile in self.tiles
+                        for d in tile.problems(self.default_transition)],
+            "tile set", [f["label"] for tile in self.tiles
+                         for f in tile.faces],
+            [tile.label for tile in self.tiles])
 
 
 @dataclass
@@ -90,7 +125,7 @@ class Pattern:
     region: list                # {label, cycle of names}
     boundary: list              # {ends, status, to}
     faces: list                 # template faces
-    edges: dict = field(default_factory=dict)       # frozenset -> {status, added}
+    edges: dict = field(default_factory=dict)       # frozenset -> pair
     flaps: list = field(default_factory=list)       # {face, chain: [ends, …]}
     internal: dict = field(default_factory=dict)    # frozenset -> required status
 
@@ -146,11 +181,70 @@ class Pattern:
             raise RuleError("pattern %s: %s edge %r is not a region edge"
                             % (self.name, what, sorted(ends))) from None
 
+    def problems(self):
+        """Diagnostics for this pattern as part of a rule.  (A pattern
+        built on its own, as a probe, need not pass them.)"""
+        where = "pattern %s" % self.name
+        diags = ["%s: face with fewer than three vertices" % where
+                 for f in self.region + self.faces if len(f["cycle"]) < 3]
+        _check_template_disk(self.faces, self.boundary_req, where, diags)
+        for flap in self.flaps:
+            if not (0 <= flap["face"] < len(self.faces)):
+                diags.append("%s: flap face index out of range" % where)
+            diags += ["%s: flap chain edge %r is not a region boundary edge"
+                      % (where, sorted(ends)) for ends in flap["chain"]
+                      if frozenset(ends) not in self.boundary_req]
+        return diags
+
 
 @dataclass
 class ReplacementRule:
+    """Patterns, checked on build, tried in order on each group."""
     name: str
     patterns: list
+
+    def __post_init__(self):
+        _raise_problems(
+            self.name, [d for pat in self.patterns for d in pat.problems()],
+            "pattern set", [f["label"] for pat in self.patterns
+                            for f in pat.faces],
+            [f["label"] for pat in self.patterns for f in pat.region])
+
+
+def _check_template_disk(faces, boundary_syms, where, diags):
+    """The template faces plus a virtual outer face must form a sphere.
+
+    A disk's rim sides are checked in the order ``boundary_syms`` lists
+    them; a template without rim must be a closed surface itself.
+    """
+    if not boundary_syms:
+        try:
+            Tiling([(f["label"], f["cycle"]) for f in faces])
+        except Exception as exc:
+            diags.append("%s: closed template is not a closed surface (%s)"
+                         % (where, exc))
+        return
+    sides = Counter(e for f in faces for e in _sides(f["cycle"]))
+    for e in boundary_syms:
+        if sides[e] != 1:
+            diags.append("%s: boundary edge %r not covered exactly once"
+                         % (where, sorted(e)))
+            return
+    chi = len({v for f in faces for v in f["cycle"]}) - len(sides) + len(faces)
+    if chi != 1:
+        diags.append("%s: template is not a disk (V-E+F = %d)" % (where, chi))
+
+
+def _raise_problems(name, diags, what, out_labels, in_labels):
+    """Raise one RuleError naming rule ``name`` and listing ``diags``,
+    and the template labels (of the tile or pattern set ``what``) that
+    no input face carries."""
+    orphans = set(out_labels).difference(in_labels)
+    if orphans:
+        diags.append("%s cannot cover faces labeled %s produced by its own "
+                     "templates" % (what, sorted(orphans)))
+    if diags:
+        raise RuleError("rule %s: %s" % (name, "; ".join(diags)))
 
 
 @dataclass
@@ -174,7 +268,7 @@ class Template:
     ``sides`` symbols (None marks a position the template may not reuse),
     then its new sides.  Each face is its label with two itemgetters,
     which read its vertex ids and edge keys off those two numberings.  A
-    new side's status and added mark come from ``edge_attrs``, else it is
+    new side's (status, added) pair comes from ``edge_attrs``, else it is
     plain.
     """
 
@@ -189,8 +283,8 @@ class Template:
         self.new_vertices = len(vid) - len(bound)
         attrs = [edge_attrs.get(sym, _PLAIN)
                  for sym, i in eid.items() if i >= len(sides)]
-        self.new_status = [a["status"] for a in attrs]
-        self.new_added = [j for j, a in enumerate(attrs) if a["added"]]
+        self.new_status = [status for status, _ in attrs]
+        self.new_added = [j for j, (_, a) in enumerate(attrs) if a]
 
     def instantiate(self, vertices, edges, nv, ne, status, added):
         """The faces as (label, vertex ids, edge keys).
@@ -246,17 +340,27 @@ def _dihedral(vs, es, anchor=None):
         yield rv[a:] + rv[:a], re[b:] + re[:b]
 
 
+def _attrs(rec, status="plain"):
+    """A ``{status, added}`` record as a (status, added) pair."""
+    return rec.get("status", status), bool(rec.get("added", False))
+
+
 def _edge_attrs(items):
-    out = {}
-    for rec in items or ():
-        out[frozenset(rec["ends"])] = {
-            "status": rec.get("status", "plain"),
-            "added": bool(rec.get("added", False)),
-        }
-    return out
+    return {frozenset(rec["ends"]): _attrs(rec) for rec in items or ()}
+
+
+def _directive(d):
+    """A boundary directive ("default", set or split) as a
+    ``TileType.boundary`` entry."""
+    d = d if isinstance(d, dict) else {}
+    if "split" in d:
+        return [_attrs(a) for a in d["split"]]
+    return _attrs(d["set"]) if "set" in d else None
 
 
 def load_rule(data) -> Rule:
+    """A rule from its JSON data; raises RuleError, naming the rule and
+    listing every problem, if a form fails its checks."""
     if isinstance(data, str):
         data = json.loads(data)
     name = data["name"]
@@ -267,13 +371,13 @@ def load_rule(data) -> Rule:
         for t in s["tiles"]:
             tiles.append(TileType(
                 name=t["name"], label=t["label"], size=t["size"],
-                match=[m if m else None for m in t["match"]],
-                boundary=t.get("boundary", ["default"] * t["size"]),
+                match=[_attrs(m, ANY) if m else None for m in t["match"]],
+                boundary=[_directive(d) for d in
+                          t.get("boundary", ["default"] * t["size"])],
                 faces=t["template"]["faces"],
                 interior_edges=_edge_attrs(t["template"].get("edges")),
             ))
-        sub = SubdivisionRule(name, tiles,
-                              s.get("default_transition", {}))
+        sub = SubdivisionRule(name, tiles, s.get("default_transition", {}))
     if "replacement" in data:
         r = data["replacement"]
         pats = []
@@ -306,8 +410,8 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
     New vertices are numbered from ``t.num_vertices`` and new edge keys from
     ``t.num_edges`` upward; surviving edges keep their ids as keys.
     """
-    split_plan = {}      # edge id -> list of segment attrs (canonical orient.)
-    new_status = {}      # edge key -> {status, added}
+    split_plan = {}      # edge id -> segment pairs (canonical orient.)
+    new_status = {}      # edge key -> (status, added)
     face_plans = []
 
     for f in range(t.num_faces):
@@ -318,9 +422,8 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
             (tile, avs, aes) for tile in rule.tiles
             if tile.label == t.face_labels[f] and tile.size == n
             for avs, aes in _dihedral(vs, es)
-            if all(want is None
-                   or want.get("status", ANY) in (ANY, t.edge_status[e])
-                   and bool(want.get("added", False)) == t.edge_added[e]
+            if all(want is None or want[0] in (ANY, t.edge_status[e])
+                   and want[1] == t.edge_added[e]
                    for want, e in zip(tile.match, aes))), None)
         if chosen is None:
             raise RuleError(
@@ -330,39 +433,23 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
         tile, avs, aes = chosen
         face_plans.append(chosen)
 
-        for i, directive in enumerate(tile.boundary):
+        for i, attrs in enumerate(tile.boundary):
             e = aes[i]
-            if isinstance(directive, dict) and "split" in directive:
-                attrs = directive["split"]
-                u, v = avs[i], avs[(i + 1) % n]
-                if u > v:   # face traverses against canonical orientation
+            if isinstance(attrs, list):
+                if avs[i] > avs[(i + 1) % n]:
+                    # face traverses against canonical orientation
                     attrs = attrs[::-1]
-                attrs = [{"status": a.get("status", "plain"),
-                          "added": bool(a.get("added", False))}
-                         for a in attrs]
-                if e in split_plan and split_plan[e] != attrs:
+                if split_plan.setdefault(e, attrs) != attrs:
                     raise RuleError(
                         "adjacent templates disagree on the subdivision of "
                         "edge %d" % e)
-                split_plan[e] = attrs
             else:
-                if isinstance(directive, dict) and "set" in directive:
-                    attrs = {"status": directive["set"]["status"],
-                             "added": bool(directive["set"].get("added",
-                                                                False))}
-                else:
-                    old = t.edge_status[e]
-                    if old not in rule.default_transition:
-                        raise RuleError(
-                            "no transition declared for surviving %s edge "
-                            "%d" % (old, e))
-                    attrs = {"status": rule.default_transition[old],
-                             "added": t.edge_added[e]}
-                if e in new_status and new_status[e] != attrs:
+                attrs = attrs or (rule.default_transition[t.edge_status[e]],
+                                  t.edge_added[e])
+                if new_status.setdefault(e, attrs) != attrs:
                     raise RuleError(
                         "adjacent templates disagree on the new status of "
                         "edge %d" % e)
-                new_status[e] = attrs
 
     for e in split_plan:
         if e in new_status:
@@ -379,14 +466,14 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
         chains[e] = list(range(ne, ne + k)), list(range(nv, nv + k - 1))
         new_status.update(zip(chains[e][0], attrs))
         nv, ne = nv + k - 1, ne + k
-    status = {key: a["status"] for key, a in new_status.items()}
-    added = {key for key, a in new_status.items() if a["added"]}
+    status = {key: st for key, (st, _) in new_status.items()}
+    added = {key for key, (_, a) in new_status.items() if a}
 
     specs = []
     for tile, avs, aes in face_plans:
         rim_vs, rim_es = [], []
         for u, v, e in zip(avs, avs[1:] + avs[:1], aes):
-            segs, ivs = chains.get(e, ([e], []))
+            segs, ivs = chains[e] if e in chains else ([e], [])
             if u > v:   # face traverses against canonical orientation
                 segs, ivs = segs[::-1], ivs[::-1]
             rim_vs += [u] + ivs
@@ -609,87 +696,6 @@ def _replaced_faces(rule, t):
         if k in status:
             status[root] = status.pop(k)
     return specs, status, {kroot.get(k, k) for k in added}
-
-
-# ---------------------------------------------------------------------
-# validation
-
-
-def _check_template_disk(faces, boundary_syms, where, diags):
-    """The template faces plus a virtual outer face must form a sphere."""
-    if not boundary_syms:
-        # closed template: must itself be a closed surface
-        try:
-            Tiling([(f["label"], f["cycle"]) for f in faces])
-        except Exception as exc:
-            diags.append("%s: closed template is not a closed surface (%s)"
-                         % (where, exc))
-        return
-    sides = Counter(e for f in faces for e in _sides(f["cycle"]))
-    for e in boundary_syms:
-        if sides[e] != 1:
-            diags.append("%s: boundary edge %r not covered exactly once"
-                         % (where, sorted(e)))
-            return
-    V = len({v for f in faces for v in f["cycle"]})
-    E = len(sides)
-    F = len(faces)
-    if V - E + F != 1:
-        diags.append("%s: template is not a disk (V-E+F = %d)"
-                     % (where, V - E + F))
-
-
-def validate_rule(rule: Rule):
-    """Diagnostics for a rule; an empty list means no violations found."""
-    diags = []
-    if rule.subdivision:
-        for tile in rule.subdivision.tiles:
-            where = "tile %s" % tile.name
-            nsplit = sum(len(d["split"]) - 1 for d in tile.boundary
-                         if isinstance(d, dict) and "split" in d)
-            if tile.size + nsplit < 3:
-                diags.append("%s: template boundary has fewer than three "
-                             "vertices" % where)
-            if len(tile.match) != tile.size or len(tile.boundary) != tile.size:
-                diags.append("%s: matcher/boundary length differs from tile "
-                             "size" % where)
-                continue
-            _check_template_disk(tile.faces, set(tile.rim_sides), where,
-                                 diags)
-        out_labels = {f["label"] for tile in rule.subdivision.tiles
-                      for f in tile.faces}
-        in_labels = {tile.label for tile in rule.subdivision.tiles}
-        orphans = out_labels - in_labels
-        if orphans:
-            diags.append("tile set cannot cover faces labeled %s produced "
-                         "by its own templates" % sorted(orphans))
-    if rule.replacement:
-        for pat in rule.replacement.patterns:
-            where = "pattern %s" % pat.name
-            for f in pat.region + pat.faces:
-                if len(f["cycle"]) < 3:
-                    diags.append("%s: face with fewer than three vertices"
-                                 % where)
-            _check_template_disk(pat.faces, set(pat.boundary_req), where,
-                                 diags)
-            for flap in pat.flaps:
-                if not (0 <= flap["face"] < len(pat.faces)):
-                    diags.append("%s: flap face index out of range" % where)
-                for ends in flap["chain"]:
-                    sym = frozenset(ends)
-                    if sym not in pat.boundary_req:
-                        diags.append("%s: flap chain edge %r is not a "
-                                     "region boundary edge"
-                                     % (where, sorted(ends)))
-        out_labels = {f["label"] for pat in rule.replacement.patterns
-                      for f in pat.faces}
-        in_labels = {f["label"] for pat in rule.replacement.patterns
-                     for f in pat.region}
-        orphans = out_labels - in_labels
-        if orphans:
-            diags.append("pattern set cannot cover faces labeled %s produced "
-                         "by its own templates" % sorted(orphans))
-    return diags
 
 
 # ---------------------------------------------------------------------

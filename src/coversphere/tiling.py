@@ -561,10 +561,6 @@ def isomorphic(a: Tiling, b: Tiling) -> bool:
     if (a.num_faces, a.num_edges, a.num_vertices) != \
             (b.num_faces, b.num_edges, b.num_vertices):
         return False
-    if sorted(a.face_labels) != sorted(b.face_labels):
-        return False
-    if sorted(a.edge_status) != sorted(b.edge_status):
-        return False
     flags = len(a.h_face)
     if not flags:
         return True

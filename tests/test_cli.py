@@ -150,10 +150,6 @@ def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--rule", "torus3", "--steps", "4")
     assert code == 0
     assert json.loads(out)["equivalent"]
-    code, _, err = run(capsys, "verify", "--rule", "barycentric",
-                       "--steps", "2")
-    assert code == 2
-    assert "companion" in err
 
 
 def test_verify_sl2r_against_utn_cover(capsys):
@@ -322,6 +318,21 @@ def test_cover_rejects_malformed_glue(tmp_path, capsys, text, message):
     path = tmp_path / "bad.glue"
     path.write_text(text)
     code, out, err = run(capsys, "cover", "--spec", str(path), "--steps", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--rule", "barycentric"),
+     "rule 'barycentric' has no companion gluing spec"),
+    (("verify", "--rule", "nope"),
+     "unknown rule: 'nope' (available: barycentric, nxs1, s2xr, s3, sl2r, "
+     "torus3)"),
+    (("cover", "--spec", "nope"), "unknown gluing spec: 'nope'"),
+], ids=["no-companion", "unknown-rule", "unknown-spec"])
+def test_exit_2_diagnostics_are_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--steps", "2")
     assert code == 2
     assert out == ""
     assert err == "error: %s\n" % message

@@ -67,6 +67,20 @@ def statuses_swapped(t):
     return rebuilt(t, status=status)
 
 
+def label_changed(t):
+    """One face takes another face's label, so the label counts differ."""
+    labels = list(t.face_labels)
+    labels[0] = next(x for x in labels if x != labels[0])
+    return rebuilt(t, labels=labels)
+
+
+def status_changed(t):
+    """One loaded edge turns plain, so the status counts differ."""
+    status = list(t.edge_status)
+    status[status.index("loaded")] = "plain"
+    return rebuilt(t, status=status)
+
+
 def added_swapped(t):
     """An added and a non-added plain edge trade added marks."""
     added = list(t.edge_added)
@@ -164,7 +178,8 @@ def test_refinement_runs_to_a_stable_partition(rule, n, mode, expected):
     assert refinement([final_stage(rule, n, mode)]) == expected
 
 
-@pytest.mark.parametrize("breaker", [labels_swapped, statuses_swapped])
+@pytest.mark.parametrize("breaker", [labels_swapped, statuses_swapped,
+                                     label_changed, status_changed])
 def test_stage4_broken_copies_rejected(nxs1_stage4, breaker):
     t, _ = nxs1_stage4
     assert not isomorphic(t, breaker(t))

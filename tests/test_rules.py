@@ -1,5 +1,6 @@
 import importlib.resources as resources
 import json
+import re
 
 import pytest
 
@@ -7,7 +8,7 @@ from coversphere.cover import sphere_series
 from coversphere.gluing import parse_gluing
 from coversphere.rules import (
     RuleError, apply_replacement, apply_subdivision, load_rule,
-    strip_added_edges, validate_rule,
+    strip_added_edges,
 )
 from coversphere.tiling import Tiling, isomorphic
 
@@ -128,8 +129,59 @@ def test_barycentric_matches_hand_built():
 def test_subdivision_rejects_unknown_label():
     rule = load_rule(load_data("barycentric.json"))
     t = Tiling([("sq", ("a", "b", "c", "d")), ("sq", ("a", "d", "c", "b"))])
-    with pytest.raises(RuleError):
+    with pytest.raises(RuleError, match=re.escape(
+            "no tile type of rule barycentric matches face 0 (label 'sq', "
+            "statuses ['plain', 'plain', 'plain', 'plain'])")):
         apply_subdivision(rule.subdivision, t)
+
+
+KEEP_ALL = {"plain": "plain", "loaded": "loaded", "fragile": "fragile"}
+PLAIN, LOADED = {"status": "plain"}, {"status": "loaded"}
+
+
+def tri_data(boundary, cycles, *, match=None, transition=KEEP_ALL,
+             size=3, out_label="t"):
+    """A one-tile subdivision rule on faces labelled t."""
+    return {"name": "small", "subdivision": {
+        "default_transition": transition,
+        "tiles": [{"name": "tri", "label": "t", "size": size,
+                   "match": [None] * size if match is None else match,
+                   "boundary": boundary,
+                   "template": {"faces": [{"label": out_label, "cycle": c}
+                                          for c in cycles]}}]}}
+
+
+def test_matcher_and_boundary_compile_to_pairs():
+    # {} or null admits any edge; an entry without "added" asks for an
+    # edge that is not added, and one without "status" admits any status
+    rule = load_rule(tri_data(
+        ["default", {"set": {"status": "loaded"}},
+         {"split": [PLAIN, {"added": True}]}],
+        [["v0", "v1", "v2", "e2.1"]],
+        match=[{}, {"status": "plain"}, {"added": True}]))
+    tile, = rule.subdivision.tiles
+    assert tile.match == [None, ("plain", False), ("any", True)]
+    assert tile.boundary == [None, ("loaded", False),
+                             [("plain", False), ("plain", True)]]
+
+
+@pytest.mark.parametrize("boundary, cycles, message", [
+    # a face and its neighbour run an asymmetric split in opposite ways
+    ([{"split": [PLAIN, LOADED]}] * 3,
+     [["v0", "e0.1", "v1", "e1.1", "v2", "e2.1"]],
+     "adjacent templates disagree on the subdivision of edge 2"),
+    ([{"split": [PLAIN, PLAIN]}, "default", "default"],
+     [["v0", "e0.1", "v1", "v2"]],
+     "adjacent templates disagree on the subdivision of edge 0"),
+    ([{"set": LOADED}, {"set": PLAIN}, {"set": PLAIN}],
+     [["v0", "v1", "v2"]],
+     "adjacent templates disagree on the new status of edge 2"),
+], ids=["split-split", "split-kept", "new-status"])
+def test_subdivision_rejects_disagreeing_neighbours(boundary, cycles,
+                                                    message):
+    rule = load_rule(tri_data(boundary, cycles))
+    with pytest.raises(RuleError, match=re.escape(message)):
+        apply_subdivision(rule.subdivision, tetra())
 
 
 # -- identity and empty rules -------------------------------------------
@@ -154,61 +206,113 @@ def test_s3_empty():
         assert t.num_faces == 0
 
 
-# -- validation ----------------------------------------------------------
+# -- checks at load ------------------------------------------------------
 
 
-def test_builtin_rules_validate(torus3):
-    for name in ("torus3.json", "barycentric.json", "s2xr.json", "s3.json"):
-        assert validate_rule(load_rule(load_data(name))) == []
+def test_builtin_rules_validate():
+    data = resources.files("coversphere") / "data"
+    names = [load_rule(path.read_text()).name
+             for path in sorted(data.iterdir()) if path.name.endswith(".json")]
+    assert names == ["barycentric", "nxs1", "s2xr", "s3", "torus3"]
+
+
+def one_pattern(region, faces, *, boundary=None, flaps=()):
+    """A one-pattern replacement rule; the boundary defaults to the
+    sides of a single region triangle a, b, c."""
+    if boundary is None:
+        boundary = [["a", "b"], ["b", "c"], ["c", "a"]]
+    return {"name": "bad", "replacement": {"patterns": [{
+        "name": "p", "region": region,
+        "boundary": [{"ends": e, "status": "any"} for e in boundary],
+        "template": {"faces": faces}, "flaps": list(flaps)}]}}
+
+
+TRI = [{"label": "t", "cycle": ["a", "b", "c"]}]
 
 
 def test_validate_flags_small_template():
-    bad = {
-        "name": "bad",
-        "replacement": {"patterns": [{
-            "name": "p",
-            "region": [{"label": "t", "cycle": ["a", "b", "c"]}],
-            "boundary": [{"ends": ["a", "b"], "status": "any"},
-                         {"ends": ["b", "c"], "status": "any"},
-                         {"ends": ["c", "a"], "status": "any"}],
-            "template": {"faces": [{"label": "t", "cycle": ["a", "b"]}]},
-        }]},
-    }
-    diags = validate_rule(load_rule(bad))
-    assert any("fewer than three" in d for d in diags)
+    bad = one_pattern(TRI, [{"label": "t", "cycle": ["a", "b"]}])
+    with pytest.raises(RuleError,
+                       match="pattern p: face with fewer than three"):
+        load_rule(bad)
 
 
 def test_validate_flags_uncoverable_labels():
-    bad = {
-        "name": "bad",
-        "replacement": {"patterns": [{
-            "name": "p",
-            "region": [{"label": "black", "cycle": ["a", "b", "c"]}],
-            "boundary": [{"ends": ["a", "b"], "status": "any"},
-                         {"ends": ["b", "c"], "status": "any"},
-                         {"ends": ["c", "a"], "status": "any"}],
-            "template": {"faces": [{"label": "white",
-                                    "cycle": ["a", "b", "c"]}]},
-        }]},
-    }
-    diags = validate_rule(load_rule(bad))
-    assert any("cannot cover" in d for d in diags)
+    bad = one_pattern([{"label": "black", "cycle": ["a", "b", "c"]}],
+                      [{"label": "white", "cycle": ["a", "b", "c"]}])
+    with pytest.raises(RuleError, match=re.escape(
+            "pattern set cannot cover faces labeled ['white'] produced by "
+            "its own templates")):
+        load_rule(bad)
 
 
 def test_validate_flags_non_disk_template():
-    bad = {
-        "name": "bad",
-        "replacement": {"patterns": [{
-            "name": "p",
-            "region": [{"label": "t", "cycle": ["a", "b", "c"]}],
-            "boundary": [{"ends": ["a", "b"], "status": "any"},
-                         {"ends": ["b", "c"], "status": "any"},
-                         {"ends": ["c", "a"], "status": "any"}],
-            "template": {"faces": [{"label": "t", "cycle": ["a", "b", "c"]},
-                                   {"label": "t", "cycle": ["a", "b", "c"]}]},
-        }]},
-    }
-    assert validate_rule(load_rule(bad)) != []
+    bad = one_pattern(TRI, TRI + TRI)
+    with pytest.raises(RuleError, match=re.escape(
+            "pattern p: boundary edge ['a', 'b'] not covered exactly once")):
+        load_rule(bad)
+
+
+# A triangle with a triangular hole: its rim is covered once, but
+# V - E + F = 6 - 9 + 3.
+ANNULUS = [["v0", "v1", "b", "a"], ["v1", "v2", "c", "b"],
+           ["v2", "v0", "a", "c"]]
+PILLOW = TRI + [{"label": "t", "cycle": ["a", "c", "b"]}]
+
+
+@pytest.mark.parametrize("data, message", [
+    (tri_data(["default"] * 2, [["v0", "v1"]], size=2),
+     "tile tri: template boundary has fewer than three vertices"),
+    (tri_data(["default"] * 3, [["v0", "v1", "v2"]], match=[None] * 2),
+     "tile tri: matcher/boundary length differs from tile size"),
+    (tri_data(["default"] * 3, [["v0", "v1", "v2"]] * 2),
+     "tile tri: boundary edge ['v0', 'v1'] not covered exactly once"),
+    (tri_data(["default"] * 3, ANNULUS),
+     "tile tri: template is not a disk (V-E+F = 0)"),
+    (tri_data(["default"] * 3, [["v0", "v1", "v2"]], out_label="u"),
+     "tile set cannot cover faces labeled ['u'] produced by its own "
+     "templates"),
+    (one_pattern(PILLOW, TRI, boundary=[]),
+     "pattern p: closed template is not a closed surface ("),
+    (one_pattern(TRI, TRI, flaps=[{"face": 1, "chain": [["a", "b"]]}]),
+     "pattern p: flap face index out of range"),
+    (one_pattern([{"label": "t", "cycle": ["a", "b", "c"]},
+                  {"label": "t", "cycle": ["a", "c", "d"]}],
+                 [{"label": "t", "cycle": ["a", "b", "c", "d"]}],
+                 boundary=[["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]],
+                 flaps=[{"face": 0, "chain": [["a", "c"]]}]),
+     "pattern p: flap chain edge ['a', 'c'] is not a region boundary edge"),
+], ids=["small-tile", "lengths", "tile-cover", "tile-disk", "tile-labels",
+        "closed", "flap-face", "flap-chain"])
+def test_load_rejects_bad_forms(data, message):
+    with pytest.raises(RuleError, match=re.escape(message)):
+        load_rule(data)
+
+
+def test_load_lists_every_problem_of_a_form():
+    bad = one_pattern([{"label": "black", "cycle": ["a", "b", "c"]}],
+                      [{"label": "white", "cycle": ["a", "b"]}])
+    with pytest.raises(RuleError) as exc:
+        load_rule(bad)
+    assert str(exc.value) == (
+        "rule bad: pattern p: face with fewer than three vertices; "
+        "pattern p: boundary edge ['a', 'b'] not covered exactly once; "
+        "pattern set cannot cover faces labeled ['white'] produced by its "
+        "own templates")
+
+
+@pytest.mark.parametrize("match, transition, missing", [
+    (None, {"plain": "plain"}, "fragile or loaded"),
+    ([LOADED] * 3, {"plain": "plain", "fragile": "plain"}, "loaded"),
+], ids=["any", "loaded"])
+def test_load_rejects_a_kept_status_without_transition(match, transition,
+                                                       missing):
+    bad = tri_data(["default"] * 3, [["v0", "v1", "v2"]], match=match,
+                   transition=transition)
+    with pytest.raises(RuleError, match=re.escape(
+            "rule small: tile tri: no transition declared for surviving "
+            "%s edges on side 0;" % missing)):
+        load_rule(bad)
 
 
 @pytest.mark.parametrize("rule, mode", [("nxs1", "replacement"),
