@@ -21,7 +21,7 @@ def main():
 
     print(f"\nK(2, n) profiles, n = 2..{args.radius}")
     for name in ("Z", "Z3", "heis", "sol"):
-        table = ac_profile(make_group(name), args.radius, 2)
+        table = ac_profile(make_group(name), args.radius)
         print(f"  {name:<5}", [table[n] for n in sorted(table)])
 
     print(f"\ndepth-{args.depth} cone-type class counts, "

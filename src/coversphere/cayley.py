@@ -202,7 +202,11 @@ def ball(g: GroupSpec, n: int, cap=DEFAULT_CAP) -> BallData:
 # --- almost convexity ------------------------------------------------
 
 def _dist_within(bd: BallData, n: int, src, dst):
-    """Shortest path between ids src and dst using only ids of B(n)."""
+    """Shortest path between ids src and dst using only ids of B(n).
+
+    Every element of B(n) reaches the identity along a geodesic inside
+    B(n), so the search always meets dst.
+    """
     if src == dst:
         return 0
     lim = bd.offsets[n + 1]
@@ -210,7 +214,7 @@ def _dist_within(bd: BallData, n: int, src, dst):
     seen = {src}
     level = [src]
     d = 0
-    while level:
+    while True:
         d += 1
         nxt = []
         for e in level:
@@ -221,50 +225,35 @@ def _dist_within(bd: BallData, n: int, src, dst):
                     seen.add(w)
                     nxt.append(w)
         level = nxt
-    return None  # disconnected within B(n)
 
 
-def ac_profile(g: GroupSpec, n_max: int, m: int = 2, cap=DEFAULT_CAP):
-    """K(m, n) for n = 2..n_max.
+def ac_profile(g: GroupSpec, n_max: int, cap=DEFAULT_CAP):
+    """K(2, n) for n = 2..n_max.
 
-    K(m, n) is the max over pairs of sphere-n elements at word distance
-    <= m of their distance inside B(n); when no such pairs exist the bound
-    m is vacuously attained and reported.
+    K(2, n) is the max over pairs of sphere-n elements at word distance
+    <= 2 of their distance inside B(n); when no such pairs exist the bound
+    2 is vacuously attained and reported.
     """
     _nonnegative(n_max, "radius")
-    # +1 so paths of length m between sphere elements are enumerable
+    # +1 so the midpoints of two steps between sphere elements are built
     bd = ball(g, n_max + 1, cap)
     nbr, ng = bd.nbr, len(bd.gens)
     table = {}
     for n in range(2, n_max + 1):
-        hi, lim = bd.offsets[n + 1], bd.offsets[n + 2]
-        best = m
+        hi = bd.offsets[n + 1]
+        best = 2
         for v in range(bd.offsets[n], hi):
-            # later sphere-n ids within m steps, walking inside B(n + 1)
-            partners = set()
-            level = {v}
-            for _ in range(m):
-                nxt = set()
-                for e in level:
-                    for w in nbr[e * ng:(e + 1) * ng]:
-                        if v < w < hi:
-                            partners.add(w)
-                        if 0 <= w < lim:
-                            nxt.add(w)
-                level = nxt
-            # cheap check first: ends of two steps through a midpoint in B(n)
+            near = nbr[v * ng:(v + 1) * ng]     # all inside B(n + 1)
+            # ends of two steps through a midpoint in B(n) are 2 apart in it
             via_mid = set()
-            for u in nbr[v * ng:(v + 1) * ng]:
-                if 0 <= u < hi:
+            for u in near:
+                if u < hi:
                     via_mid.update(nbr[u * ng:(u + 1) * ng])
-            for w in partners:
-                d_in = 2 if w in via_mid else _dist_within(bd, n, v, w)
-                if d_in is None:
-                    best = None
-                    break
-                best = max(best, d_in)
-            if best is None:
-                break
+            # later sphere-n ids two steps away only through sphere n + 1
+            far = {w for u in near if u >= hi
+                   for w in nbr[u * ng:(u + 1) * ng] if v < w < hi}
+            for w in far.difference(via_mid):
+                best = max(best, _dist_within(bd, n, v, w))
         table[n] = best
     return table
 

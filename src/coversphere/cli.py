@@ -95,7 +95,7 @@ def _cmd_growth(args):
 def _cmd_cayley(args):
     g = cayley.make_group(args.group)
     if args.ac2:
-        table = cayley.ac_profile(g, args.radius, 2, cap=args.cap)
+        table = cayley.ac_profile(g, args.radius, cap=args.cap)
         _emit({"group": g.name, "m": 2,
                "K": {str(n): table[n] for n in sorted(table)}}, "-")
         return 0

@@ -216,8 +216,9 @@ def parse_gluing(text: str, name: str = "") -> GluingSpec:
                             "pair %s %s: vertex map %r is not u->v"
                             % (a, b, tok))
                     vmap[u] = v
-                if a in spec.pairings or (b in spec.pairings and b != a):
-                    raise GluingError("face paired twice")
+                for f in (a, b):
+                    if f in spec.pairings:
+                        raise GluingError("face %s paired twice" % f)
                 spec.pairings[a] = (b, vmap)
                 if b != a:
                     spec.pairings[b] = (a, {v: u for u, v in vmap.items()})

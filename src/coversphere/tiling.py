@@ -3,10 +3,10 @@
 A Tiling is an immutable rotation-system representation of a tiling of a
 closed surface.  Faces carry a type label, edges carry a status in
 {"plain", "loaded", "fragile"} plus an ``added`` marker for edges that were
-drawn onto a tiling rather than inherited from a cell structure, and
-vertices may be flagged as loaded.  Everything is stored with dense integer
-ids, in flat int arrays, so that construction is deterministic and a
-stage-sized tiling stays compact.
+drawn onto a tiling rather than inherited from a cell structure, and a
+vertex is loaded when every edge at it is.  Everything is stored with dense
+integer ids, in flat int arrays, so that construction is deterministic and
+a stage-sized tiling stays compact.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from __future__ import annotations
 import json
 from array import array
 from collections import Counter, defaultdict
+from functools import cached_property
 from itertools import (accumulate, compress, count, filterfalse, repeat,
                        takewhile)
-from operator import eq, mul
+from operator import eq, mul, ne
 from struct import Struct
 
 from .unionfind import UnionFind
@@ -47,7 +48,8 @@ class Tiling:
     The half-edge tables use the usual conventions: ``next`` walks around
     a face, ``twin`` jumps across an edge, and ``next(twin(h))`` walks the
     rotation around the origin vertex of ``h``.  A vertex is loaded when
-    every edge at it is loaded.  Components are labelled at construction:
+    every edge at it is loaded; ``loaded_vertices`` is computed on first
+    read.  Components are labelled at construction:
     ``face_component[f]`` numbers face f's component by lowest face id,
     and there are ``num_components`` of them.
 
@@ -120,14 +122,13 @@ class Tiling:
         self.edge_added = [*map(set(added_edges or ()).__contains__,
                                 self.edge_keys)]
         self._validate()
-        self.loaded_vertices = self._loaded_vertices()
 
     # -- construction -------------------------------------------------
 
     def _side_count_error(self, e):
         return TilingError(
             "edge %r bounds %d face sides; closed surfaces need exactly 2"
-            % (self.edge_keys[e], self.h_edge.count(e)))
+            % (_key_name(self.edge_keys[e]), self.h_edge.count(e)))
 
     def _orient(self, origin):
         """Set ``h_next``, ``h_prev`` and ``h_origin``, flipping the faces
@@ -139,7 +140,9 @@ class Tiling:
         root keeping its input orientation.  Loop edges give no orientation
         information: the DFS does not cross them, and the components they
         join are merged afterwards.  An edge is checked from the first of
-        its faces to be popped; from the other it would pass the same test.
+        its faces to be popped; from the other it would pass the same tests:
+        its two sides must join the same two vertices, and their faces
+        must be flipped so that the sides run antiparallel.
         """
         start, twin, face = self.face_start, self.h_twin, self.h_face
         stops = start[1:]
@@ -170,11 +173,19 @@ class Tiling:
                     if done[g]:
                         continue
                     a, b, c, d = origin[h], end[h], origin[t], end[t]
-                    if a == b or c == d:
+                    same = a == c and b == d
+                    if not (same or a == d and b == c):
+                        names = self.vertex_names
+                        raise TilingError(
+                            "edge %r joins %r to %r on one side and %r to "
+                            "%r on the other" % (
+                                _key_name(self.edge_keys[self.h_edge[h]]),
+                                names[a], names[b], names[c], names[d]))
+                    if a == b:
                         loops.append(h)
                         continue
                     # Sides running the same way need opposite flips.
-                    want = flipped ^ (a == c and b == d)
+                    want = flipped ^ same
                     if flip[g] is None:
                         flip[g], comp[g] = want, n
                         stack.append(g)
@@ -193,7 +204,8 @@ class Tiling:
             comp, n, [(comp[face[h]], comp[face[twin[h]]]) for h in loops])
 
     def _validate(self):
-        # Each vertex's half-edges must form a single rotation orbit.
+        # Each vertex's half-edges must form a single rotation orbit.  An
+        # orbit never leaves its vertex: _orient made twins antiparallel.
         origin, nxt, twin = self.h_origin, self.h_next, self.h_twin
         seen = bytearray(len(origin))
         placed = bytearray(len(self.vertex_names))
@@ -208,34 +220,18 @@ class Tiling:
             h = h0
             while not seen[h]:
                 seen[h] = 1
-                if origin[h] != v:
-                    raise TilingError("corrupt rotation orbit")
                 h = nxt[twin[h]]
 
-    def _loaded_vertices(self):
-        """The vertices every edge at which is loaded.
-
-        Only the ends of loaded edges can qualify, so only their rotations
-        are walked; each end is decided once.
-        """
-        status, origin, edge = self.edge_status, self.h_origin, self.h_edge
-        nxt, twin, half = self.h_next, self.h_twin, self.edge_half
-        loaded = set()
-        seen = bytearray(len(self.vertex_names))
-        for e in compress(count(), map(eq, status, repeat(LOADED))):
-            for h0 in (half[e], twin[half[e]]):
-                v = origin[h0]
-                if seen[v]:
-                    continue
-                seen[v] = 1
-                h = nxt[twin[h0]]
-                while h != h0 and status[edge[h]] == LOADED:
-                    h = nxt[twin[h]]
-                if h == h0:
-                    loaded.add(v)
-        return loaded
-
     # -- basic queries ------------------------------------------------
+
+    @cached_property
+    def loaded_vertices(self):
+        """The vertices every edge at which is loaded: all but the origins
+        of the half-edges of other edges."""
+        unloaded = map(ne, map(self.edge_status.__getitem__, self.h_edge),
+                       repeat(LOADED))
+        return set(range(self.num_vertices)).difference(
+            compress(self.h_origin, unloaded))
 
     @property
     def num_faces(self):
@@ -386,12 +382,10 @@ class Tiling:
         for (colours,), (counts,) in _wl_colours([self]):
             pass
         root = _root_colour(counts)
-        keys = {m: [(self.face_labels[f], self.edge_status[e],
-                     self.edge_added[e], v in self.loaded_vertices)
-                    for f, e, v in zip(self.h_face, self.h_edge,
-                                       _flag_vertex(self, m))]
-                for m in (False, True)}
-        return min(tuple(_bfs(self, r, m, keys[m]))
+        keys = [*zip(map(self.face_labels.__getitem__, self.h_face),
+                     map(self.edge_status.__getitem__, self.h_edge),
+                     map(self.edge_added.__getitem__, self.h_edge))]
+        return min(tuple(_bfs(self, r, m, keys))
                    for r, c in enumerate(colours) if c == root
                    for m in (False, True))
 
@@ -427,6 +421,12 @@ def _merge_components(comp, n, crossings):
     return array("i", map(renumber.__getitem__, comp)), len(dense)
 
 
+def _key_name(key):
+    """An edge key as messages show it: a vertex-named key by its ends
+    sorted by repr, so the text does not depend on the hash seed."""
+    return sorted(key, key=repr) if isinstance(key, frozenset) else key
+
+
 def _require(record, kind, i, fields):
     """Raise unless a faces/edges record has every field in ``fields``."""
     for key in fields:
@@ -448,15 +448,6 @@ def _scalars(values, where):
         if isinstance(v, (list, dict, bool, float)):
             raise TilingError("%s entry %s is not a name or key"
                               % (where, json.dumps(v)))
-
-
-def _flag_vertex(t, mirror):
-    """Per flag, the vertex a label-preserving map must respect.
-
-    A mirror map reverses every half-edge, so there a flag's far end
-    stands where its origin stands in the unmirrored map.
-    """
-    return [t.h_origin[h] for h in t.h_twin] if mirror else t.h_origin
 
 
 def _relabel(signatures):
@@ -557,6 +548,13 @@ def isomorphic(a: Tiling, b: Tiling) -> bool:
     flags as a has; only then is the partition refined once more.  At
     stability every remaining candidate is walked.  A walk of a that
     misses flags means a is disconnected, and canonical forms decide.
+
+    The walks key each flag by its colour alone.  A walk that matches in
+    full is a flag bijection that keeps ``next`` (or ``prev``) and
+    ``twin``, so it maps every vertex's rotation onto a rotation (for a
+    mirror walk, the rotation at the far end).  A colour fixes its flag's
+    face label, edge status and added mark, so the bijection keeps them,
+    and a vertex all of whose edges are loaded maps to one too.
     """
     if (a.num_faces, a.num_edges, a.num_vertices) != \
             (b.num_faces, b.num_edges, b.num_vertices):
@@ -567,19 +565,12 @@ def isomorphic(a: Tiling, b: Tiling) -> bool:
     for (ca, cb), (ha, hb) in _wl_colours([a, b]):
         if ha != hb:
             return False
-        # A key packs a flag's colour, which fixes its face label, edge
-        # status and added mark, with whether its vertex is loaded.
-        keys_a = [2 * c + (v in a.loaded_vertices)
-                  for c, v in zip(ca, _flag_vertex(a, False))]
-        keys_b = {m: [2 * c + (v in b.loaded_vertices)
-                      for c, v in zip(cb, _flag_vertex(b, m))]
-                  for m in (False, True)}
         root = _root_colour(ha)
-        code = list(_bfs(a, ca.index(root), False, keys_a))
+        code = list(_bfs(a, ca.index(root), False, ca))
         if len(code) < flags:
             return a.canonical_form() == b.canonical_form()
         # Per candidate walk of b, the flags it matches before a mismatch.
-        walks = (sum(takewhile(bool, map(eq, code, _bfs(b, s, m, keys_b[m]))))
+        walks = (sum(takewhile(bool, map(eq, code, _bfs(b, s, m, cb))))
                  for s, c in enumerate(cb) if c == root
                  for m in (False, True))
         budget = flags

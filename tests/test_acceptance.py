@@ -100,9 +100,9 @@ def test_criterion_4_nxs1_validity(nxs1_stages):
 
 
 def test_criterion_6_almost_convexity():
-    z3 = ac_profile(make_group("Z3"), 6, 2)
+    z3 = ac_profile(make_group("Z3"), 6)
     assert all(z3[n] == 2 for n in range(2, 7))
-    sol = ac_profile(make_group("sol"), 6, 2)
+    sol = ac_profile(make_group("sol"), 6)
     vals = [sol[n] for n in range(2, 7)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert sol[6] > 2

@@ -51,17 +51,17 @@ def test_ball_cap():
 
 
 def test_z3_almost_convex_2():
-    table = ac_profile(make_group("Z3"), 6, 2)
+    table = ac_profile(make_group("Z3"), 6)
     assert all(table[n] == 2 for n in range(2, 7))
 
 
 def test_z_almost_convex_2():
-    table = ac_profile(make_group("Z"), 4, 2)
+    table = ac_profile(make_group("Z"), 4)
     assert all(table[n] == 2 for n in range(2, 5))
 
 
 def test_sol_not_almost_convex_2():
-    table = ac_profile(make_group("sol"), 6, 2)
+    table = ac_profile(make_group("sol"), 6)
     vals = [table[n] for n in range(2, 7)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert table[6] > 2
@@ -155,9 +155,9 @@ def test_cone_types_pinned(name, n, k, sizes, digest):
 
 
 def test_ac_profiles_pinned():
-    assert ac_profile(make_group("heis"), 8, 2) == \
+    assert ac_profile(make_group("heis"), 8) == \
         {2: 2, 3: 6, 4: 6, 5: 10, 6: 10, 7: 10, 8: 10}
-    assert ac_profile(make_group("sol"), 6, 2) == \
+    assert ac_profile(make_group("sol"), 6) == \
         {2: 3, 3: 3, 4: 4, 5: 4, 6: 4}
 
 

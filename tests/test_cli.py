@@ -159,6 +159,13 @@ def test_verify_sl2r_against_utn_cover(capsys):
                                "equivalent": True}
 
 
+def test_verify_s2xr_against_s2_cover(capsys):
+    code, out, _ = run(capsys, "verify", "--rule", "s2xr", "--steps", "4")
+    assert code == 0
+    assert json.loads(out) == {"rule": "s2xr", "spec": "s2", "steps": 4,
+                               "equivalent": True}
+
+
 def test_verify_reports_first_mismatched_stage(capsys, monkeypatch):
     monkeypatch.setattr("coversphere.growth.apply_replacement",
                         lambda rule, t: t)
@@ -280,6 +287,23 @@ def test_pack_rejects_malformed_tiling(tmp_path, capsys, doc, where):
     assert out == ""
     assert err.startswith("error:") and where in err
     assert "Traceback" not in err
+
+
+def test_pack_locates_an_edge_whose_sides_join_different_vertices(
+        tmp_path, capsys):
+    # a tetrahedron 0123 whose edge 1 is side 2-3 of one face and side 1-0
+    # of another
+    faces = [(0, 2, 3), (0, 1, 2), (0, 3, 1), (1, 3, 2)]
+    keys = [(0, 1, 2), (3, 4, 0), (2, 5, 1), (5, 3, 4)]
+    path = tmp_path / "tetra.json"
+    path.write_text(json.dumps({
+        "faces": [{"id": i, "type": "t", "vertices": vs, "edges": es}
+                  for i, (vs, es) in enumerate(zip(faces, keys))],
+        "edges": [{"id": e, "status": "plain"} for e in range(6)]}))
+    code, out, err = run(capsys, "pack", "--in", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: edge 1 joins 2 to 3 on one side and 1 to 0 on "
+                   "the other\n")
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0", "1e-300"])

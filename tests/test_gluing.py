@@ -121,9 +121,15 @@ def test_rejects_degenerate_face(line, message):
      "line 1: polyhedron line has extra words 'extra words'"),
     ("polyhedron c\nexpect-cycle 0 1 : 4 junk",
      "line 2: expect-cycle line has extra words 'junk'"),
+    ("polyhedron c\nfoo", "line 2: unknown directive 'foo'"),
+    ("face T sq 0 1 3", "line 1: expected ':'"),
+    ("face A t : 0 1 2\nface A t : 0 2 3", "line 2: duplicate face A"),
+    ("polyhedron c\nface A t : 0 1 2\npair A B :\npair C A :",
+     "line 4: face A paired twice"),
 ], ids=["polyhedron", "face", "face-no-label", "pair", "pair-dash",
         "pair-two-arrows", "cycle-no-length", "cycle-bad-length",
-        "polyhedron-extra-words", "cycle-extra-words"])
+        "polyhedron-extra-words", "cycle-extra-words", "unknown-directive",
+        "no-colon", "duplicate-face", "paired-twice"])
 def test_rejects_missing_or_malformed_field(text, message):
     with pytest.raises(GluingError, match="^%s$" % re.escape(message)):
         parse_gluing(text)

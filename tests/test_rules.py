@@ -273,7 +273,8 @@ PILLOW = TRI + [{"label": "t", "cycle": ["a", "c", "b"]}]
      "tile set cannot cover faces labeled ['u'] produced by its own "
      "templates"),
     (one_pattern(PILLOW, TRI, boundary=[]),
-     "pattern p: closed template is not a closed surface ("),
+     "pattern p: closed template is not a closed surface (edge ['a', 'b'] "
+     "bounds 1 face sides; closed surfaces need exactly 2)"),
     (one_pattern(TRI, TRI, flaps=[{"face": 1, "chain": [["a", "b"]]}]),
      "pattern p: flap face index out of range"),
     (one_pattern([{"label": "t", "cycle": ["a", "b", "c"]},

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import tracemalloc
 from itertools import zip_longest
 
@@ -9,6 +10,7 @@ from coversphere import catalog
 from coversphere.cover import balls
 from coversphere.rules import apply_replacement
 from coversphere.tiling import Tiling, TilingError, isomorphic
+from test_cli import python
 from test_isomorphism import square_torus
 
 
@@ -65,6 +67,43 @@ def test_rejects_three_faces_on_edge():
     with pytest.raises(TilingError):
         Tiling([("t", (0, 1, 2)), ("t", (0, 1, 3)), ("t", (0, 1, 4)),
                 ("t", (2, 3, 4))])
+
+
+SIDE_COUNT = ("from coversphere.tiling import Tiling, TilingError\n"
+              "try:\n"
+              "    Tiling([('t', ['a', 'b', 'c'])])\n"
+              "except TilingError as exc:\n"
+              "    print(exc)\n")
+
+
+def test_side_count_message_stable_across_hash_seeds():
+    outputs = {python(SIDE_COUNT, seed) for seed in ("1", "2", "3")}
+    assert outputs == {"edge ['a', 'b'] bounds 1 face sides; closed "
+                       "surfaces need exactly 2\n"}
+
+
+# A tetrahedron abcd whose key 'x' is side c-d of face acd and side b-a of
+# face adb; key 'y' takes the two sides left over.
+MISJOINED_TETRA = [("t", "acd", ("ac", "x", "ad")),
+                   ("t", "abc", ("y", "bc", "ac")),
+                   ("t", "adb", ("ad", "bd", "x")),
+                   ("t", "bdc", ("bd", "y", "bc"))]
+# Key 'x' is the loop side a-a of the first face and side a-c of the second.
+MISJOINED_LOOP = [("t", "aab", ("x", "y", "z")),
+                  ("t", "bac", ("y", "x", "w")),
+                  ("t", "cab", ("w", "z", "v")),
+                  ("t", "acb", ("u", "v", "u"))]
+
+
+@pytest.mark.parametrize("faces, message", [
+    (MISJOINED_TETRA,
+     "edge 'x' joins 'c' to 'd' on one side and 'b' to 'a' on the other"),
+    (MISJOINED_LOOP,
+     "edge 'x' joins 'a' to 'a' on one side and 'a' to 'c' on the other"),
+], ids=["sides", "loop-side"])
+def test_rejects_an_edge_whose_sides_join_different_vertices(faces, message):
+    with pytest.raises(TilingError, match="^%s$" % re.escape(message)):
+        Tiling(faces)
 
 
 def test_rejects_split_vertex():
@@ -308,6 +347,13 @@ def test_components_match_a_twin_search(name):
     assert t.components() == comps
     assert t.is_connected() == (len(comps) == 1)
     assert t.loaded_vertices == loaded_by_definition(t) == set()
+
+
+def test_loaded_vertices_are_computed_on_first_read():
+    t = with_random_status(Tiling(cube_faces()), 3)
+    assert "loaded_vertices" not in t.__dict__
+    assert t.loaded_vertices == loaded_by_definition(t)
+    assert "loaded_vertices" in t.__dict__
 
 
 @pytest.mark.parametrize("seed", range(6))
