@@ -15,7 +15,7 @@ from array import array
 from collections import deque
 
 from .gluing import GluingSpec
-from .tiling import FRAGILE, LOADED, Tiling
+from .tiling import FRAGILE, LOADED, FaceTables, Tiling
 from .unionfind import UnionFind
 
 
@@ -152,15 +152,9 @@ class CoverState:
     # -- boundary extraction ---------------------------------------------
 
     def boundary_sphere(self) -> Tiling:
-        status = {}
-        # Tiling reads the generated faces once, before it reads status.
-        return Tiling(self._open_faces(status), stage=self.stage,
-                      edge_status=status)
-
-    def _open_faces(self, status):
-        """Yield each open slot's face, named by cover vertex and edge
-        classes, and put each loaded (one cell short of its cycle) or
-        fragile (two short) edge into ``status``.
+        """S(n): each open slot's face, named by cover vertex and edge
+        classes, with each loaded (one cell short of its cycle) or fragile
+        (two short) edge given that status.
 
         A key whose parent is a root is named by that parent, as ``find``
         would name it; only a deeper key calls ``find``.  In the balls of
@@ -171,16 +165,23 @@ class CoverState:
         size, cycle = self.edges.size, self.spec.cycle
         F, NV, NE = self.F, self.NV, self.NE
         face_verts, face_edges = self.spec.face_verts, self.spec.face_edges
-        labels = [f.label for f in self.spec.faces.values()]
+        face_labels = [f.label for f in self.spec.faces.values()]
+        labels, sizes, names, keys = tables = FaceTables.new()
+        status = {}
         for s in self.open_slots():
             cell, fi = divmod(s, F)
             vb, eb = cell * NV, cell * NE
+            labels.append(face_labels[fi])
+            sizes.append(len(face_verts[fi]))
+            # a face's names go into a list first: appending one int to
+            # an array costs three times what appending to a list does
             vs = []
             for u in face_verts[fi]:
                 root = vparent[vb + u]
                 if vparent[root] != root:
                     root = vfind(vb + u)
                 vs.append(root)
+            names.fromlist(vs)
             es = []
             for e in face_edges[fi]:
                 root = eparent[eb + e]
@@ -192,7 +193,8 @@ class CoverState:
                     status[root] = LOADED
                 elif gap == 2:
                     status[root] = FRAGILE
-            yield labels[fi], vs, es
+            keys.fromlist(es)
+        return Tiling(tables, stage=self.stage, edge_status=status)
 
 
 def balls(spec: GluingSpec, stages: int, cap: int | None = None):

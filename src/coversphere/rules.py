@@ -14,16 +14,17 @@ Rules are plain JSON data; see the bundled files under data/.
 from __future__ import annotations
 
 import json
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import accumulate, compress, count
 from operator import itemgetter
 
-from .tiling import STATUSES, Tiling
+from .tiling import PLAIN, STATUSES, FaceTables, Tiling
 from .unionfind import UnionFind
 
 ANY = "any"
-_PLAIN = ("plain", False)
+_PLAIN = (PLAIN, False)
 
 
 class RuleError(ValueError):
@@ -266,10 +267,11 @@ class Template:
     The template's vertices are the ``bound`` names, then the names only
     the template has, numbered by first appearance; its sides are the
     ``sides`` symbols (None marks a position the template may not reuse),
-    then its new sides.  Each face is its label with two itemgetters,
-    which read its vertex ids and edge keys off those two numberings.  A
-    new side's (status, added) pair comes from ``edge_attrs``, else it is
-    plain.
+    then its new sides.  Per face, ``labels`` and ``sizes`` hold its label
+    and size and ``starts`` its first side's offset among all the faces'
+    sides; two itemgetters read every face's vertex ids and edge keys, in
+    one run, off those two numberings.  A new side's (status, added) pair
+    comes from ``edge_attrs``, else it is plain.
     """
 
     def __init__(self, faces, bound, sides, edge_attrs):
@@ -277,33 +279,42 @@ class Template:
         eid = defaultdict(count(len(sides)).__next__,
                           ((s, i) for i, s in enumerate(sides)
                            if s is not None))
-        self.faces = [(f["label"], _picker(map(vid.__getitem__, cyc)),
-                       _picker(map(eid.__getitem__, _sides(cyc))))
-                      for f in faces for cyc in [f["cycle"]]]
+        cycles = [f["cycle"] for f in faces]
+        self.labels = [f["label"] for f in faces]
+        self.sizes = array("i", map(len, cycles))
+        self.starts = [*accumulate(self.sizes, initial=0)]
+        self.read_vertices = _picker(vid[v] for cyc in cycles for v in cyc)
+        self.read_edges = _picker(eid[s] for cyc in cycles
+                                  for s in _sides(cyc))
         self.new_vertices = len(vid) - len(bound)
         attrs = [edge_attrs.get(sym, _PLAIN)
                  for sym, i in eid.items() if i >= len(sides)]
-        self.new_status = [status for status, _ in attrs]
+        self.new_edges = len(attrs)
+        self.new_status = [(j, status) for j, (status, _) in enumerate(attrs)
+                           if status != PLAIN]
         self.new_added = [j for j, (_, a) in enumerate(attrs) if a]
 
-    def instantiate(self, vertices, edges, nv, ne, status, added):
-        """The faces as (label, vertex ids, edge keys).
+    def instantiate(self, vertices, edges, nv, ne, status, added, tables):
+        """Append the faces to the ``FaceTables`` ``tables``.
 
         ``vertices`` and ``edges`` give the bound names' ids and the bound
         sides' keys, in the template's numbering.  New vertices take the
         next ints from ``nv`` and new edges from ``ne``; a new edge's
-        status goes into ``status`` and its added mark into ``added``.
-        Returns (faces, nv, ne).
+        status, unless plain, goes into ``status`` and its added mark into
+        ``added``.  Returns (nv, ne).
         """
-        vs = [*vertices, *range(nv, nv + self.new_vertices)]
-        # one int object per new key, shared by the faces, status and
-        # added (a range would box a second one for status)
-        new = [*range(ne, ne + len(self.new_status))]
-        es = [*edges, *new]
-        status.update(zip(new, self.new_status))
-        added.update([new[j] for j in self.new_added])
-        return ([(label, getv(vs), gete(es)) for label, getv, gete in
-                 self.faces], nv + self.new_vertices, ne + len(new))
+        labels, sizes, names, keys = tables
+        labels += self.labels
+        sizes += self.sizes
+        # an array made from a tuple, then appended, is the quickest way
+        # to add the tuple's ints
+        names += array("i", self.read_vertices(
+            [*vertices, *range(nv, nv + self.new_vertices)]))
+        keys += array("i", self.read_edges(
+            [*edges, *range(ne, ne + self.new_edges)]))
+        status.update([(ne + j, st) for j, st in self.new_status])
+        added.update([ne + j for j in self.new_added])
+        return nv + self.new_vertices, ne + self.new_edges
 
 
 def _picker(idx):
@@ -469,7 +480,7 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
     status = {key: st for key, (st, _) in new_status.items()}
     added = {key for key, (_, a) in new_status.items() if a}
 
-    specs = []
+    tables = FaceTables.new()
     for tile, avs, aes in face_plans:
         rim_vs, rim_es = [], []
         for u, v, e in zip(avs, avs[1:] + avs[:1], aes):
@@ -478,11 +489,10 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
                 segs, ivs = segs[::-1], ivs[::-1]
             rim_vs += [u] + ivs
             rim_es += segs
-        faces, nv, ne = tile.template.instantiate(rim_vs, rim_es, nv, ne,
-                                                  status, added)
-        specs += faces
+        nv, ne = tile.template.instantiate(rim_vs, rim_es, nv, ne, status,
+                                           added, tables)
 
-    return Tiling(specs, stage=t.stage + 1, edge_status=status,
+    return Tiling(tables, stage=t.stage + 1, edge_status=status,
                   added_edges=added)
 
 
@@ -585,16 +595,17 @@ def apply_replacement(rule: ReplacementRule, t: Tiling):
 
 
 def _replaced_faces(rule, t):
-    """The output faces of ``apply_replacement``, their edge statuses and
-    added edge keys.
+    """The output faces of ``apply_replacement`` as ``FaceTables``, their
+    edge statuses, which leave plain new edges out, and the added edge
+    keys.
 
-    Every stage-sized table the replacement and the zipping need is local
-    here, so all of them are freed before the output Tiling is built.
+    Every other stage-sized table the replacement and the zipping need is
+    local here, so all of them are freed before the output Tiling is built.
     """
-    specs = []          # (label, (vertex ids), (edge keys))
+    labels, sizes, names, keys = tables = FaceTables.new()
     status = {}
     added = set()
-    flap_records = []   # (spec index, chain of old edge ids)
+    by_chain = {}       # old edge ids -> flaps: (face, first side, size)
     boundary_to = {}    # old edge id -> prescribed new status
     nv, ne = t.num_vertices, t.num_edges
 
@@ -618,33 +629,38 @@ def _replaced_faces(rule, t):
                     % e)
             boundary_to[e] = to
 
-        faces, nv, ne = pat.template.instantiate(sigma, edge_of, nv, ne,
-                                                 status, added)
-        start = len(specs)
-        specs += faces
+        face, side, tmpl = len(labels), len(names), pat.template
+        nv, ne = tmpl.instantiate(sigma, edge_of, nv, ne, status, added,
+                                  tables)
+        for f, chain in pat.flap_chains:
+            chain = frozenset([edge_of[i] for i in chain])
+            by_chain.setdefault(chain, []).append(
+                (face + f, side + tmpl.starts[f], tmpl.sizes[f]))
 
-        for face, chain in pat.flap_chains:
-            flap_records.append((start + face, [edge_of[i] for i in chain]))
+    status.update(boundary_to)
 
-    for e, to in boundary_to.items():
-        status[e] = to
+    def status_of(k):
+        """Key k's status as the zipping compares them: an old key's
+        prescribed or old status, a new key's own."""
+        return status.get(k, t.edge_status[k] if k < t.num_edges else PLAIN)
 
     # -- zip flaps across fragile chains --------------------------------
-    by_chain = {}
-    for idx, chain in flap_records:
-        by_chain.setdefault(frozenset(chain), []).append(idx)
     vert_uf = UnionFind(nv)
     key_uf = UnionFind(ne)
-    dead = set()
-    for chain_key, idxs in sorted(by_chain.items(), key=lambda kv: sorted(kv[0])):
-        if len(idxs) != 2:
+    live_faces = bytearray(b"\1") * len(labels)
+    live_sides = bytearray(b"\1") * len(names)
+    for chain_key, pair in sorted(by_chain.items(),
+                                  key=lambda kv: sorted(kv[0])):
+        if len(pair) != 2:
             raise RuleError(
                 "collapse flap mismatch: fragile chain %r has %d flaps"
-                % (sorted(chain_key), len(idxs)))
-        (_, c1, k1), (_, c2, k2) = specs[idxs[0]], specs[idxs[1]]
-        if len(c1) != len(c2):
+                % (sorted(chain_key), len(pair)))
+        (f1, s1, n1), (f2, s2, n2) = pair
+        if n1 != n2:
             raise RuleError(
                 "collapse flap mismatch: flap faces of different sizes")
+        c1, k1 = names[s1:s1 + n1].tolist(), keys[s1:s1 + n1].tolist()
+        c2, k2 = names[s2:s2 + n2].tolist(), keys[s2:s2 + n2].tolist()
         n = len(chain_key)
         if sum(k in chain_key for k in k1) != n or \
                 sum(k in chain_key for k in k2) != n:
@@ -664,38 +680,27 @@ def _replaced_faces(rule, t):
             vert_uf.union(a, b)
         for a, b in zip(k1r, k2r):
             if key_uf.find(a) != key_uf.find(b):
-                sa = status.get(a, t.edge_status[a] if a < t.num_edges
-                                else None)
-                sb = status.get(b, t.edge_status[b] if b < t.num_edges
-                                else None)
-                if sa != sb:
+                if status_of(a) != status_of(b):
                     raise RuleError(
                         "collapse flap mismatch: identified edges carry "
                         "different statuses")
                 key_uf.union(a, b)
-        dead.update(idxs)
+        live_faces[f1] = live_faces[f2] = 0
+        live_sides[s1:s1 + n1] = live_sides[s2:s2 + n2] = bytes(n1)
 
-    # Only zipped keys are renamed, each to the root of its class.  A
+    # Zipped vertices and keys are renamed to the roots of their classes
+    # and the flaps dropped, each in one pass over a whole table.  A
     # zipped class's keys all carry one status, as the zipping checked.
     vroot, kroot = vert_uf.non_roots(), key_uf.non_roots()
-    # One pass drops the flaps and rebuilds only the faces holding a
-    # zipped vertex or key; the rest are kept as they are, in place.
-    vzip, kzip = vroot.keys(), kroot.keys()
-    kept = 0
-    for i, face in enumerate(specs):
-        if i in dead:
-            continue
-        label, cyc, ks = face
-        if not (vzip.isdisjoint(cyc) and kzip.isdisjoint(ks)):
-            face = (label, tuple(map(vroot.get, cyc, cyc)),
-                    tuple(map(kroot.get, ks, ks)))
-        specs[kept] = face
-        kept += 1
-    del specs[kept:]
+    labels = [*compress(labels, live_faces)]
+    sizes = array("i", compress(sizes, live_faces))
+    names = array("i", compress(map(vroot.get, names, names), live_sides))
+    keys = array("i", compress(map(kroot.get, keys, keys), live_sides))
     for k, root in kroot.items():
         if k in status:
             status[root] = status.pop(k)
-    return specs, status, {kroot.get(k, k) for k in added}
+    return (FaceTables(labels, sizes, names, keys), status,
+            {kroot.get(k, k) for k in added})
 
 
 # ---------------------------------------------------------------------

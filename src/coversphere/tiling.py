@@ -19,6 +19,7 @@ from itertools import (accumulate, compress, count, filterfalse, repeat,
                        takewhile)
 from operator import eq, mul, ne
 from struct import Struct
+from typing import NamedTuple
 
 from .unionfind import UnionFind
 
@@ -33,14 +34,32 @@ class TilingError(ValueError):
     pass
 
 
+class FaceTables(NamedTuple):
+    """A tiling's faces as flat tables: per face its label and its size,
+    and per side, face after face in cycle order, the name of its first
+    vertex and its edge key.  ``new()`` gives empty tables that hold ints
+    in ``array('i')``, for a producer to fill."""
+    labels: list
+    sizes: array
+    names: array
+    keys: array
+
+    @classmethod
+    def new(cls):
+        return cls([], array("i"), array("i"), array("i"))
+
+
 class Tiling:
     """An immutable tiling of a closed surface (possibly disconnected).
 
     Faces are given as ``(label, vertices)`` or ``(label, vertices, edges)``
-    sequences.  Vertex names and edge keys can be any hashable values.
-    Without ``edges``, side i's key is the unordered pair of its endpoints;
-    keys must be given whenever two distinct edges share both endpoints
-    (e.g. the square model of the torus).  Face f's half-edges are the
+    sequences, which the constructor flattens into ``FaceTables``, or as
+    ``FaceTables`` themselves; either way the tiling is built from the
+    tables, and owns their ``labels`` list as ``face_labels``.
+    Vertex names and edge keys can be any hashable values.  Without
+    ``edges``, side i's key is the unordered pair of its endpoints; keys
+    must be given whenever two distinct edges share both endpoints (e.g.
+    the square model of the torus).  Face f's half-edges are the
     contiguous ids ``face_start[f]..``, side i of the input cycle being
     ``face_start[f] + i``; a face flipped to orient the surface keeps that
     start and walks its sides backwards.
@@ -56,47 +75,37 @@ class Tiling:
     The int tables ``face_start``, ``face_component``, ``h_face``,
     ``h_next``, ``h_prev``, ``h_twin``, ``h_origin``, ``h_edge`` and
     ``edge_half`` are ``array('i')``: four bytes an entry, no int objects,
-    nothing for the cyclic garbage collector to walk.  ``faces`` is read
-    once, front to back, before ``edge_status`` and ``added_edges`` are
-    read, so it may be a generator that fills them; no face list need
-    outlive its reading.
+    nothing for the cyclic garbage collector to walk.  ``vertex_names``
+    and ``edge_keys`` list the names and keys by id: an ``array('q')``
+    when all are ints, as every rule and cover stage's are, else a list.
     """
 
     def __init__(self, faces, *, stage=0, edge_status=None, added_edges=None):
+        labels, sizes, names, keys = (
+            faces if isinstance(faces, FaceTables) else _flatten(faces))
+        if min(sizes, default=3) < 3:
+            raise _short_face([n < 3 for n in sizes].index(True))
+        if not sum(sizes) == len(names) == len(keys):
+            raise TilingError(
+                "face tables disagree: faces of %d sides in all, %d vertex "
+                "names, %d edge keys" % (sum(sizes), len(names), len(keys)))
         self.stage = stage
-        self.face_labels = labels = []
-        sizes = []
-        self.h_edge = edge = array("i")
-        origin = array("i")  # per side of the input cycles: its first vertex
+        self.face_labels = labels
         # dense ids by first appearance: a new name takes the next count
-        vid, eid = defaultdict(count().__next__), defaultdict(count().__next__)
-        vget, eget = vid.__getitem__, eid.__getitem__
-        for fi, face in enumerate(faces):
-            label, vs, es = face if len(face) == 3 else (*face, None)
-            n = len(vs)
-            if n < 3:
-                raise TilingError("face %d: fewer than 3 boundary vertices"
-                                  % fi)
-            if es is None:
-                es = map(frozenset, zip(vs, [*vs[1:], vs[0]]))
-            elif len(es) != n:
-                raise TilingError(
-                    "face %d: edge cycle length %d differs from vertex "
-                    "cycle length %d" % (fi, len(es), n))
-            labels.append(label)
-            sizes.append(n)
-            origin.fromlist([*map(vget, vs)])
-            edge.fromlist([*map(eget, es)])
-        self.vertex_names = list(vid)
-        self.edge_keys = list(eid)
-        del vid, eid, vget, eget    # freed before the next tables exist
+        vid = defaultdict(count().__next__)
+        origin = array("i", map(vid.__getitem__, names))  # per side
+        self.vertex_names = _name_table(vid)
+        del vid     # freed before the next table exists
+        eid = defaultdict(count().__next__)
+        self.h_edge = edge = array("i", map(eid.__getitem__, keys))
+        self.edge_keys = _name_table(eid)
+        del eid
         self.face_start = array("i", accumulate(sizes, initial=0))
         self.face_start.pop()
         self.h_face = face = array("i")
         # face f's id once per side, appended as the bytes of its entries
         for run in map(mul, map(_INT.pack, range(len(sizes))), sizes):
             face.frombytes(run)
-        del sizes
 
         first = array("i", [-1]) * len(self.edge_keys)
         twin = array("i", [-1]) * len(origin)
@@ -419,6 +428,43 @@ def _merge_components(comp, n, crossings):
     dense = defaultdict(count().__next__)
     renumber = [*map(dense.__getitem__, roots)]
     return array("i", map(renumber.__getitem__, comp)), len(dense)
+
+
+def _flatten(faces):
+    """``FaceTables`` of faces given one by one, with names and keys in
+    lists; a short face or a misfit edge cycle is reported in face order."""
+    labels, sizes, names, keys = [], array("i"), [], []
+    for fi, face in enumerate(faces):
+        label, vs, es = face if len(face) == 3 else (*face, None)
+        n = len(vs)
+        if n < 3:
+            raise _short_face(fi)
+        if es is None:
+            es = map(frozenset, zip(vs, [*vs[1:], vs[0]]))
+        elif len(es) != n:
+            raise TilingError(
+                "face %d: edge cycle length %d differs from vertex cycle "
+                "length %d" % (fi, len(es), n))
+        labels.append(label)
+        sizes.append(n)
+        names += vs
+        keys += es
+    return FaceTables(labels, sizes, names, keys)
+
+
+def _short_face(f):
+    return TilingError("face %d: fewer than 3 boundary vertices" % f)
+
+
+def _name_table(names):
+    """The names in order: an ``array('q')`` when every one is an int that
+    fits, else a list."""
+    if set(map(type, names)) <= {int}:
+        try:
+            return array("q", names)
+        except OverflowError:
+            pass
+    return list(names)
 
 
 def _key_name(key):

@@ -58,8 +58,67 @@ def test_torus3_group_census(torus3, cube_series):
 
 def test_replacement_rejects_unmatched_faces(torus3):
     t = tetra()
-    with pytest.raises(RuleError):
+    with pytest.raises(RuleError, match=re.escape(
+            "no pattern of rule torus3 matches the group of faces [0] "
+            "(labels ['t'])")):
         apply_replacement(torus3.replacement, t)
+
+
+def face_pattern(label, cycles, *, region=("a", "b", "c"), to=None,
+                 flaps=(), edges=()):
+    """A pattern that replaces one face ``region`` labelled ``label`` by
+    the template ``cycles``, every rim side given new status ``to``."""
+    rim = [[u, v] for u, v in zip(region, region[1:] + region[:1])]
+    return {"name": label,
+            "region": [{"label": label, "cycle": list(region)}],
+            "boundary": [{"ends": e, "status": "any",
+                          **({"to": to} if to else {})} for e in rim],
+            "template": {"faces": [{"label": label, "cycle": c}
+                                   for c in cycles],
+                         "edges": [{"ends": e, "status": s}
+                                   for e, s in edges]},
+            "flaps": [{"face": f, "chain": c} for f, c in flaps]}
+
+
+SPLIT_TRI = [["a", "b", "d"], ["b", "c", "a", "d"]]      # a disk, rim abc
+FAN_TRI = [["a", "b", "d"], ["b", "c", "d"], ["c", "a", "d"]]
+QUAD = ("a", "b", "c", "d")
+
+
+@pytest.mark.parametrize("patterns, faces, message", [
+    ([face_pattern("t", [QUAD[:3]], to="loaded"),
+      face_pattern("u", [QUAD[:3]], to="fragile")],
+     [("t", (0, 1, 2)), ("u", (0, 2, 1))],
+     "groups flanking edge 2 prescribe different statuses"),
+    ([face_pattern("t", [QUAD[:3]], flaps=[(0, [["a", "b"]])])],
+     tetra(), "collapse flap mismatch: fragile chain [0] has 1 flaps"),
+    ([face_pattern("t", [QUAD[:3]], flaps=[(0, [["a", "b"]])]),
+      face_pattern("u", SPLIT_TRI, flaps=[(1, [["c", "a"]])])],
+     [("t", (0, 1, 2)), ("u", (0, 2, 1))],
+     "collapse flap mismatch: flap faces of different sizes"),
+    ([face_pattern("t", SPLIT_TRI, flaps=[(0, [["b", "c"]])])],
+     [("t", (0, 1, 2)), ("t", (0, 2, 1))],
+     "collapse flap mismatch: chain not on flap face"),
+    ([face_pattern("t", [QUAD], region=QUAD,
+                   flaps=[(0, [["b", "c"], ["d", "a"]])]),
+      face_pattern("u", [QUAD], region=QUAD,
+                   flaps=[(0, [["a", "b"], ["c", "d"]])])],
+     [("t", (0, 1, 2, 3)), ("u", (0, 3, 2, 1))],
+     "collapse flap mismatch: flap boundaries cannot be aligned"),
+    ([face_pattern("t", FAN_TRI, flaps=[(0, [["a", "b"]])],
+                   edges=[(["a", "d"], "loaded")]),
+      face_pattern("u", FAN_TRI, flaps=[(2, [["c", "a"]])],
+                   edges=[(["a", "d"], "fragile")])],
+     [("t", (0, 1, 2)), ("u", (0, 2, 1))],
+     "collapse flap mismatch: identified edges carry different statuses"),
+], ids=["prescriptions", "lone-flap", "flap-sizes", "chain-off-flap",
+        "unaligned", "zipped-statuses"])
+def test_replacement_rejects_inconsistent_groups(patterns, faces, message):
+    rule = load_rule({"name": "zip", "replacement": {"patterns": patterns}})
+    t = faces if isinstance(faces, Tiling) else Tiling(faces)
+    with pytest.raises(RuleError) as exc:
+        apply_replacement(rule.replacement, t)
+    assert str(exc.value) == message
 
 
 # -- subdivision mode ---------------------------------------------------

@@ -1,15 +1,18 @@
 import gc
+import json
 import random
 import re
 import tracemalloc
-from itertools import zip_longest
+from array import array
+from itertools import accumulate, zip_longest
 
 import pytest
 
 from coversphere import catalog
-from coversphere.cover import balls
+from coversphere.cover import balls, sphere_series
+from coversphere.growth import stage_tilings
 from coversphere.rules import apply_replacement
-from coversphere.tiling import Tiling, TilingError, isomorphic
+from coversphere.tiling import FaceTables, Tiling, TilingError, isomorphic
 from test_cli import python
 from test_isomorphism import square_torus
 
@@ -61,6 +64,25 @@ def test_rejects_face_with_two_vertices():
 def test_rejects_edge_cycle_of_other_length():
     with pytest.raises(TilingError, match="face 0"):
         Tiling([("t", (0, 1, 2), ("a", "b"))])
+
+
+@pytest.mark.parametrize("tables, message", [
+    ((["t"], [2], [0, 1], [0, 1]), "face 0: fewer than 3 boundary vertices"),
+    ((["t", "t"], [3, 3], [0, 1, 2], [0, 1, 2]),
+     "face tables disagree: faces of 6 sides in all, 3 vertex names, 3 "
+     "edge keys"),
+], ids=["short-face", "sides"])
+def test_rejects_inconsistent_face_tables(tables, message):
+    with pytest.raises(TilingError) as exc:
+        Tiling(FaceTables(*tables))
+    assert str(exc.value) == message
+
+
+def test_first_bad_face_is_reported_first():
+    # A short face is reported before a later face's misfit edge cycle.
+    with pytest.raises(TilingError) as exc:
+        Tiling([("t", (0, 1)), ("t", (0, 1, 2), ("a", "b"))])
+    assert str(exc.value) == "face 0: fewer than 3 boundary vertices"
 
 
 def test_rejects_three_faces_on_edge():
@@ -236,6 +258,58 @@ def test_face_reads_follow_h_next(make, flipped):
     assert walked_back == flipped
 
 
+SAME_TABLES = ("face_labels", "face_start", "face_component", "h_face",
+               "h_next", "h_prev", "h_twin", "h_origin", "h_edge",
+               "edge_half", "vertex_names", "edge_keys", "edge_status",
+               "edge_added", "stage", "num_components")
+
+
+@pytest.mark.parametrize("grow, built", [
+    (lambda: stage_tilings(catalog.get_rule("nxs1"), 4, "replacement"), 3),
+    (lambda: sphere_series(catalog.load_spec("prism12"), 4), 4),
+    (lambda: stage_tilings(catalog.get_rule("torus3"), 3, "subdivision"), 2),
+], ids=["nxs1", "prism12", "torus3-subdivision"])
+def test_table_path_matches_per_face_path(monkeypatch, grow, built):
+    # Every stage the rules and the cover hand over as flat tables equals
+    # the tiling built from the same faces given one by one.
+    calls = []
+    init = Tiling.__init__
+
+    def recorded(t, faces, **kw):
+        init(t, faces, **kw)
+        if isinstance(faces, FaceTables):
+            calls.append((faces, kw, t))
+
+    monkeypatch.setattr(Tiling, "__init__", recorded)
+    [*grow()]
+    assert len(calls) == built
+    for (labels, sizes, names, keys), kw, got in calls:
+        starts = accumulate(sizes, initial=0)
+        want = Tiling([(label, [*names[s:s + n]], [*keys[s:s + n]])
+                       for label, s, n in zip(labels, starts, sizes)], **kw)
+        for name in SAME_TABLES:
+            assert getattr(got, name) == getattr(want, name), name
+        for table in (got.vertex_names, got.edge_keys,
+                      want.vertex_names, want.edge_keys):
+            assert isinstance(table, array) and table.typecode == "q"
+
+
+def test_names_are_int_arrays_only_when_all_ints():
+    t = Tiling(cube_faces())
+    assert t.vertex_names == array("q", [0, 1, 3, 2, 4, 5, 7, 6])
+    assert isinstance(t.edge_keys, list)       # frozensets of two ends
+    pillow = [("t", "abc"), ("t", "acb")]
+    assert Tiling(pillow).vertex_names == ["a", "b", "c"]
+    # A bool is not an int name, and 2**63 does not fit in 64 bits.
+    for odd in (True, 2 ** 63):
+        u = Tiling([("t", (odd, 2, 3)), ("t", (odd, 3, 2))])
+        assert u.vertex_names == [odd, 2, 3]
+    data = json.loads(Tiling(pillow).to_json())
+    data["faces"][0]["vertices"][0] = 2 ** 70
+    data["faces"][1]["vertices"][0] = 2 ** 70
+    assert Tiling.from_dict(data).vertex_names == [2 ** 70, 1, 2]
+
+
 def traced_build(build):
     """(result, traced bytes it holds, traced peak while it was built)."""
     gc.collect()
@@ -258,22 +332,29 @@ def nxs1_stage3():
 
 
 def test_rule_stage_is_compact_while_built_and_held():
-    # A stage held in flat int tables takes about 80 traced bytes per
-    # half-edge and peaks near 190 while built; int tables kept as lists
-    # take about 218 and 560, over both bounds.
+    # A stage held in flat int tables takes about 48 traced bytes per
+    # half-edge and peaks near 100 while built from flat face tables; per
+    # face tuples peaked near 180, and int tables kept as lists take about
+    # 218 and 560, over every bound.
     rule, t = nxs1_stage3()
     out, held, peak = traced_build(lambda: apply_replacement(rule, t))
     half_edges = len(out.h_face)
     assert out.num_faces == 10382
     assert held <= 100 * half_edges
     assert peak <= 400 * half_edges
+    assert held <= 60 * half_edges
+    assert peak <= 130 * half_edges
 
 
 def test_cover_sphere_is_compact_when_held():
+    # About 45 traced bytes per half-edge held and 97 at the peak.
     *_, state = balls(catalog.load_spec("prism12"), 4)
-    out, held, _ = traced_build(state.boundary_sphere)
+    out, held, peak = traced_build(state.boundary_sphere)
+    half_edges = len(out.h_face)
     assert out.num_faces == 10382
-    assert held <= 100 * len(out.h_face)
+    assert held <= 100 * half_edges
+    assert held <= 60 * half_edges
+    assert peak <= 130 * half_edges
 
 
 def twin_components(t):
