@@ -477,7 +477,8 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
         chains[e] = list(range(ne, ne + k)), list(range(nv, nv + k - 1))
         new_status.update(zip(chains[e][0], attrs))
         nv, ne = nv + k - 1, ne + k
-    status = {key: st for key, (st, _) in new_status.items()}
+    status = {key: st for key, (st, _) in new_status.items()
+              if st != PLAIN}
     added = {key for key, (_, a) in new_status.items() if a}
 
     tables = FaceTables.new()

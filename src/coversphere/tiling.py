@@ -15,9 +15,9 @@ import json
 from array import array
 from collections import Counter, defaultdict
 from functools import cached_property
-from itertools import (accumulate, compress, count, filterfalse, repeat,
-                       takewhile)
-from operator import eq, mul, ne
+from itertools import (accumulate, chain, compress, count, filterfalse,
+                       repeat, takewhile)
+from operator import add, eq, mul, ne, sub
 from struct import Struct
 from typing import NamedTuple
 
@@ -497,60 +497,102 @@ def _scalars(values, where):
 
 
 def _relabel(signatures):
-    """Dense colours for lists of signatures, ordered by sorted signature."""
+    """Dense colours for lists of signatures, ordered by sorted signature:
+    one ``array('i')`` per list, and the number of colours.  Each list in
+    ``signatures`` is dropped from it once its colours are made."""
     palette = sorted(set().union(*signatures))
-    index = {s: i for i, s in enumerate(palette)}
-    return [[index[s] for s in sig] for sig in signatures], len(palette)
+    index = dict(zip(palette, count()))
+    colours = []
+    for i in range(len(signatures)):
+        colours.append(array("i", [*map(index.__getitem__, signatures[i])]))
+        signatures[i] = None
+    return colours, len(palette)
 
 
 def _wl_colours(tilings):
     """Weisfeiler-Leman colour refinement of flags on one joint palette.
 
     Each round adds to a flag's colour the colours of its twin and,
-    unordered, of its next and prev flags, starting from
-    ``_first_signatures``.  Nothing depends on orientation or on the order
-    of ids, so every isomorphism, mirror images included, preserves the
-    colours of every round.  Colours are renumbered each round into dense
-    ints by sorted signature, which keeps them independent of string
+    unordered, of its next and prev flags, starting from the packed ints
+    of ``_first_signatures``.  Nothing depends on orientation or on the
+    order of ids, so every isomorphism, mirror images included, preserves
+    the colours of every round.  Colours are renumbered each round into
+    dense ints by sorted signature, which keeps them independent of string
     hashing and equal across tilings and processes.
 
-    Yields a list of colour lists and a list of class histograms
-    (Counters), one of each per tiling: first for the starting colours,
-    then after each round that refines the partition, until it is stable.
+    Yields a list of colour arrays (``array('i')``) and a list of class
+    histograms (Counters), one of each per tiling: first for the starting
+    colours, then after each round that refines the partition, until it
+    is stable.
     """
-    colours, classes = _relabel([_first_signatures(t) for t in tilings])
+    colours, classes = _relabel(_first_signatures(tilings))
     while True:
         yield colours, [Counter(c) for c in colours]
         k, kk = classes, classes * classes
         refined, classes = _relabel([
             [(x * k + y) * kk + (p * k + q if p < q else q * k + p)
-             for x, y, p, q in zip(c, [c[h] for h in t.h_twin],
-                                   [c[h] for h in t.h_next],
-                                   [c[h] for h in t.h_prev])]
-            for t, c in zip(tilings, colours)])
+             for x, y, p, q in zip(c, map(c.__getitem__, t.h_twin),
+                                   map(c.__getitem__, t.h_next),
+                                   map(c.__getitem__, t.h_prev))]
+            # as lists: each flag's colour boxed once, not once per read
+            for t, c in zip(tilings, map(array.tolist, colours))])
         if classes == k:
             return
         colours = refined
 
 
-def _first_signatures(t):
-    """Per flag: its face label and size, its edge status and added mark,
-    and the (degree, loaded) pairs of its two ends taken unordered."""
-    size = [0] * t.num_faces
-    for f in t.h_face:
-        size[f] += 1
-    degree = [0] * t.num_vertices
+def _first_signatures(tilings):
+    """Per tiling, per flag, its first signature packed into one int, in
+    an ``array('q')``.
+
+    The signature is, in order of significance: the flag's face label and
+    size, its edge status and added mark, and the ``2*degree + loaded``
+    codes of its two ends taken as (min, max).  Each part is a digit of a
+    mixed-radix int whose radix is taken over all the tilings at once: a
+    face digit ranks (label, size) pairs, an end digit ranks end codes,
+    and the edge digit is the status's rank over ``sorted(STATUSES)``
+    times 2 plus the added mark.  So the ints sort as the tuples of parts
+    would.  Ranks rather than raw sizes and degrees keep every int below
+    16 * flags**2 (the flags of all the tilings), so below 2**63 up to
+    about 7e8 flags.  Face, edge and vertex parts are built once per
+    face, edge and vertex and read per flag through ``map``."""
+    faces, _ = _relabel([[*zip(t.face_labels, _face_sizes(t))]
+                         for t in tilings])
+    ends, nv = _relabel([_end_codes(t) for t in tilings])
+    status = {s: 2 * i for i, s in enumerate(sorted(STATUSES))}
+    sigs = []
+    for t, face, end in zip(tilings, faces, ends):
+        origin, half = t.h_origin, t.edge_half
+        edge_part = [
+            (c * nv + (x if x < y else y)) * nv + (y if x < y else x)
+            for c, x, y in zip(
+                map(add, map(status.__getitem__, t.edge_status),
+                    t.edge_added),
+                map(end.__getitem__, map(origin.__getitem__, half)),
+                map(end.__getitem__, map(origin.__getitem__,
+                                         map(t.h_twin.__getitem__, half))))]
+        face_part = [*map(mul, face, repeat(6 * nv * nv))]
+        sigs.append(array("q", map(add, map(face_part.__getitem__, t.h_face),
+                                   map(edge_part.__getitem__, t.h_edge))))
+        del edge_part, face_part    # freed before the next tiling's
+    return sigs
+
+
+def _face_sizes(t):
+    """Per face its number of sides."""
+    stops = t.face_start[1:]
+    stops.append(len(t.h_face))
+    return map(sub, stops, t.face_start)
+
+
+def _end_codes(t):
+    """Per vertex ``2*degree + loaded``."""
+    code = [0] * t.num_vertices
     for v in t.h_origin:
-        degree[v] += 1
-    ends = [(degree[v], v in t.loaded_vertices)
-            for v in range(t.num_vertices)]
-    sig = []
-    for h, f in enumerate(t.h_face):
-        e = t.h_edge[h]
-        x, y = ends[t.h_origin[h]], ends[t.h_origin[t.h_twin[h]]]
-        sig.append((t.face_labels[f], size[f], t.edge_status[e],
-                    t.edge_added[e]) + ((x, y) if x <= y else (y, x)))
-    return sig
+        code[v] += 2
+    for v in t.loaded_vertices:
+        code[v] += 1
+    return code
 
 
 def _root_colour(counts):
@@ -583,6 +625,12 @@ def _bfs(t, root, mirror, keys):
         yield order[x], order[y], keys[h]
 
 
+def _triples(code):
+    """A flat walk code read back flag by flag, as ``_bfs`` yields it."""
+    entries = iter(code)
+    return zip(entries, entries, entries)
+
+
 def isomorphic(a: Tiling, b: Tiling) -> bool:
     """Label- and status-preserving isomorphism (mirror images allowed).
 
@@ -594,6 +642,9 @@ def isomorphic(a: Tiling, b: Tiling) -> bool:
     flags as a has; only then is the partition refined once more.  At
     stability every remaining candidate is walked.  A walk of a that
     misses flags means a is disconnected, and canonical forms decide.
+    The code of a is held as one flat ``array('i')``, three entries per
+    flag, and read back flag by flag against each walk of b, so a
+    candidate is dropped at its first mismatched flag.
 
     The walks key each flag by its colour alone.  A walk that matches in
     full is a flag bijection that keeps ``next`` (or ``prev``) and
@@ -612,11 +663,13 @@ def isomorphic(a: Tiling, b: Tiling) -> bool:
         if ha != hb:
             return False
         root = _root_colour(ha)
-        code = list(_bfs(a, ca.index(root), False, ca))
-        if len(code) < flags:
+        code = array("i", chain.from_iterable(
+            _bfs(a, ca.index(root), False, ca)))
+        if len(code) < 3 * flags:
             return a.canonical_form() == b.canonical_form()
         # Per candidate walk of b, the flags it matches before a mismatch.
-        walks = (sum(takewhile(bool, map(eq, code, _bfs(b, s, m, cb))))
+        walks = (sum(takewhile(bool, map(eq, _triples(code),
+                                         _bfs(b, s, m, cb))))
                  for s, c in enumerate(cb) if c == root
                  for m in (False, True))
         budget = flags

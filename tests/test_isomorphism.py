@@ -1,10 +1,12 @@
 """Verdicts of `isomorphic` on rule-built stages, checked against the
 canonical form, and stability of canonical forms across processes."""
 
+import gc
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -141,11 +143,15 @@ def test_chiral_tiling_matches_its_mirror_image():
     assert not isomorphic(chiral, rebuilt(t, labels=labels))
 
 
+def nxs1_pair(n):
+    """The rule's stage n and the cover sphere S(n) it must match."""
+    *_, state = balls(load_spec(get_rule("nxs1").companion), n)
+    return final_stage("nxs1", n, "replacement"), state.boundary_sphere()
+
+
 @pytest.fixture(scope="module")
 def nxs1_stage4():
-    """The rule's stage 4 and the cover sphere S(4) it must match."""
-    *_, state = balls(load_spec(get_rule("nxs1").companion), 4)
-    return final_stage("nxs1", 4, "replacement"), state.boundary_sphere()
+    return nxs1_pair(4)
 
 
 def refinement(tilings):
@@ -176,6 +182,93 @@ def test_isomorphic_decides_after_one_round(nxs1_stage4, monkeypatch):
 ])
 def test_refinement_runs_to_a_stable_partition(rule, n, mode, expected):
     assert refinement([final_stage(rule, n, mode)]) == expected
+
+
+def tuple_signatures(t):
+    """Reference first signatures as tuples: per flag its face label and
+    size, its edge status and added mark, and the (degree, loaded) pairs
+    of its two ends taken unordered."""
+    size = [0] * t.num_faces
+    for f in t.h_face:
+        size[f] += 1
+    degree = [0] * t.num_vertices
+    for v in t.h_origin:
+        degree[v] += 1
+    ends = [(degree[v], v in t.loaded_vertices)
+            for v in range(t.num_vertices)]
+    sig = []
+    for h, f in enumerate(t.h_face):
+        e = t.h_edge[h]
+        x, y = ends[t.h_origin[h]], ends[t.h_origin[t.h_twin[h]]]
+        sig.append((t.face_labels[f], size[f], t.edge_status[e],
+                    t.edge_added[e]) + ((x, y) if x <= y else (y, x)))
+    return sig
+
+
+def tuple_round0(tilings):
+    """Reference starting colours: dense ints by sorted tuple signature
+    over all the tilings, and the number of them."""
+    signatures = [tuple_signatures(t) for t in tilings]
+    palette = sorted(set().union(*signatures))
+    index = {s: i for i, s in enumerate(palette)}
+    return [[index[s] for s in sig] for sig in signatures], len(palette)
+
+
+def int_labelled(t, offset):
+    """t read back by from_dict with int face labels, numbered against
+    the sorted order of its string labels."""
+    data = t.to_dict()
+    order = sorted(set(t.face_labels), reverse=True)
+    for f in data["faces"]:
+        f["type"] = offset + order.index(f["type"])
+    return Tiling.from_dict(data)
+
+
+def with_copy(rule, n, mode, copy):
+    t = final_stage(rule, n, mode)
+    return t, copy(t)
+
+
+# Between them the pairs use every digit of the packed signature: loaded
+# and fragile statuses and loaded vertices (nxs1), added edges (torus3
+# subdivision), vertex degrees 4, 6, 8 and 12 (barycentric) and
+# int labels that two tilings share only in part (from_dict).
+ROUND0_PAIRS = {
+    "nxs1 rule/cover 3": lambda: nxs1_pair(3),
+    "torus3 subdivision 3": lambda: with_copy(
+        "torus3", 3, "subdivision", added_swapped),
+    "barycentric 3": lambda: with_copy(
+        "barycentric", 3, "subdivision", lambda t: rebuilt(t, reverse=True)),
+    "from_dict int labels": lambda: (
+        int_labelled(final_stage("nxs1", 2, "replacement"), 0),
+        int_labelled(final_stage("torus3", 2, "replacement"), 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND0_PAIRS))
+def test_packed_round0_colours_equal_tuple_colours(name):
+    pair = ROUND0_PAIRS[name]()
+    colours, counts = next(_wl_colours(list(pair)))
+    expected, classes = tuple_round0(pair)
+    assert [list(c) for c in colours] == expected
+    assert len(set().union(*counts)) == classes
+    assert classes > 1
+
+
+def test_isomorphic_working_set_is_flat():
+    # Packed round-0 colours, colour arrays and a flat walk code keep the
+    # traced peak near 112 bytes per flag of a; 6-tuple signatures, colour
+    # lists and a walk code of 3-tuples took about 246.
+    a, b = nxs1_pair(3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert isomorphic(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 150 * len(a.h_face)
 
 
 @pytest.mark.parametrize("breaker", [labels_swapped, statuses_swapped,
