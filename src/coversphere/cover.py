@@ -97,15 +97,27 @@ class CoverState:
 
     def _open_flanking_slots(self, edge_root):
         """The open face slots around an edge class, each with the
-        position of the class's edge in that face, in slot order."""
+        position of the class's edge in that face, in slot order: the
+        ends of the walks from the root's two flanks through glued slots,
+        ``turn`` by ``turn``.  A walk back to its start finds the chain
+        of cells closed, with no open face."""
+        spec, partner, F = self.spec, self.slot_partner, self.F
+        cell, e = divmod(edge_root, self.NE)
         out = {}
-        F, NE, flank = self.F, self.NE, self.spec.flank
-        for key in self.edges.members(edge_root):
-            cell, e = divmod(key, NE)
-            for f, i in flank[e]:
-                s = cell * F + f
-                if self.slot_partner[s] < 0:
+        for f, i in spec.flank[e]:
+            s = cell * F + f
+            start = s, i
+            for _ in range(spec.cycle[e]):
+                if partner[s] < 0:
                     out.setdefault(s, i)
+                    break
+                f, i = spec.turn[f][i]
+                s = partner[s] // F * F + f
+                if (s, i) == start:
+                    return []
+            else:
+                raise CoverError("edge walk passes its cycle length %d"
+                                 % spec.cycle[e])
         return sorted(out.items())
 
     def _fold_fixpoint(self, work):

@@ -39,6 +39,9 @@ class GluingSpec:
     Vertices are numbered by first appearance in the face cycles and edges
     in order of their sorted endpoint names.  Faces keep the order of
     ``faces``; a face's position i is its edge from vertex i to i + 1.
+    ``turn[f][i]`` is the (face, position) that crossing f's pairing at
+    position i leads to in the next cell around that edge: the flank of
+    ``edge_image[f][i]`` that is not in ``target[f]``.
     """
     name: str
     faces: dict = field(default_factory=dict)        # name -> Face
@@ -53,37 +56,31 @@ class GluingSpec:
     edge_image: list = field(default_factory=list)   # face -> paired edges
     target: list = field(default_factory=list)       # face -> paired face
     flank: list = field(default_factory=list)        # edge -> 2 (face, pos)
+    turn: list = field(default_factory=list)         # face -> next (face, pos)
     cycle: list = field(default_factory=list)        # edge -> cycle length
 
 
 def _walk_edge_orbit(spec: GluingSpec, edge, ends):
     """Follow an edge around the manifold edge it projects to.
 
-    Starting at the edge's first flank slot we repeatedly apply the face
-    pairing and cross to the other face of the image edge.  The walk must
-    return to the start with the identity correspondence on the edge's
-    endpoints; the number of steps is the cycle length (= polyhedra glued
-    around the cover edge).
+    Starting at the edge's first flank slot we repeatedly ``turn`` into
+    the next cell around it.  The walk must return to the start with the
+    identity correspondence on the edge's endpoints; the number of steps
+    is the cycle length (= polyhedra glued around the cover edge).
     """
     start = f, i = spec.flank[edge][0]
     u0 = u = spec.face_verts[f][i]      # one endpoint, followed along
-    steps = 0
-    while True:
+    for steps in range(1, 10001):
         vs = spec.face_verts[f]
         u = spec.vert_image[f][i if vs[i] == u else (i + 1) % len(vs)]
-        target = spec.target[f]
-        (f, i), other = spec.flank[spec.edge_image[f][i]]
-        if f == target:
-            f, i = other
-        steps += 1
+        f, i = spec.turn[f][i]
         if (f, i) == start:
             if u != u0:
                 raise GluingError(
                     "ill-defined identification on edge %r: the gluings "
                     "around it swap its endpoints" % (sorted(ends, key=repr),))
             return steps
-        if steps > 10000:
-            raise GluingError("edge orbit fails to close")
+    raise GluingError("edge orbit fails to close")
 
 
 def validate(spec: GluingSpec):
@@ -138,6 +135,8 @@ def validate(spec: GluingSpec):
             raise GluingError(
                 "edge %r flanked by %d faces" % (sorted(e, key=repr),
                                                  len(slots)))
+    spec.turn = [[next(fi for fi in spec.flank[g] if fi[0] != spec.target[f])
+                  for g in image] for f, image in enumerate(spec.edge_image)]
     # compute and check cycle lengths
     spec.cycle = [_walk_edge_orbit(spec, e, ends)
                   for e, ends in enumerate(eindex)]

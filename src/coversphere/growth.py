@@ -77,6 +77,8 @@ def classify_growth(series) -> Classification:
                 evidence={"diff_order": d, "diff_value": val})
     ratios = [b / a for a, b in zip(series, series[1:]) if a > 0]
     last = ratios[-3:]
+    if not last or 0 in last:
+        raise GrowthError("no growth ratio exists: last ratios %s" % last)
     ratio = math.exp(sum(math.log(r) for r in last) / len(last))
     return Classification("exponential", ratio=ratio,
                           evidence={"ratios": ratios})

@@ -19,6 +19,8 @@ DEFAULT_TOL = 1e-8
 MAX_ITER = 10 ** 6
 TWO_PI = 2.0 * math.pi
 SETTLED = 0.1
+SVG_STROKE = "black"
+SVG_WIDTH = 640
 
 
 class PackError(ValueError):
@@ -283,7 +285,7 @@ def tangency_error(label: PackingLabel) -> float:
     return worst
 
 
-def render_svg(label: PackingLabel, stroke="black", width=640) -> str:
+def render_svg(label: PackingLabel) -> str:
     if not label.center:
         raise PackError("empty packing label")
     xs = [label.center[v][0] for v in label.center]
@@ -294,14 +296,14 @@ def render_svg(label: PackingLabel, stroke="black", width=640) -> str:
     y0, y1 = min(ys) - pad, max(ys) + pad
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" '
         f'viewBox="{x0:.6f} {y0:.6f} {x1 - x0:.6f} {y1 - y0:.6f}">',
     ]
     for v in sorted(label.center, key=str):
         x, y = label.center[v]
         lines.append(
             f'<circle cx="{x:.6f}" cy="{y:.6f}" r="{label.radius[v]:.6f}" '
-            f'fill="none" stroke="{stroke}" '
+            f'fill="none" stroke="{SVG_STROKE}" '
             f'stroke-width="{max(rs) / 100:.6f}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

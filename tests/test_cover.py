@@ -1,4 +1,5 @@
 import importlib.resources as resources
+from array import array
 
 import pytest
 
@@ -124,6 +125,64 @@ def test_fold_scans_each_edge_class_once(monkeypatch):
     assert scanned and len(set(scanned)) == len(scanned)
 
 
+def scanned_flanks(state, root):
+    """The open flanking slots of root's edge class, by searches of the
+    whole parent table for the keys whose parent chain ends at root.
+    The table's bytes are searched, not each key's find: a find per key at
+    every fold of a B(4) takes seconds."""
+    parent = state.edges.parent
+    raw, width = parent.tobytes(), parent.itemsize
+    keys, todo = [], [root]
+    while todo:
+        x = todo.pop()
+        keys.append(x)
+        child = array(parent.typecode, [x]).tobytes()
+        at = raw.find(child)
+        while at >= 0:
+            if at % width == 0 and at // width != x:
+                todo.append(at // width)
+            at = raw.find(child, at + 1)
+    out = {}
+    for key in sorted(keys):
+        cell, e = divmod(key, state.NE)
+        for f, i in state.spec.flank[e]:
+            s = cell * state.F + f
+            if state.slot_partner[s] < 0:
+                out.setdefault(s, i)
+    return sorted(out.items())
+
+
+@pytest.mark.parametrize("name", ["prism12.glue", "utn.glue", "cube.glue"])
+def test_fold_walk_matches_a_scan_of_the_class(monkeypatch, name):
+    # every queued class, checked against the state as the fold finds it
+    checked = []
+    walk = CoverState._open_flanking_slots
+
+    def spy(self, root):
+        got = walk(self, root)
+        assert got == scanned_flanks(self, root)
+        checked.append(bool(got))
+        return got
+
+    monkeypatch.setattr(CoverState, "_open_flanking_slots", spy)
+    *_, state = balls(load(name), 4)
+    assert True in checked and False in checked
+
+
+def test_fold_walk_stops_at_the_cycle_length():
+    # a closed chain of four cells, walked as if its cycle length were 2,
+    # neither comes back to its start nor reaches an open face in time
+    spec = load("cube.glue")
+    *_, state = balls(spec, 3)
+    uf = state.edges
+    root = next(r for r in range(len(uf.parent)) if uf.parent[r] == r
+                and uf.size[r] == 4 and not state._open_flanking_slots(r))
+    spec.cycle = [2] * len(spec.cycle)
+    with pytest.raises(CoverError,
+                       match="edge walk passes its cycle length 2"):
+        state._open_flanking_slots(root)
+
+
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_sphere_series_builds_no_ball_beyond_the_last(cube_spec, n,
                                                        expand_sizes):
@@ -174,8 +233,8 @@ def deepen(uf, keys):
         root = parent[k]
         if root == k:
             continue
-        for m in uf.members(root):
-            if m not in (k, root) and parent[m] == root:
+        for m, p in enumerate(parent):
+            if p == root and m not in (k, root):
                 parent[k] = m
                 return k, root
     raise AssertionError("no class with two non-root members")

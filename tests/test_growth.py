@@ -31,6 +31,16 @@ def test_too_short_rejected():
         classify_growth([1, 2, 3])
 
 
+@pytest.mark.parametrize("series, last", [
+    ([0, 0, 0, 5], []),             # no term after a positive one
+    ([2, 0, 2, 0, 2], [0.0, 0.0]),  # each positive term drops to zero
+])
+def test_no_growth_ratio_rejected(series, last):
+    with pytest.raises(GrowthError) as err:
+        classify_growth(series)
+    assert str(err.value) == "no growth ratio exists: last ratios %s" % last
+
+
 def test_torus3_polynomial_for_every_window():
     e = get_rule("torus3")
     faces = growth_series(e, 6, "replacement")
