@@ -13,10 +13,14 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
+from itertools import compress, repeat
+from operator import lt
 
 from .gluing import GluingSpec
-from .tiling import FRAGILE, LOADED, FaceTables, Tiling
+from .tiling import FRAGILE, LOADED, FaceTables, Tiling, mark
 from .unionfind import UnionFind
+
+_LOADED, _FRAGILE = mark(LOADED), mark(FRAGILE)
 
 
 class CoverError(ValueError):
@@ -60,7 +64,10 @@ class CoverState:
         return c
 
     def open_slots(self):
-        return [s for s, p in enumerate(self.slot_partner) if p < 0]
+        """The open slots in slot order, read lazily: a slot glued before
+        it is reached is passed over, and one added meanwhile not reached."""
+        partner = self.slot_partner
+        return compress(range(len(partner)), map(lt, partner, repeat(0)))
 
     # -- gluing ---------------------------------------------------------
 
@@ -153,8 +160,6 @@ class CoverState:
         """Attach one layer of cells: B(n) -> B(n+1)."""
         work = deque()
         for s in self.open_slots():
-            if self.slot_partner[s] >= 0:
-                continue
             c2 = self._new_cell()
             self._glue(s, c2 * self.F + self.spec.target[s % self.F], work)
             self._fold_fixpoint(work)
@@ -166,7 +171,8 @@ class CoverState:
     def boundary_sphere(self) -> Tiling:
         """S(n): each open slot's face, named by cover vertex and edge
         classes, with each loaded (one cell short of its cycle) or fragile
-        (two short) edge given that status.
+        (two short) edge given that status.  The names and keys are the
+        classes' roots, ints below ``num_cells*NV`` and ``num_cells*NE``.
 
         A key whose parent is a root is named by that parent, as ``find``
         would name it; only a deeper key calls ``find``.  In the balls of
@@ -178,8 +184,8 @@ class CoverState:
         F, NV, NE = self.F, self.NV, self.NE
         face_verts, face_edges = self.spec.face_verts, self.spec.face_edges
         face_labels = [f.label for f in self.spec.faces.values()]
-        labels, sizes, names, keys = tables = FaceTables.new()
-        status = {}
+        tables = FaceTables.new(self.num_cells * NV, self.num_cells * NE)
+        labels, sizes, names, keys, marks, _ = tables
         for s in self.open_slots():
             cell, fi = divmod(s, F)
             vb, eb = cell * NV, cell * NE
@@ -202,11 +208,11 @@ class CoverState:
                 es.append(root)
                 gap = cycle[e] - size[root]
                 if gap == 1:
-                    status[root] = LOADED
+                    marks[root] = _LOADED
                 elif gap == 2:
-                    status[root] = FRAGILE
+                    marks[root] = _FRAGILE
             keys.fromlist(es)
-        return Tiling(tables, stage=self.stage, edge_status=status)
+        return Tiling(tables, stage=self.stage)
 
 
 def balls(spec: GluingSpec, stages: int, cap: int | None = None):

@@ -17,10 +17,10 @@ import json
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count
-from operator import itemgetter
+from itertools import accumulate, compress, count, repeat
+from operator import add, itemgetter
 
-from .tiling import PLAIN, STATUSES, FaceTables, Tiling
+from .tiling import PLAIN, STATUSES, FaceTables, Tiling, mark
 from .unionfind import UnionFind
 
 ANY = "any"
@@ -270,8 +270,9 @@ class Template:
     then its new sides.  Per face, ``labels`` and ``sizes`` hold its label
     and size and ``starts`` its first side's offset among all the faces'
     sides; two itemgetters read every face's vertex ids and edge keys, in
-    one run, off those two numberings.  A new side's (status, added) pair
-    comes from ``edge_attrs``, else it is plain.
+    one run, off those two numberings.  ``new_marks`` holds the new
+    sides' marks, from their (status, added) pairs in ``edge_attrs``, else
+    plain.
     """
 
     def __init__(self, faces, bound, sides, edge_attrs):
@@ -287,23 +288,19 @@ class Template:
         self.read_edges = _picker(eid[s] for cyc in cycles
                                   for s in _sides(cyc))
         self.new_vertices = len(vid) - len(bound)
-        attrs = [edge_attrs.get(sym, _PLAIN)
-                 for sym, i in eid.items() if i >= len(sides)]
-        self.new_edges = len(attrs)
-        self.new_status = [(j, status) for j, (status, _) in enumerate(attrs)
-                           if status != PLAIN]
-        self.new_added = [j for j, (_, a) in enumerate(attrs) if a]
+        self.new_marks = bytes(mark(*edge_attrs.get(sym, _PLAIN))
+                               for sym, i in eid.items() if i >= len(sides))
 
-    def instantiate(self, vertices, edges, nv, ne, status, added, tables):
+    def instantiate(self, vertices, edges, nv, tables):
         """Append the faces to the ``FaceTables`` ``tables``.
 
         ``vertices`` and ``edges`` give the bound names' ids and the bound
         sides' keys, in the template's numbering.  New vertices take the
-        next ints from ``nv`` and new edges from ``ne``; a new edge's
-        status, unless plain, goes into ``status`` and its added mark into
-        ``added``.  Returns (nv, ne).
+        next ints from ``nv``, and new edges the next keys of the marks,
+        to which their marks are appended.  Returns the next vertex int.
         """
-        labels, sizes, names, keys = tables
+        labels, sizes, names, keys, marks, _ = tables
+        ne = len(marks)
         labels += self.labels
         sizes += self.sizes
         # an array made from a tuple, then appended, is the quickest way
@@ -311,10 +308,9 @@ class Template:
         names += array("i", self.read_vertices(
             [*vertices, *range(nv, nv + self.new_vertices)]))
         keys += array("i", self.read_edges(
-            [*edges, *range(ne, ne + self.new_edges)]))
-        status.update([(ne + j, st) for j, st in self.new_status])
-        added.update([ne + j for j in self.new_added])
-        return nv + self.new_vertices, ne + self.new_edges
+            [*edges, *range(ne, ne + len(self.new_marks))]))
+        marks += self.new_marks
+        return nv + self.new_vertices
 
 
 def _picker(idx):
@@ -422,7 +418,9 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
     ``t.num_edges`` upward; surviving edges keep their ids as keys.
     """
     split_plan = {}      # edge id -> segment pairs (canonical orient.)
-    new_status = {}      # edge key -> (status, added)
+    tables = FaceTables.new(num_keys=t.num_edges)
+    marks = tables.marks     # a surviving edge's new mark
+    marked = bytearray(t.num_edges)     # 1 once an edge's mark is set
     face_plans = []
 
     for f in range(t.num_faces):
@@ -455,33 +453,30 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
                         "adjacent templates disagree on the subdivision of "
                         "edge %d" % e)
             else:
-                attrs = attrs or (rule.default_transition[t.edge_status[e]],
-                                  t.edge_added[e])
-                if new_status.setdefault(e, attrs) != attrs:
+                m = mark(*(attrs or (rule.default_transition[t.edge_status[e]],
+                                     t.edge_added[e])))
+                if marked[e] and marks[e] != m:
                     raise RuleError(
                         "adjacent templates disagree on the new status of "
                         "edge %d" % e)
+                marks[e], marked[e] = m, 1
 
     for e in split_plan:
-        if e in new_status:
+        if marked[e]:
             raise RuleError(
                 "adjacent templates disagree on the subdivision of edge "
                 "%d" % e)
 
     # each split edge's segments and inner vertices take ints once, in
     # canonical orientation
-    nv, ne = t.num_vertices, t.num_edges
+    nv = t.num_vertices
     chains = {}          # edge id -> (segment keys, inner vertex ids)
     for e, attrs in split_plan.items():
-        k = len(attrs)
+        k, ne = len(attrs), len(marks)
         chains[e] = list(range(ne, ne + k)), list(range(nv, nv + k - 1))
-        new_status.update(zip(chains[e][0], attrs))
-        nv, ne = nv + k - 1, ne + k
-    status = {key: st for key, (st, _) in new_status.items()
-              if st != PLAIN}
-    added = {key for key, (_, a) in new_status.items() if a}
+        marks += bytes(mark(*a) for a in attrs)
+        nv += k - 1
 
-    tables = FaceTables.new()
     for tile, avs, aes in face_plans:
         rim_vs, rim_es = [], []
         for u, v, e in zip(avs, avs[1:] + avs[:1], aes):
@@ -490,11 +485,9 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
                 segs, ivs = segs[::-1], ivs[::-1]
             rim_vs += [u] + ivs
             rim_es += segs
-        nv, ne = tile.template.instantiate(rim_vs, rim_es, nv, ne, status,
-                                           added, tables)
+        nv = tile.template.instantiate(rim_vs, rim_es, nv, tables)
 
-    return Tiling(tables, stage=t.stage + 1, edge_status=status,
-                  added_edges=added)
+    return Tiling(tables._replace(num_names=nv), stage=t.stage + 1)
 
 
 # ---------------------------------------------------------------------
@@ -590,25 +583,30 @@ def apply_replacement(rule: ReplacementRule, t: Tiling):
     ``t.num_vertices`` and new edge keys from ``t.num_edges`` upward, so
     old and new keys share one union-find.
     """
-    faces, status, added = _replaced_faces(rule, t)
-    return Tiling(faces, stage=t.stage + 1, edge_status=status,
-                  added_edges=added)
+    return Tiling(_replaced_faces(rule, t), stage=t.stage + 1)
+
+
+_DROP = 8       # an old key's mark bit: its old status, not its new one
+# the marks handed over: a dropped old status becomes plain
+_HANDED = bytes(0 if m & _DROP else m for m in range(256))
 
 
 def _replaced_faces(rule, t):
-    """The output faces of ``apply_replacement`` as ``FaceTables``, their
-    edge statuses, which leave plain new edges out, and the added edge
-    keys.
+    """The output faces of ``apply_replacement`` as ``FaceTables``.
+
+    An old key's new status is the one its groups prescribe, else plain,
+    and a new key's the template's.  The zipping compares statuses as a
+    mark's low two bits, and reads an old key that no group prescribes
+    by its old status, which ``_DROP`` marks to be dropped after.
 
     Every other stage-sized table the replacement and the zipping need is
     local here, so all of them are freed before the output Tiling is built.
     """
-    labels, sizes, names, keys = tables = FaceTables.new()
-    status = {}
-    added = set()
+    tables = FaceTables.new()
+    labels, sizes, names, keys, marks, _ = tables
+    marks.extend(map(add, map(STATUSES.index, t.edge_status), repeat(_DROP)))
     by_chain = {}       # old edge ids -> flaps: (face, first side, size)
-    boundary_to = {}    # old edge id -> prescribed new status
-    nv, ne = t.num_vertices, t.num_edges
+    nv = t.num_vertices
 
     for group in _loaded_groups(t):
         for pat in rule.patterns:
@@ -623,31 +621,23 @@ def _replaced_faces(rule, t):
         sigma, edge_of = m
 
         for i, to in pat.boundary_to:
-            e = edge_of[i]
-            if boundary_to.get(e, to) != to:
+            e, to = edge_of[i], mark(to)
+            if not marks[e] & _DROP and marks[e] != to:
                 raise RuleError(
                     "groups flanking edge %d prescribe different statuses"
                     % e)
-            boundary_to[e] = to
+            marks[e] = to
 
         face, side, tmpl = len(labels), len(names), pat.template
-        nv, ne = tmpl.instantiate(sigma, edge_of, nv, ne, status, added,
-                                  tables)
+        nv = tmpl.instantiate(sigma, edge_of, nv, tables)
         for f, chain in pat.flap_chains:
             chain = frozenset([edge_of[i] for i in chain])
             by_chain.setdefault(chain, []).append(
                 (face + f, side + tmpl.starts[f], tmpl.sizes[f]))
 
-    status.update(boundary_to)
-
-    def status_of(k):
-        """Key k's status as the zipping compares them: an old key's
-        prescribed or old status, a new key's own."""
-        return status.get(k, t.edge_status[k] if k < t.num_edges else PLAIN)
-
     # -- zip flaps across fragile chains --------------------------------
     vert_uf = UnionFind(nv)
-    key_uf = UnionFind(ne)
+    key_uf = UnionFind(len(marks))
     live_faces = bytearray(b"\1") * len(labels)
     live_sides = bytearray(b"\1") * len(names)
     for chain_key, pair in sorted(by_chain.items(),
@@ -681,7 +671,7 @@ def _replaced_faces(rule, t):
             vert_uf.union(a, b)
         for a, b in zip(k1r, k2r):
             if key_uf.find(a) != key_uf.find(b):
-                if status_of(a) != status_of(b):
+                if marks[a] & 3 != marks[b] & 3:
                     raise RuleError(
                         "collapse flap mismatch: identified edges carry "
                         "different statuses")
@@ -691,17 +681,19 @@ def _replaced_faces(rule, t):
 
     # Zipped vertices and keys are renamed to the roots of their classes
     # and the flaps dropped, each in one pass over a whole table.  A
-    # zipped class's keys all carry one status, as the zipping checked.
+    # zipped class's keys all carry one status, as the zipping checked;
+    # the root takes a member's new status and added mark.
     vroot, kroot = vert_uf.non_roots(), key_uf.non_roots()
+    for k, root in kroot.items():
+        if not marks[k] & _DROP:
+            marks[root] = (marks[root] | marks[k]) & ~_DROP
+    del tables      # so each unzipped table is freed once it is replaced
     labels = [*compress(labels, live_faces)]
     sizes = array("i", compress(sizes, live_faces))
     names = array("i", compress(map(vroot.get, names, names), live_sides))
     keys = array("i", compress(map(kroot.get, keys, keys), live_sides))
-    for k, root in kroot.items():
-        if k in status:
-            status[root] = status.pop(k)
-    return (FaceTables(labels, sizes, names, keys), status,
-            {kroot.get(k, k) for k in added})
+    return FaceTables(labels, sizes, names, keys, marks.translate(_HANDED),
+                      nv)
 
 
 # ---------------------------------------------------------------------

@@ -15,9 +15,8 @@ import json
 from array import array
 from collections import Counter, defaultdict
 from functools import cached_property
-from itertools import (accumulate, chain, compress, count, filterfalse,
-                       repeat, takewhile)
-from operator import add, eq, mul, ne, sub
+from itertools import accumulate, chain, compress, count, repeat, takewhile
+from operator import add, eq, ge, mul, ne, sub
 from struct import Struct
 from typing import NamedTuple
 
@@ -27,6 +26,9 @@ PLAIN = "plain"
 LOADED = "loaded"
 FRAGILE = "fragile"
 STATUSES = (PLAIN, LOADED, FRAGILE)
+ADDED = 4               # the mark bit of an added edge
+_STATUS_OF = (PLAIN, LOADED, FRAGILE, None) * 2     # by mark
+_MARKS = bytes([0, 1, 2, 4, 5, 6])                 # every valid mark
 _INT = Struct("i")      # one array('i') entry
 
 
@@ -34,29 +36,45 @@ class TilingError(ValueError):
     pass
 
 
+def mark(status, added=False):
+    """An edge's byte in ``FaceTables.marks``: its status's index in
+    ``STATUSES``, plus ``ADDED`` for an added edge."""
+    if status not in STATUSES:
+        raise TilingError("unknown edge status %r" % (status,))
+    return STATUSES.index(status) | (ADDED if added else 0)
+
+
 class FaceTables(NamedTuple):
     """A tiling's faces as flat tables: per face its label and its size,
     and per side, face after face in cycle order, the name of its first
-    vertex and its edge key.  ``new()`` gives empty tables that hold ints
-    in ``array('i')``, for a producer to fill."""
+    vertex and its edge key.  Names are ints in ``range(num_names)`` and
+    keys ints in ``range(len(marks))``, ranges the producer declares;
+    ``marks`` holds one ``mark`` per key.  ``new()`` gives empty tables
+    for a producer to fill: ``array('i')`` for the ints, and a zeroed
+    ``bytearray`` of marks, all plain, for ``num_keys`` keys."""
     labels: list
     sizes: array
     names: array
     keys: array
+    marks: bytearray
+    num_names: int
 
     @classmethod
-    def new(cls):
-        return cls([], array("i"), array("i"), array("i"))
+    def new(cls, num_names=0, num_keys=0):
+        return cls([], array("i"), array("i"), array("i"),
+                   bytearray(num_keys), num_names)
 
 
 class Tiling:
     """An immutable tiling of a closed surface (possibly disconnected).
 
     Faces are given as ``(label, vertices)`` or ``(label, vertices, edges)``
-    sequences, which the constructor flattens into ``FaceTables``, or as
-    ``FaceTables`` themselves; either way the tiling is built from the
-    tables, and owns their ``labels`` list as ``face_labels``.
-    Vertex names and edge keys can be any hashable values.  Without
+    sequences, with ``edge_status`` and ``added_edges`` keyed by edge key,
+    or as ``FaceTables``, which carry the edges' marks.  A face sequence's
+    vertex names and edge keys can be any hashable values; the constructor
+    numbers them by first appearance into ``FaceTables``, so either way
+    the tiling is built from int tables, and owns their ``labels`` list as
+    ``face_labels``.  Without
     ``edges``, side i's key is the unordered pair of its endpoints; keys
     must be given whenever two distinct edges share both endpoints (e.g.
     the square model of the torus).  Face f's half-edges are the
@@ -81,25 +99,26 @@ class Tiling:
     """
 
     def __init__(self, faces, *, stage=0, edge_status=None, added_edges=None):
-        labels, sizes, names, keys = (
-            faces if isinstance(faces, FaceTables) else _flatten(faces))
+        if isinstance(faces, FaceTables):
+            tables, vertex_names, edge_keys = faces, None, None
+        else:
+            tables, vertex_names, edge_keys = _flatten(faces, edge_status,
+                                                       added_edges)
+        labels, sizes, names, keys, marks, num_names = tables
         if min(sizes, default=3) < 3:
             raise _short_face([n < 3 for n in sizes].index(True))
         if not sum(sizes) == len(names) == len(keys):
             raise TilingError(
                 "face tables disagree: faces of %d sides in all, %d vertex "
                 "names, %d edge keys" % (sum(sizes), len(names), len(keys)))
+        for ints, n, what in ((names, num_names, "vertex name"),
+                              (keys, len(marks), "edge key")):
+            if ints and not (min(ints) >= 0 and max(ints) < n):
+                raise TilingError(
+                    "%s %d is outside the declared range(%d)"
+                    % (what, next(i for i in ints if not 0 <= i < n), n))
         self.stage = stage
         self.face_labels = labels
-        # dense ids by first appearance: a new name takes the next count
-        vid = defaultdict(count().__next__)
-        origin = array("i", map(vid.__getitem__, names))  # per side
-        self.vertex_names = _name_table(vid)
-        del vid     # freed before the next table exists
-        eid = defaultdict(count().__next__)
-        self.h_edge = edge = array("i", map(eid.__getitem__, keys))
-        self.edge_keys = _name_table(eid)
-        del eid
         self.face_start = array("i", accumulate(sizes, initial=0))
         self.face_start.pop()
         self.h_face = face = array("i")
@@ -107,37 +126,63 @@ class Tiling:
         for run in map(mul, map(_INT.pack, range(len(sizes))), sizes):
             face.frombytes(run)
 
-        first = array("i", [-1]) * len(self.edge_keys)
-        twin = array("i", [-1]) * len(origin)
-        for h, e in enumerate(edge):
-            g = first[e]
-            if g < 0:
-                first[e] = h
-            elif twin[g] < 0:
-                twin[g], twin[h] = h, g
-            else:
-                raise self._side_count_error(e)
-        if -1 in twin:
-            raise self._side_count_error(edge[twin.index(-1)])
-        self.h_twin = twin
-        self.edge_half = first      # per edge: one side; h_twin the other
+        # One pass numbers names and keys by first appearance, through
+        # lookup tables indexed by the name or key, and pairs each key's
+        # two sides.  A key's third side is reported at once.  Failing
+        # that, every key has two sides exactly when there are half as
+        # many edges as sides; a key with one side makes more, which may
+        # overflow ``half``.
+        n = len(keys)
+        vid = array("i", [-1]) * num_names
+        eid = array("i", [-1]) * len(marks)
+        # tables made by repeating one entry are sized exactly
+        origin = array("i", [0]) * n
+        edge = array("i", [0]) * n
+        twin = array("i", [-1]) * n
+        half = array("i", [0]) * (n // 2)      # per edge: its first side
+        new = bytearray(n)          # 1 at each vertex's first side
+        nv = ne = 0
+        try:
+            for h, k, v in zip(count(), keys, names):
+                x = vid[v]
+                if x < 0:
+                    vid[v] = x = nv
+                    nv += 1
+                    new[h] = 1
+                origin[h] = x
+                e = eid[k]
+                if e < 0:
+                    eid[k] = edge[h] = ne
+                    half[ne] = h
+                    ne += 1
+                else:
+                    g = half[e]
+                    if twin[g] >= 0:
+                        raise _side_count_error(keys, k, edge_keys)
+                    twin[g], twin[h] = h, g
+                    edge[h] = e
+        except IndexError:
+            ne = -1
+        if 2 * ne != n:
+            raise _side_count_error(keys, _unpaired(keys, len(marks)),
+                                    edge_keys)
+        del vid, eid
+        # per edge its int key, which indexes ``marks``
+        key_ints = array("q", map(keys.__getitem__, half))
+        self.vertex_names = vertex_names or array("q", compress(names, new))
+        self.edge_keys = edge_keys or key_ints
+        self.h_edge, self.h_twin = edge, twin
+        self.edge_half = half       # per edge: one side; h_twin the other
         self._orient(origin)
 
-        status = edge_status or {}
-        self.edge_status = es = [*map(status.get, self.edge_keys,
-                                      repeat(PLAIN))]
-        for st in filterfalse(STATUSES.__contains__, es):
-            raise TilingError("unknown edge status %r" % (st,))
-        self.edge_added = [*map(set(added_edges or ()).__contains__,
-                                self.edge_keys)]
+        codes = bytes(map(marks.__getitem__, key_ints))
+        for c in codes.translate(None, _MARKS):
+            raise TilingError("unknown edge mark %d" % c)
+        self.edge_status = [*map(_STATUS_OF.__getitem__, codes)]
+        self.edge_added = [*map(ge, codes, repeat(ADDED))]
         self._validate()
 
     # -- construction -------------------------------------------------
-
-    def _side_count_error(self, e):
-        return TilingError(
-            "edge %r bounds %d face sides; closed surfaces need exactly 2"
-            % (_key_name(self.edge_keys[e]), self.h_edge.count(e)))
 
     def _orient(self, origin):
         """Set ``h_next``, ``h_prev`` and ``h_origin``, flipping the faces
@@ -430,10 +475,16 @@ def _merge_components(comp, n, crossings):
     return array("i", map(renumber.__getitem__, comp)), len(dense)
 
 
-def _flatten(faces):
-    """``FaceTables`` of faces given one by one, with names and keys in
-    lists; a short face or a misfit edge cycle is reported in face order."""
-    labels, sizes, names, keys = [], array("i"), [], []
+def _flatten(faces, edge_status=None, added_edges=None):
+    """``FaceTables`` of faces given one by one, with the names and keys,
+    any hashable values, numbered by first appearance, and the names and
+    the keys in that order (see ``_name_table``).  Each key's mark comes
+    from ``edge_status`` (plain if it has none) and ``added_edges``.  A
+    short face or a misfit edge cycle is reported in face order, then an
+    unknown status in key order."""
+    labels, sizes, names, keys = [], array("i"), array("i"), array("i")
+    vid = defaultdict(count().__next__)
+    eid = defaultdict(count().__next__)
     for fi, face in enumerate(faces):
         label, vs, es = face if len(face) == 3 else (*face, None)
         n = len(vs)
@@ -447,9 +498,14 @@ def _flatten(faces):
                 "length %d" % (fi, len(es), n))
         labels.append(label)
         sizes.append(n)
-        names += vs
-        keys += es
-    return FaceTables(labels, sizes, names, keys)
+        names.extend(map(vid.__getitem__, vs))
+        keys.extend(map(eid.__getitem__, es))
+    added = set(added_edges or ())
+    marks = bytearray(map(mark, map((edge_status or {}).get, eid,
+                                    repeat(PLAIN)),
+                          map(added.__contains__, eid)))
+    return (FaceTables(labels, sizes, names, keys, marks, len(vid)),
+            _name_table(vid), _name_table(eid))
 
 
 def _short_face(f):
@@ -465,6 +521,26 @@ def _name_table(names):
         except OverflowError:
             pass
     return list(names)
+
+
+def _side_count_error(keys, k, key_names=None):
+    """Key k of the key table ``keys`` bounds other than two sides; it is
+    named by ``key_names``, if given, else by itself."""
+    return TilingError(
+        "edge %r bounds %d face sides; closed surfaces need exactly 2"
+        % (_key_name(k if key_names is None else key_names[k]),
+           keys.count(k)))
+
+
+def _unpaired(keys, num_keys):
+    """The key the pairing pass reports when sides do not pair up: the
+    first to reach a third side, else the first with one side."""
+    seen = bytearray(num_keys)
+    for k in keys:
+        if seen[k] == 2:
+            return k
+        seen[k] += 1
+    return next(k for k in keys if seen[k] == 1)
 
 
 def _key_name(key):

@@ -12,7 +12,8 @@ from coversphere import catalog
 from coversphere.cover import balls, sphere_series
 from coversphere.growth import stage_tilings
 from coversphere.rules import apply_replacement
-from coversphere.tiling import FaceTables, Tiling, TilingError, isomorphic
+from coversphere.tiling import (ADDED, STATUSES, FaceTables, Tiling,
+                                TilingError, isomorphic)
 from test_cli import python
 from test_isomorphism import square_torus
 
@@ -67,8 +68,9 @@ def test_rejects_edge_cycle_of_other_length():
 
 
 @pytest.mark.parametrize("tables, message", [
-    ((["t"], [2], [0, 1], [0, 1]), "face 0: fewer than 3 boundary vertices"),
-    ((["t", "t"], [3, 3], [0, 1, 2], [0, 1, 2]),
+    ((["t"], [2], [0, 1], [0, 1], bytearray(2), 2),
+     "face 0: fewer than 3 boundary vertices"),
+    ((["t", "t"], [3, 3], [0, 1, 2], [0, 1, 2], bytearray(3), 3),
      "face tables disagree: faces of 6 sides in all, 3 vertex names, 3 "
      "edge keys"),
 ], ids=["short-face", "sides"])
@@ -86,9 +88,45 @@ def test_first_bad_face_is_reported_first():
 
 
 def test_rejects_three_faces_on_edge():
-    with pytest.raises(TilingError):
+    with pytest.raises(TilingError) as exc:
         Tiling([("t", (0, 1, 2)), ("t", (0, 1, 3)), ("t", (0, 1, 4)),
                 ("t", (2, 3, 4))])
+    assert str(exc.value) == ("edge [0, 1] bounds 3 face sides; closed "
+                              "surfaces need exactly 2")
+    # Int key 5 is a side of faces 0, 1 and 2, so the pairing pass meets
+    # its third side before the last face; the message counts every side,
+    # given one by one or as tables.
+    keys = [5, 1, 2, 5, 3, 4, 5, 7, 8, 6, 1, 3]
+    message = "edge 5 bounds 3 face sides; closed surfaces need exactly 2"
+    faces = [("t", (0, 1, 2), keys[i:i + 3]) for i in range(0, 12, 3)]
+    for given in (faces, FaceTables(["t"] * 4, array("i", [3] * 4),
+                                    array("i", [0, 1, 2] * 4),
+                                    array("i", keys), bytearray(9), 3)):
+        with pytest.raises(TilingError) as exc:
+            Tiling(given)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("names, keys, message", [
+    ([0, 1, 2] * 3, [0, 1, 2, 2, 1, 9, 0, 3, 3],
+     "edge key 9 is outside the declared range(4)"),
+    ([0, 1, 2] * 3, [0, 1, 2, 2, 1, -1, 0, 3, 3],
+     "edge key -1 is outside the declared range(4)"),
+    ([0, 1, 2, 2, 1, 2 ** 31 - 1, 0, 1, 2], [0] * 9,
+     "vertex name 2147483647 is outside the declared range(3)"),
+    ([0, 1, -2 ** 31, 0, 1, 2, 0, 1, 2], [0] * 9,
+     "vertex name -2147483648 is outside the declared range(3)"),
+], ids=["key-above", "key-negative", "name-above", "name-negative"])
+def test_rejects_ints_outside_the_declared_range(names, keys, message):
+    # The lookup tables are sized by the declared ranges (3 names, 4
+    # keys), never by a name or key read from the tables: the largest
+    # int32 must not make a table of 2**31 entries.
+    tables = FaceTables(["t"] * 3, array("i", [3] * 3), array("i", names),
+                        array("i", keys), bytearray(4), 3)
+    exc, _, peak = traced_build(lambda: pytest.raises(TilingError, Tiling,
+                                                      tables))
+    assert str(exc.value) == message
+    assert peak < 10_000
 
 
 SIDE_COUNT = ("from coversphere.tiling import Tiling, TilingError\n"
@@ -280,18 +318,30 @@ def test_table_path_matches_per_face_path(monkeypatch, grow, built):
         if isinstance(faces, FaceTables):
             calls.append((faces, kw, t))
 
+    catalog.list_rules()    # builds the catalog's initial tilings first
     monkeypatch.setattr(Tiling, "__init__", recorded)
     [*grow()]
     assert len(calls) == built
-    for (labels, sizes, names, keys), kw, got in calls:
+    for (labels, sizes, names, keys, marks, num_names), kw, got in calls:
+        assert max(names) < num_names and max(keys) < len(marks)
         starts = accumulate(sizes, initial=0)
         want = Tiling([(label, [*names[s:s + n]], [*keys[s:s + n]])
-                       for label, s, n in zip(labels, starts, sizes)], **kw)
+                       for label, s, n in zip(labels, starts, sizes)],
+                      edge_status={k: STATUSES[m & 3]
+                                   for k, m in enumerate(marks)},
+                      added_edges=[k for k, m in enumerate(marks)
+                                   if m & ADDED], **kw)
         for name in SAME_TABLES:
             assert getattr(got, name) == getattr(want, name), name
         for table in (got.vertex_names, got.edge_keys,
                       want.vertex_names, want.edge_keys):
             assert isinstance(table, array) and table.typecode == "q"
+        # numbering by first appearance, as dict.fromkeys orders its keys
+        assert got.vertex_names == array("q", dict.fromkeys(names))
+        edge_keys = dict.fromkeys(keys)
+        assert got.edge_keys == array("q", edge_keys)
+        edge_id = dict(zip(edge_keys, range(len(edge_keys))))
+        assert got.h_edge == array("i", map(edge_id.__getitem__, keys))
 
 
 def test_names_are_int_arrays_only_when_all_ints():
@@ -333,9 +383,10 @@ def nxs1_stage3():
 
 def test_rule_stage_is_compact_while_built_and_held():
     # A stage held in flat int tables takes about 48 traced bytes per
-    # half-edge and peaks near 100 while built from flat face tables; per
-    # face tuples peaked near 180, and int tables kept as lists take about
-    # 218 and 560, over every bound.
+    # half-edge and peaks near 64 while built from flat face tables with
+    # byte marks; numbering through int-keyed dicts and handing statuses
+    # over as a dict peaked near 100, per face tuples near 180, and int
+    # tables kept as lists take about 218 and 560, over every bound.
     rule, t = nxs1_stage3()
     out, held, peak = traced_build(lambda: apply_replacement(rule, t))
     half_edges = len(out.h_face)
@@ -344,10 +395,12 @@ def test_rule_stage_is_compact_while_built_and_held():
     assert peak <= 400 * half_edges
     assert held <= 60 * half_edges
     assert peak <= 130 * half_edges
+    assert peak <= 77 * half_edges
 
 
 def test_cover_sphere_is_compact_when_held():
-    # About 45 traced bytes per half-edge held and 97 at the peak.
+    # About 45 traced bytes per half-edge held and 58 at the peak (97
+    # with int-keyed dicts numbering names and keys and holding statuses).
     *_, state = balls(catalog.load_spec("prism12"), 4)
     out, held, peak = traced_build(state.boundary_sphere)
     half_edges = len(out.h_face)
@@ -355,6 +408,7 @@ def test_cover_sphere_is_compact_when_held():
     assert held <= 100 * half_edges
     assert held <= 60 * half_edges
     assert peak <= 130 * half_edges
+    assert peak <= 70 * half_edges
 
 
 def twin_components(t):
