@@ -19,6 +19,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from coversphere.cover import CoverState                    # noqa: E402
 from coversphere.gluing import load_gluing_spec             # noqa: E402
 from coversphere.rules import Pattern, _loaded_groups, _match_pattern  # noqa: E402
+from coversphere.tiling import STATUSES                      # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src/coversphere/data"
 
@@ -46,6 +47,11 @@ PROBES = [
         {"label": "B", "cycle": B12},
     ]),
 ]
+
+
+def status_of(t, e):
+    """Edge e's status, read off its mark."""
+    return STATUSES[t.edge_marks[e] & 3]
 
 
 def loose_pattern(name, region):
@@ -85,7 +91,7 @@ def probe(state_factory, name, stage, region):
     group_slots = [slots[f] for f in group]
     old_cells = state.num_cells
     old_edge_root = {sym: t.edge_keys[e] for sym, e in edge_of.items()}
-    old_status = {sym: t.edge_status[e] for sym, e in edge_of.items()}
+    old_status = {sym: status_of(t, e) for sym, e in edge_of.items()}
     name_root = {nm: t.vertex_names[v] for nm, v in sigma.items()}
 
     state.expand()
@@ -118,7 +124,7 @@ def probe(state_factory, name, stage, region):
         root = state.edges.find(old_edge_root[sym])
         rec = {"ends": sorted(sym), "status": old_status[sym]}
         if root in k2id:
-            rec["to"] = t2.edge_status[k2id[root]]
+            rec["to"] = status_of(t2, k2id[root])
         else:
             rec["to"] = None    # folded away
         boundary_out.append(rec)
@@ -138,7 +144,7 @@ def probe(state_factory, name, stage, region):
             for i, r in enumerate(eroots):
                 if r in k2id:
                     pair = tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)])))
-                    new_edges[pair] = t2.edge_status[k2id[r]]
+                    new_edges[pair] = status_of(t2, k2id[r])
             continue
         partner_cell = state.slot_partner[s] // state.F
         if partner_cell < old_cells or partner_cell == c2:

@@ -1,14 +1,15 @@
 """Subdivision and replacement rules on labeled tilings.
 
 A subdivision rule carries tile types: a matcher (face label plus the
-status/added pattern around the boundary) together with a template disk
+edge marks admitted around the boundary) together with a template disk
 that replaces the face, possibly subdividing some boundary edges.  A
 replacement rule instead first combines faces into groups (connected
 components under shared loaded edges), matches each group against a region
 pattern, substitutes the pattern's template, and finally zips flap faces
 together across fragile edges.
 
-Rules are plain JSON data; see the bundled files under data/.
+Rules are plain JSON data; see the bundled files under data/.  On load
+their statuses are compiled to edge marks, the only form the engines read.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ import json
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count, repeat
-from operator import add, itemgetter
+from itertools import accumulate, compress, count
+from operator import itemgetter
 
-from .tiling import PLAIN, STATUSES, FaceTables, Tiling, mark
+from .tiling import (ADDED, IS_LOADED, LOADED, MARKS, PLAIN, STATUS_OF,
+                     STATUSES, FaceTables, Tiling, TilingError, mark)
 from .unionfind import UnionFind
 
 ANY = "any"
-_PLAIN = (PLAIN, False)
+_NO_MARK = 0xFF         # a byte that is no mark
 
 
 class RuleError(ValueError):
@@ -40,12 +42,11 @@ class TileType:
     """A face matcher and the template disk that replaces the face.
 
     Per boundary position, ``match`` holds None, which admits any edge,
-    or the (status, added) pair an edge must have, its status possibly
-    ANY; ``boundary`` holds None to keep the edge under the default
-    transition, a (status, added) pair to keep it with, or a list of
-    pairs to split it into.  On load the template is compiled against
-    the symbolic rim (corners ``v<i>``, split points ``e<i>.<j>``):
-    ``rim`` and ``rim_sides`` give the order in which
+    or the set of marks it admits; ``boundary`` holds None to keep the
+    edge under the default transition, the mark to keep it with, or the
+    ``bytes`` of the marks of the segments to split it into.  On load the
+    template is compiled against the symbolic rim (corners ``v<i>``, split
+    points ``e<i>.<j>``): ``rim`` and ``rim_sides`` give the order in which
     ``template.instantiate`` takes the rim's vertex ids and edge keys.
     """
     name: str
@@ -54,20 +55,20 @@ class TileType:
     match: list
     boundary: list
     faces: list                 # template faces: {label, cycle of names}
-    interior_edges: dict = field(default_factory=dict)   # frozenset -> pair
+    interior_edges: dict = field(default_factory=dict)   # frozenset -> mark
 
     def __post_init__(self):
         self.rim = []
         for i, d in enumerate(self.boundary):
             self.rim.append("v%d" % i)
-            if isinstance(d, list):
+            if isinstance(d, bytes):
                 self.rim += ["e%d.%d" % (i, j) for j in range(1, len(d))]
         self.rim_sides = _sides(self.rim)
         self.template = Template(self.faces, self.rim, self.rim_sides,
                                  self.interior_edges)
 
     def problems(self, transition):
-        """Diagnostics for this tile type under ``transition``."""
+        """Diagnostics for this tile type under a transition table."""
         where = "tile %s" % self.name
         diags = []
         if len(self.rim) < 3:
@@ -77,12 +78,11 @@ class TileType:
             return diags + ["%s: matcher/boundary length differs from "
                             "tile size" % where]
         _check_template_disk(self.faces, self.rim_sides, where, diags)
-        for i, (want, d) in enumerate(zip(self.match, self.boundary)):
+        for i, (admits, d) in enumerate(zip(self.match, self.boundary)):
             if d is not None:
                 continue
-            status = want[0] if want else ANY
-            missing = sorted(set(STATUSES if status == ANY else [status])
-                             .difference(transition))
+            missing = sorted({STATUS_OF[m] for m in admits or MARKS
+                              if transition[m] == _NO_MARK})
             if missing:
                 diags.append("%s: no transition declared for surviving %s "
                              "edges on side %d"
@@ -95,7 +95,7 @@ class SubdivisionRule:
     """Tile types, checked on build, and the default transition."""
     name: str
     tiles: list
-    default_transition: dict    # old status -> new status for surviving edges
+    default_transition: bytes   # per mark: a surviving edge's new mark
 
     def __post_init__(self):
         _raise_problems(
@@ -118,15 +118,15 @@ class Pattern:
     cycle position whose vertex an earlier face binds, with that vertex's
     number (or None); the positions of its new vertices and edges with
     the runs of numbers they bind; and readers of its whole cycle and
-    sides.  The status checks, the boundary edges' new statuses and the
-    flap chains are lists of edge numbers, and ``template`` takes the
-    bound vertex ids and edge keys in this numbering.
+    sides.  Status checks pair edge numbers with a status code (a mark's
+    low two bits), ``boundary_to`` with a new mark, flap chains list them,
+    and ``template`` takes bound vertex ids and edge keys in this numbering.
     """
     name: str
     region: list                # {label, cycle of names}
     boundary: list              # {ends, status, to}
     faces: list                 # template faces
-    edges: dict = field(default_factory=dict)       # frozenset -> pair
+    edges: dict = field(default_factory=dict)       # frozenset -> mark
     flaps: list = field(default_factory=list)       # {face, chain: [ends, …]}
     internal: dict = field(default_factory=dict)    # frozenset -> required status
 
@@ -150,10 +150,9 @@ class Pattern:
         self.region_labels = sorted(f["label"] for f in self.region)
         # symbolic edges appearing in two region faces are internal
         self.internal_edges = [e for e, k in uses.items() if k == 2]
-        internal = {self._region_edge(eid, e, "internal"): want
-                    for e, want in self.internal.items()}
-        for e in self.internal_edges:
-            internal.setdefault(e, "loaded")
+        internal = dict.fromkeys(self.internal_edges, mark(LOADED))
+        internal.update((self._region_edge(eid, e, "internal"), mark(want))
+                        for e, want in self.internal.items())
         self.boundary_req = {frozenset(b["ends"]): b for b in self.boundary}
         declared = set(self.boundary_req)
         actual = {self.edge_syms[e] for e, k in uses.items() if k == 1}
@@ -162,9 +161,10 @@ class Pattern:
                 "pattern %s: boundary declaration does not match the region "
                 "boundary" % self.name)
         self.status_checks = list(internal.items()) + [
-            (eid[sym], req["status"]) for sym, req in self.boundary_req.items()
+            (eid[sym], mark(req["status"]))
+            for sym, req in self.boundary_req.items()
             if req.get("status", ANY) != ANY]
-        self.boundary_to = [(eid[sym], req["to"])
+        self.boundary_to = [(eid[sym], mark(req["to"]))
                             for sym, req in self.boundary_req.items()
                             if req.get("to") is not None]
         self.flap_chains = [(fl["face"], [self._region_edge(eid, e, "flap")
@@ -271,11 +271,10 @@ class Template:
     and size and ``starts`` its first side's offset among all the faces'
     sides; two itemgetters read every face's vertex ids and edge keys, in
     one run, off those two numberings.  ``new_marks`` holds the new
-    sides' marks, from their (status, added) pairs in ``edge_attrs``, else
-    plain.
+    sides' marks, from ``edge_marks``, else plain.
     """
 
-    def __init__(self, faces, bound, sides, edge_attrs):
+    def __init__(self, faces, bound, sides, edge_marks):
         vid = defaultdict(count(len(bound)).__next__, zip(bound, count()))
         eid = defaultdict(count(len(sides)).__next__,
                           ((s, i) for i, s in enumerate(sides)
@@ -288,7 +287,7 @@ class Template:
         self.read_edges = _picker(eid[s] for cyc in cycles
                                   for s in _sides(cyc))
         self.new_vertices = len(vid) - len(bound)
-        self.new_marks = bytes(mark(*edge_attrs.get(sym, _PLAIN))
+        self.new_marks = bytes(edge_marks.get(sym, 0)      # 0: plain
                                for sym, i in eid.items() if i >= len(sides))
 
     def instantiate(self, vertices, edges, nv, tables):
@@ -347,13 +346,22 @@ def _dihedral(vs, es, anchor=None):
         yield rv[a:] + rv[:a], re[b:] + re[:b]
 
 
-def _attrs(rec, status="plain"):
-    """A ``{status, added}`` record as a (status, added) pair."""
-    return rec.get("status", status), bool(rec.get("added", False))
+def _mark(rec):
+    """A ``{status, added}`` record's mark; plain and not added by default."""
+    return mark(rec.get("status", PLAIN), rec.get("added", False))
 
 
-def _edge_attrs(items):
-    return {frozenset(rec["ends"]): _attrs(rec) for rec in items or ()}
+def _admits(rec):
+    """A matcher entry as the set of marks it admits, None for any edge.
+    Without "status" it admits any status; without "added", no added edge."""
+    if rec:
+        status = rec.get("status", ANY)
+        return frozenset(mark(s, rec.get("added", False))
+                         for s in (STATUSES if status == ANY else [status]))
+
+
+def _edge_marks(items):
+    return {frozenset(rec["ends"]): _mark(rec) for rec in items or ()}
 
 
 def _directive(d):
@@ -361,44 +369,50 @@ def _directive(d):
     ``TileType.boundary`` entry."""
     d = d if isinstance(d, dict) else {}
     if "split" in d:
-        return [_attrs(a) for a in d["split"]]
-    return _attrs(d["set"]) if "set" in d else None
+        return bytes(map(_mark, d["split"]))
+    return _mark(d["set"]) if "set" in d else None
+
+
+def _transition(declared):
+    """``default_transition`` as a ``translate`` table: per mark, the mark of
+    its status's declared new status and its added bit, else ``_NO_MARK``."""
+    return bytes(mark(declared[s], m & ADDED) if s in declared else _NO_MARK
+                 for m, s in enumerate(STATUS_OF))
 
 
 def load_rule(data) -> Rule:
     """A rule from its JSON data; raises RuleError, naming the rule and
-    listing every problem, if a form fails its checks."""
+    listing every problem, if a form fails its checks, or naming the
+    first unknown edge status met while its statuses become marks."""
     if isinstance(data, str):
         data = json.loads(data)
     name = data["name"]
     sub = rep = None
-    if "subdivision" in data:
-        s = data["subdivision"]
-        tiles = []
-        for t in s["tiles"]:
-            tiles.append(TileType(
+    try:
+        if "subdivision" in data:
+            s = data["subdivision"]
+            tiles = [TileType(
                 name=t["name"], label=t["label"], size=t["size"],
-                match=[_attrs(m, ANY) if m else None for m in t["match"]],
+                match=[*map(_admits, t["match"])],
                 boundary=[_directive(d) for d in
                           t.get("boundary", ["default"] * t["size"])],
                 faces=t["template"]["faces"],
-                interior_edges=_edge_attrs(t["template"].get("edges")),
-            ))
-        sub = SubdivisionRule(name, tiles, s.get("default_transition", {}))
-    if "replacement" in data:
-        r = data["replacement"]
-        pats = []
-        for p in r["patterns"]:
-            pats.append(Pattern(
+                interior_edges=_edge_marks(t["template"].get("edges")),
+            ) for t in s["tiles"]]
+            sub = SubdivisionRule(
+                name, tiles, _transition(s.get("default_transition", {})))
+        if "replacement" in data:
+            rep = ReplacementRule(name, [Pattern(
                 name=p["name"], region=p["region"],
                 boundary=p.get("boundary", []),
                 faces=p["template"]["faces"],
-                edges=_edge_attrs(p["template"].get("edges")),
+                edges=_edge_marks(p["template"].get("edges")),
                 flaps=p.get("flaps", []),
                 internal={frozenset(i["ends"]): i["status"]
                           for i in p.get("internal", [])},
-            ))
-        rep = ReplacementRule(name, pats)
+            ) for p in data["replacement"]["patterns"]])
+    except TilingError as exc:      # from ``mark``: an unknown status
+        raise RuleError("rule %s: %s" % (name, exc)) from None
     return Rule(name, sub, rep)
 
 
@@ -417,10 +431,12 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
     New vertices are numbered from ``t.num_vertices`` and new edge keys from
     ``t.num_edges`` upward; surviving edges keep their ids as keys.
     """
-    split_plan = {}      # edge id -> segment pairs (canonical orient.)
-    tables = FaceTables.new(num_keys=t.num_edges)
-    marks = tables.marks     # a surviving edge's new mark
-    marked = bytearray(t.num_edges)     # 1 once an edge's mark is set
+    split_plan = {}      # edge id -> segment marks (canonical orient.)
+    # a surviving edge's new mark, _NO_MARK until a face sets it
+    tables = FaceTables.new()._replace(
+        marks=bytearray([_NO_MARK]) * t.num_edges)
+    marks, old = tables.marks, t.edge_marks
+    moved = old.translate(rule.default_transition)
     face_plans = []
 
     for f in range(t.num_faces):
@@ -431,50 +447,49 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
             (tile, avs, aes) for tile in rule.tiles
             if tile.label == t.face_labels[f] and tile.size == n
             for avs, aes in _dihedral(vs, es)
-            if all(want is None or want[0] in (ANY, t.edge_status[e])
-                   and want[1] == t.edge_added[e]
-                   for want, e in zip(tile.match, aes))), None)
+            if all(admits is None or old[e] in admits
+                   for admits, e in zip(tile.match, aes))), None)
         if chosen is None:
             raise RuleError(
                 "no tile type of rule %s matches face %d (label %r, "
                 "statuses %r)" % (rule.name, f, t.face_labels[f],
-                                  [t.edge_status[e] for e in es]))
+                                  [STATUS_OF[old[e]] for e in es]))
         tile, avs, aes = chosen
         face_plans.append(chosen)
 
-        for i, attrs in enumerate(tile.boundary):
+        for i, m in enumerate(tile.boundary):
             e = aes[i]
-            if isinstance(attrs, list):
+            if isinstance(m, bytes):
                 if avs[i] > avs[(i + 1) % n]:
                     # face traverses against canonical orientation
-                    attrs = attrs[::-1]
-                if split_plan.setdefault(e, attrs) != attrs:
+                    m = m[::-1]
+                if split_plan.setdefault(e, m) != m:
                     raise RuleError(
                         "adjacent templates disagree on the subdivision of "
                         "edge %d" % e)
             else:
-                m = mark(*(attrs or (rule.default_transition[t.edge_status[e]],
-                                     t.edge_added[e])))
-                if marked[e] and marks[e] != m:
+                m = moved[e] if m is None else m
+                if marks[e] not in (_NO_MARK, m):
                     raise RuleError(
                         "adjacent templates disagree on the new status of "
                         "edge %d" % e)
-                marks[e], marked[e] = m, 1
+                marks[e] = m
 
     for e in split_plan:
-        if marked[e]:
+        if marks[e] != _NO_MARK:
             raise RuleError(
                 "adjacent templates disagree on the subdivision of edge "
                 "%d" % e)
+        marks[e] = 0        # a split edge's key is not handed over
 
     # each split edge's segments and inner vertices take ints once, in
     # canonical orientation
     nv = t.num_vertices
     chains = {}          # edge id -> (segment keys, inner vertex ids)
-    for e, attrs in split_plan.items():
-        k, ne = len(attrs), len(marks)
+    for e, segs in split_plan.items():
+        k, ne = len(segs), len(marks)
         chains[e] = list(range(ne, ne + k)), list(range(nv, nv + k - 1))
-        marks += bytes(mark(*a) for a in attrs)
+        marks += segs
         nv += k - 1
 
     for tile, avs, aes in face_plans:
@@ -497,9 +512,8 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
 def _loaded_groups(t: Tiling):
     """Partition face ids into components connected by loaded edges."""
     uf = UnionFind(t.num_faces)
-    for e in range(t.num_edges):
-        if t.edge_status[e] == "loaded":
-            uf.union(*t.edge_faces(e))
+    for e in compress(count(), t.edge_marks.translate(IS_LOADED)):
+        uf.union(*t.edge_faces(e))
     groups = {}
     for f in range(t.num_faces):
         groups.setdefault(uf.find(f), []).append(f)
@@ -559,19 +573,16 @@ def _match_pattern(pat: Pattern, t: Tiling, group):
 
     if not extend(0):
         return None
-    status = t.edge_status
-    for i, want in pat.status_checks:
-        if status[edge_of[i]] != want:
-            return None
+    marks = t.edge_marks
+    if any(marks[edge_of[i]] & 3 != want for i, want in pat.status_checks):
+        return None
     # every loaded edge interior to the group must be part of the pattern
     mapped_internal = {edge_of[i] for i in pat.internal_edges}
     gset = set(group)
-    for _, _, _, es in faces:
-        for e in es:
-            if status[e] == "loaded" and set(t.edge_faces(e)) <= gset:
-                if e not in mapped_internal:
-                    return None
-    return sigma, edge_of
+    return None if any(
+        IS_LOADED[marks[e]] and e not in mapped_internal
+        and set(t.edge_faces(e)) <= gset
+        for *_, es in faces for e in es) else (sigma, edge_of)
 
 
 def apply_replacement(rule: ReplacementRule, t: Tiling):
@@ -587,6 +598,8 @@ def apply_replacement(rule: ReplacementRule, t: Tiling):
 
 
 _DROP = 8       # an old key's mark bit: its old status, not its new one
+# an old key's first mark: its old status, to be dropped
+_OLD = bytes(m & 3 | _DROP for m in range(256))
 # the marks handed over: a dropped old status becomes plain
 _HANDED = bytes(0 if m & _DROP else m for m in range(256))
 
@@ -604,7 +617,7 @@ def _replaced_faces(rule, t):
     """
     tables = FaceTables.new()
     labels, sizes, names, keys, marks, _ = tables
-    marks.extend(map(add, map(STATUSES.index, t.edge_status), repeat(_DROP)))
+    marks += t.edge_marks.translate(_OLD)
     by_chain = {}       # old edge ids -> flaps: (face, first side, size)
     nv = t.num_vertices
 
@@ -621,7 +634,7 @@ def _replaced_faces(rule, t):
         sigma, edge_of = m
 
         for i, to in pat.boundary_to:
-            e, to = edge_of[i], mark(to)
+            e = edge_of[i]
             if not marks[e] & _DROP and marks[e] != to:
                 raise RuleError(
                     "groups flanking edge %d prescribe different statuses"
@@ -702,27 +715,24 @@ def _replaced_faces(rule, t):
 
 def strip_added_edges(t: Tiling, relabel=None) -> Tiling:
     """Merge faces across added edges, recovering the unsubdivided tiling."""
-    if not any(t.edge_added):
+    marks = t.edge_marks
+    if not any(m & ADDED for m in marks):
         return t
     # walk each merged region's boundary, skipping over added edges
     done = set()
-    faces = []
-    status = {}
+    tables = FaceTables.new(t.num_vertices)._replace(marks=marks)
     for h0 in range(len(t.h_face)):
-        if h0 in done or t.edge_added[t.h_edge[h0]]:
+        if h0 in done or marks[t.h_edge[h0]] & ADDED:
             continue
-        cyc, keys = [], []
+        n = len(tables.names)
         h = h0
-        while True:
-            if h in done:
-                break
+        while h not in done:
             done.add(h)
-            cyc.append(t.h_origin[h])
-            keys.append(t.h_edge[h])
-            status[t.h_edge[h]] = t.edge_status[t.h_edge[h]]
+            tables.names.append(t.h_origin[h])
+            tables.keys.append(t.h_edge[h])
             h = t.h_next[h]
-            while t.edge_added[t.h_edge[h]]:
+            while marks[t.h_edge[h]] & ADDED:
                 h = t.h_next[t.h_twin[h]]
-        label = relabel or t.face_labels[t.h_face[h0]]
-        faces.append((label, cyc, keys))
-    return Tiling(faces, stage=t.stage, edge_status=status)
+        tables.labels.append(relabel or t.face_labels[t.h_face[h0]])
+        tables.sizes.append(len(tables.names) - n)
+    return Tiling(tables, stage=t.stage)

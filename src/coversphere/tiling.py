@@ -3,10 +3,10 @@
 A Tiling is an immutable rotation-system representation of a tiling of a
 closed surface.  Faces carry a type label, edges carry a status in
 {"plain", "loaded", "fragile"} plus an ``added`` marker for edges that were
-drawn onto a tiling rather than inherited from a cell structure, and a
-vertex is loaded when every edge at it is.  Everything is stored with dense
-integer ids, in flat int arrays, so that construction is deterministic and
-a stage-sized tiling stays compact.
+drawn onto a tiling rather than inherited from a cell structure, both in
+one byte, the edge's mark, and a vertex is loaded when every edge at it
+is.  Everything is stored with dense integer ids, in flat int arrays, so
+that construction is deterministic and a stage-sized tiling stays compact.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from array import array
 from collections import Counter, defaultdict
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat, takewhile
-from operator import add, eq, ge, mul, ne, sub
+from operator import add, eq, mul, not_, sub
 from struct import Struct
 from typing import NamedTuple
 
@@ -25,10 +25,16 @@ from .unionfind import UnionFind
 PLAIN = "plain"
 LOADED = "loaded"
 FRAGILE = "fragile"
-STATUSES = (PLAIN, LOADED, FRAGILE)
+STATUSES = (PLAIN, LOADED, FRAGILE)     # a mark's low two bits index this
 ADDED = 4               # the mark bit of an added edge
-_STATUS_OF = (PLAIN, LOADED, FRAGILE, None) * 2     # by mark
-_MARKS = bytes([0, 1, 2, 4, 5, 6])                 # every valid mark
+MARKS = bytes([0, 1, 2, 4, 5, 6])       # every valid mark
+# per byte: the status of the mark it is, None if it is no mark
+STATUS_OF = (*STATUSES, None) * 2 + (None,) * 248
+# ``translate`` tables, per mark: 1 for a loaded edge; the status's rank
+# over sorted(STATUSES), times 2, plus 1 for an added edge
+IS_LOADED = bytes(s == LOADED for s in STATUS_OF)
+_EDGE_DIGIT = bytes(2 * sorted(STATUSES).index(s) + bool(m & ADDED) if s
+                    else 0 for m, s in enumerate(STATUS_OF))
 _INT = Struct("i")      # one array('i') entry
 
 
@@ -73,14 +79,14 @@ class Tiling:
     or as ``FaceTables``, which carry the edges' marks.  A face sequence's
     vertex names and edge keys can be any hashable values; the constructor
     numbers them by first appearance into ``FaceTables``, so either way
-    the tiling is built from int tables, and owns their ``labels`` list as
-    ``face_labels``.  Without
-    ``edges``, side i's key is the unordered pair of its endpoints; keys
-    must be given whenever two distinct edges share both endpoints (e.g.
-    the square model of the torus).  Face f's half-edges are the
-    contiguous ids ``face_start[f]..``, side i of the input cycle being
-    ``face_start[f] + i``; a face flipped to orient the surface keeps that
-    start and walks its sides backwards.
+    the tiling is built from int tables, owns their ``labels`` list as
+    ``face_labels`` and keeps one mark per edge, in the ``bytes``
+    ``edge_marks``.  Without ``edges``, side i's key is the unordered pair
+    of its endpoints; keys must be given whenever two distinct edges share
+    both endpoints (e.g. the square model of the torus).  Face f's
+    half-edges are the contiguous ids ``face_start[f]..``, side i of the
+    input cycle being ``face_start[f] + i``; a face flipped to orient the
+    surface keeps that start and walks its sides backwards.
 
     The half-edge tables use the usual conventions: ``next`` walks around
     a face, ``twin`` jumps across an edge, and ``next(twin(h))`` walks the
@@ -175,11 +181,9 @@ class Tiling:
         self.edge_half = half       # per edge: one side; h_twin the other
         self._orient(origin)
 
-        codes = bytes(map(marks.__getitem__, key_ints))
-        for c in codes.translate(None, _MARKS):
+        self.edge_marks = bytes(map(marks.__getitem__, key_ints))
+        for c in self.edge_marks.translate(None, MARKS):
             raise TilingError("unknown edge mark %d" % c)
-        self.edge_status = [*map(_STATUS_OF.__getitem__, codes)]
-        self.edge_added = [*map(ge, codes, repeat(ADDED))]
         self._validate()
 
     # -- construction -------------------------------------------------
@@ -282,10 +286,9 @@ class Tiling:
     def loaded_vertices(self):
         """The vertices every edge at which is loaded: all but the origins
         of the half-edges of other edges."""
-        unloaded = map(ne, map(self.edge_status.__getitem__, self.h_edge),
-                       repeat(LOADED))
-        return set(range(self.num_vertices)).difference(
-            compress(self.h_origin, unloaded))
+        loaded = self.edge_marks.translate(IS_LOADED)
+        return set(range(self.num_vertices)).difference(compress(
+            self.h_origin, map(not_, map(loaded.__getitem__, self.h_edge))))
 
     @property
     def num_faces(self):
@@ -328,8 +331,8 @@ class Tiling:
         return (self.h_face[h], self.h_face[self.h_twin[h]])
 
     def edges_with_status(self, status):
-        return [e for e in range(self.num_edges)
-                if self.edge_status[e] == status]
+        return [e for e, m in enumerate(self.edge_marks)
+                if STATUS_OF[m] == status]
 
     def euler_characteristic(self):
         return self.num_vertices - self.num_edges + self.num_faces
@@ -351,22 +354,15 @@ class Tiling:
     # -- serialization ------------------------------------------------
 
     def to_dict(self):
-        faces = []
-        for f in range(self.num_faces):
-            faces.append({
-                "id": f,
-                "type": self.face_labels[f],
-                "vertices": [int(v) for v in self.face_vertices(f)],
-                "edges": [int(e) for e in self.face_edges(f)],
-            })
-        edges = []
-        for e in range(self.num_edges):
-            u, v = self.edge_endpoints(e)
-            rec = {"id": e, "status": self.edge_status[e],
-                   "endpoints": [int(u), int(v)]}
-            if self.edge_added[e]:
+        faces = [{"id": f, "type": label, "vertices": self.face_vertices(f),
+                  "edges": self.face_edges(f)}
+                 for f, label in enumerate(self.face_labels)]
+        edges = [{"id": e, "status": STATUS_OF[m],
+                  "endpoints": [*self.edge_endpoints(e)]}
+                 for e, m in enumerate(self.edge_marks)]
+        for rec, m in zip(edges, self.edge_marks):
+            if m & ADDED:
                 rec["added"] = True
-            edges.append(rec)
         vertices = [{"id": v, "loaded": v in self.loaded_vertices}
                     for v in range(self.num_vertices)]
         return {"stage": self.stage, "faces": faces, "edges": edges,
@@ -436,28 +432,23 @@ class Tiling:
         for (colours,), (counts,) in _wl_colours([self]):
             pass
         root = _root_colour(counts)
+        digit = self.edge_marks.translate(_EDGE_DIGIT)
         keys = [*zip(map(self.face_labels.__getitem__, self.h_face),
-                     map(self.edge_status.__getitem__, self.h_edge),
-                     map(self.edge_added.__getitem__, self.h_edge))]
+                     map(digit.__getitem__, self.h_edge))]
         return min(tuple(_bfs(self, r, m, keys))
                    for r, c in enumerate(colours) if c == root
                    for m in (False, True))
 
     def restrict(self, face_ids):
         """Sub-tiling spanned by the given faces (must be edge-closed)."""
-        faces = []
-        status = {}
-        added = set()
-        for f in face_ids:
-            vs = [self.vertex_names[v] for v in self.face_vertices(f)]
-            es = self.face_edges(f)
-            faces.append((self.face_labels[f], vs, es))
-            for e in es:
-                status[e] = self.edge_status[e]
-                if self.edge_added[e]:
-                    added.add(e)
-        return Tiling(faces, stage=self.stage, edge_status=status,
-                      added_edges=added)
+        names, marks = self.vertex_names, self.edge_marks
+        faces = [(self.face_labels[f], [*map(names.__getitem__,
+                                              self.face_vertices(f))],
+                  self.face_edges(f)) for f in face_ids]
+        edges = {e for *_, es in faces for e in es}
+        return Tiling(faces, stage=self.stage,
+                      edge_status={e: STATUS_OF[marks[e]] for e in edges},
+                      added_edges=[e for e in edges if marks[e] & ADDED])
 
 
 def _merge_components(comp, n, crossings):
@@ -626,24 +617,22 @@ def _first_signatures(tilings):
     codes of its two ends taken as (min, max).  Each part is a digit of a
     mixed-radix int whose radix is taken over all the tilings at once: a
     face digit ranks (label, size) pairs, an end digit ranks end codes,
-    and the edge digit is the status's rank over ``sorted(STATUSES)``
-    times 2 plus the added mark.  So the ints sort as the tuples of parts
-    would.  Ranks rather than raw sizes and degrees keep every int below
-    16 * flags**2 (the flags of all the tilings), so below 2**63 up to
-    about 7e8 flags.  Face, edge and vertex parts are built once per
-    face, edge and vertex and read per flag through ``map``."""
+    and the edge digit (``_EDGE_DIGIT``) is the status's rank over
+    ``sorted(STATUSES)`` times 2 plus the added mark.  So the ints sort as
+    the tuples of parts would.  Ranks rather than raw sizes and degrees keep
+    every int below 16 * flags**2 (the flags of all the tilings), so below
+    2**63 up to about 7e8 flags.  Face, edge and vertex parts are built once
+    per face, edge and vertex and read per flag through ``map``."""
     faces, _ = _relabel([[*zip(t.face_labels, _face_sizes(t))]
                          for t in tilings])
     ends, nv = _relabel([_end_codes(t) for t in tilings])
-    status = {s: 2 * i for i, s in enumerate(sorted(STATUSES))}
     sigs = []
     for t, face, end in zip(tilings, faces, ends):
         origin, half = t.h_origin, t.edge_half
         edge_part = [
             (c * nv + (x if x < y else y)) * nv + (y if x < y else x)
             for c, x, y in zip(
-                map(add, map(status.__getitem__, t.edge_status),
-                    t.edge_added),
+                t.edge_marks.translate(_EDGE_DIGIT),
                 map(end.__getitem__, map(origin.__getitem__, half)),
                 map(end.__getitem__, map(origin.__getitem__,
                                          map(t.h_twin.__getitem__, half))))]

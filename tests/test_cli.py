@@ -146,6 +146,20 @@ def test_cayley_cones_stdout_stable_across_hash_seeds():
     assert json.loads(outputs.pop())["class_count"] == 24
 
 
+@pytest.mark.parametrize("argv", [
+    "subdivide --rule nxs1 --steps 3 --out -",
+    "subdivide --rule torus3 --steps 3 --mode subdivision --out -",
+    "cover --spec prism12 --steps 4",
+    "verify --rule s2xr --steps 3",
+])
+def test_stdout_stable_across_hash_seeds(argv):
+    code = ("from coversphere.cli import main; "
+            "raise SystemExit(main(%r.split()))" % argv)
+    outputs = {python(code, seed) for seed in ("0", "1")}
+    assert len(outputs) == 1
+    assert outputs.pop()
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--rule", "torus3", "--steps", "4")
     assert code == 0

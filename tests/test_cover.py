@@ -93,7 +93,7 @@ def test_shell_cover_two_sphere_boundary():
         assert len(t.components()) == 2
         for comp in t.components():
             assert t.restrict(comp).is_sphere()
-        assert all(s == "loaded" for s in t.edge_status)
+        assert len(t.edges_with_status("loaded")) == t.num_edges
 
 
 def test_expand_is_deterministic(cube_spec):

@@ -13,6 +13,7 @@ import pytest
 from coversphere.catalog import get_rule, load_spec
 from coversphere.cover import build_cover
 from coversphere.growth import stage_tilings
+from coversphere.tiling import ADDED, STATUSES
 
 
 def cover_sphere(spec, n):
@@ -61,8 +62,9 @@ def table_digest(t):
     for table in (t.face_start, t.h_face, t.h_next, t.h_prev, t.h_twin,
                   t.h_origin, t.h_edge, t.edge_half):
         h.update(table.tobytes())
-    h.update(json.dumps([t.face_labels, t.edge_status, t.edge_added])
-             .encode())
+    statuses = [STATUSES[m & 3] for m in t.edge_marks]
+    added = [bool(m & ADDED) for m in t.edge_marks]
+    h.update(json.dumps([t.face_labels, statuses, added]).encode())
     return h.hexdigest()
 
 

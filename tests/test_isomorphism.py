@@ -16,7 +16,7 @@ from coversphere import tiling
 from coversphere.catalog import get_rule, load_spec
 from coversphere.cover import balls
 from coversphere.growth import stage_tilings
-from coversphere.tiling import Tiling, _wl_colours, isomorphic
+from coversphere.tiling import ADDED, STATUSES, Tiling, _wl_colours, isomorphic
 
 
 def final_stage(rule, n, mode):
@@ -31,7 +31,7 @@ def rebuilt(t, *, names=None, order=None, reverse=False, labels=None,
     added marks.  Edge ids serve as edge keys, so loaded vertices are
     derived anew."""
     labels = labels or t.face_labels
-    added = added or t.edge_added
+    added = added or added_marks(t)
     specs = []
     for f in order or range(t.num_faces):
         vs = [names[v] if names else v for v in t.face_vertices(f)]
@@ -39,8 +39,18 @@ def rebuilt(t, *, names=None, order=None, reverse=False, labels=None,
         if reverse:
             vs, es = vs[::-1], es[-2::-1] + es[-1:]
         specs.append((labels[f], vs, es))
-    return Tiling(specs, edge_status=dict(enumerate(status or t.edge_status)),
+    return Tiling(specs, edge_status=dict(enumerate(status or statuses(t))),
                   added_edges=[e for e, a in enumerate(added) if a])
+
+
+def statuses(t):
+    """Per edge its status, read off its mark."""
+    return [STATUSES[m & 3] for m in t.edge_marks]
+
+
+def added_marks(t):
+    """Per edge whether it is added, read off its mark."""
+    return [bool(m & ADDED) for m in t.edge_marks]
 
 
 def shuffled(t):
@@ -63,7 +73,7 @@ def labels_swapped(t):
 
 def statuses_swapped(t):
     """A loaded and a plain edge trade statuses."""
-    status = list(t.edge_status)
+    status = statuses(t)
     i, j = status.index("loaded"), status.index("plain")
     status[i], status[j] = status[j], status[i]
     return rebuilt(t, status=status)
@@ -78,15 +88,15 @@ def label_changed(t):
 
 def status_changed(t):
     """One loaded edge turns plain, so the status counts differ."""
-    status = list(t.edge_status)
+    status = statuses(t)
     status[status.index("loaded")] = "plain"
     return rebuilt(t, status=status)
 
 
 def added_swapped(t):
     """An added and a non-added plain edge trade added marks."""
-    added = list(t.edge_added)
-    plain = [e for e in range(t.num_edges) if t.edge_status[e] == "plain"]
+    added = added_marks(t)
+    plain = t.edges_with_status("plain")
     i = next(e for e in plain if added[e])
     j = next(e for e in plain if not added[e])
     added[i], added[j] = False, True
@@ -121,8 +131,8 @@ def test_walk_verdicts_agree_with_canonical_form(stage, variant, expected):
     assert (u.num_faces, u.num_edges, u.num_vertices) == \
         (t.num_faces, t.num_edges, t.num_vertices)
     assert sorted(u.face_labels) == sorted(t.face_labels)
-    assert sorted(u.edge_status) == sorted(t.edge_status)
-    assert sum(u.edge_added) == sum(t.edge_added)
+    assert sorted(statuses(u)) == sorted(statuses(t))
+    assert sum(added_marks(u)) == sum(added_marks(t))
     assert isomorphic(t, u) is expected
     assert (form == u.canonical_form()) is expected
 
@@ -200,8 +210,9 @@ def tuple_signatures(t):
     for h, f in enumerate(t.h_face):
         e = t.h_edge[h]
         x, y = ends[t.h_origin[h]], ends[t.h_origin[t.h_twin[h]]]
-        sig.append((t.face_labels[f], size[f], t.edge_status[e],
-                    t.edge_added[e]) + ((x, y) if x <= y else (y, x)))
+        m = t.edge_marks[e]
+        sig.append((t.face_labels[f], size[f], STATUSES[m & 3],
+                    bool(m & ADDED)) + ((x, y) if x <= y else (y, x)))
     return sig
 
 

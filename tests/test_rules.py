@@ -210,18 +210,23 @@ def tri_data(boundary, cycles, *, match=None, transition=KEEP_ALL,
                                           for c in cycles]}}]}}
 
 
-def test_matcher_and_boundary_compile_to_pairs():
+def test_matcher_and_boundary_compile_to_marks():
     # {} or null admits any edge; an entry without "added" asks for an
-    # edge that is not added, and one without "status" admits any status
+    # edge that is not added, and one without "status" admits any status.
+    # A mark is the status's index in STATUSES, plus 4 for an added edge.
     rule = load_rule(tri_data(
         ["default", {"set": {"status": "loaded"}},
          {"split": [PLAIN, {"added": True}]}],
         [["v0", "v1", "v2", "e2.1"]],
         match=[{}, {"status": "plain"}, {"added": True}]))
     tile, = rule.subdivision.tiles
-    assert tile.match == [None, ("plain", False), ("any", True)]
-    assert tile.boundary == [None, ("loaded", False),
-                             [("plain", False), ("plain", True)]]
+    assert tile.match == [None, {0}, {4, 5, 6}]
+    assert tile.boundary == [None, 1, bytes([0, 4])]
+    # the default transition keeps every status and the added bit; 255
+    # marks a byte that is no mark
+    table = rule.subdivision.default_transition
+    assert [*table[:8]] == [0, 1, 2, 255, 4, 5, 6, 255]
+    assert set(table[8:]) == {255}
 
 
 @pytest.mark.parametrize("boundary, cycles, message", [
@@ -287,6 +292,44 @@ def one_pattern(region, faces, *, boundary=None, flaps=()):
 
 
 TRI = [{"label": "t", "cycle": ["a", "b", "c"]}]
+
+
+def rule_with_bent_status(where):
+    """A small rule whose only unknown status, "bent", is at ``where``."""
+    bent = {"status": "bent"}
+    if where in ("match", "set", "split", "transition", "tile-edge"):
+        data = tri_data(
+            [{"set": bent} if where == "set" else
+             {"split": [bent, PLAIN]} if where == "split" else "default",
+             "default", "default"],
+            [["v0", "e0.1", "v1", "v2"] if where == "split" else
+             ["v0", "v1", "v2"]],
+            match=[bent if where == "match" else None, None, None],
+            transition={"plain": "bent"} if where == "transition" else
+            KEEP_ALL)
+        if where == "tile-edge":
+            data["subdivision"]["tiles"][0]["template"]["edges"] = [
+                {"ends": ["v0", "v1"], **bent}]
+        return data
+    data = one_pattern(TRI, TRI)
+    pat = data["replacement"]["patterns"][0]
+    if where == "internal":
+        pat["internal"] = [{"ends": ["a", "b"], **bent}]
+    elif where == "pattern-edge":
+        pat["template"]["edges"] = [{"ends": ["a", "b"], **bent}]
+    else:
+        pat["boundary"][0][where] = "bent"
+    return data
+
+
+@pytest.mark.parametrize("where", [
+    "match", "set", "split", "transition", "tile-edge", "status", "to",
+    "internal", "pattern-edge"])
+def test_load_names_the_rule_of_an_unknown_status(where):
+    data = rule_with_bent_status(where)
+    with pytest.raises(RuleError, match=r"^rule %s: unknown edge status "
+                       r"'bent'$" % data["name"]):
+        load_rule(data)
 
 
 def test_validate_flags_small_template():

@@ -202,15 +202,15 @@ def test_unknown_status_is_the_first_in_edge_order():
 
 def test_json_roundtrip_preserves_structure():
     faces = cube_faces()
-    t = Tiling(faces, stage=3)
-    t.edge_status[0] = "loaded"
-    t.edge_status[1] = "fragile"
-    t.edge_added[2] = True
+    keys = Tiling(faces).edge_keys
+    t = Tiling(faces, stage=3,
+               edge_status={keys[0]: "loaded", keys[1]: "fragile"},
+               added_edges=[keys[2]])
     text = t.to_json()
     u = Tiling.from_json(text)
     assert u.stage == 3
-    assert sorted(u.edge_status) == sorted(t.edge_status)
-    assert sum(u.edge_added) == 1
+    assert sorted(u.edge_marks) == sorted(t.edge_marks)
+    assert sum(m >= ADDED for m in u.edge_marks) == 1
     assert isomorphic(t, u)
     # deterministic serialization
     assert Tiling.from_json(text).to_json() == u.to_json()
@@ -225,9 +225,14 @@ def test_isomorphic_relabeled_cube():
 
 def test_not_isomorphic_when_status_differs():
     t = Tiling(cube_faces())
-    u = Tiling(cube_faces())
-    u.edge_status[0] = "loaded"
+    u = Tiling(cube_faces(), edge_status={t.edge_keys[0]: "loaded"})
     assert not isomorphic(t, u)
+
+
+def test_edge_marks_cannot_be_assigned():
+    t = Tiling(cube_faces())
+    with pytest.raises(TypeError):
+        t.edge_marks[0] = ADDED
 
 
 def test_not_isomorphic_different_labels():
@@ -298,8 +303,8 @@ def test_face_reads_follow_h_next(make, flipped):
 
 SAME_TABLES = ("face_labels", "face_start", "face_component", "h_face",
                "h_next", "h_prev", "h_twin", "h_origin", "h_edge",
-               "edge_half", "vertex_names", "edge_keys", "edge_status",
-               "edge_added", "stage", "num_components")
+               "edge_half", "vertex_names", "edge_keys", "edge_marks",
+               "stage", "num_components")
 
 
 @pytest.mark.parametrize("grow, built", [
@@ -382,11 +387,13 @@ def nxs1_stage3():
 
 
 def test_rule_stage_is_compact_while_built_and_held():
-    # A stage held in flat int tables takes about 48 traced bytes per
-    # half-edge and peaks near 64 while built from flat face tables with
-    # byte marks; numbering through int-keyed dicts and handing statuses
-    # over as a dict peaked near 100, per face tuples near 180, and int
-    # tables kept as lists take about 218 and 560, over every bound.
+    # A stage held in flat int tables, with one mark byte per edge, takes
+    # about 40 traced bytes per half-edge (48 with statuses and added
+    # marks kept as two lists) and peaks near 64 while built from flat
+    # face tables with byte marks; numbering through int-keyed dicts and
+    # handing statuses over as a dict peaked near 100, per face tuples
+    # near 180, and int tables kept as lists take about 218 and 560, over
+    # every bound.
     rule, t = nxs1_stage3()
     out, held, peak = traced_build(lambda: apply_replacement(rule, t))
     half_edges = len(out.h_face)
@@ -396,11 +403,13 @@ def test_rule_stage_is_compact_while_built_and_held():
     assert held <= 60 * half_edges
     assert peak <= 130 * half_edges
     assert peak <= 77 * half_edges
+    assert held <= 44 * half_edges
 
 
 def test_cover_sphere_is_compact_when_held():
-    # About 45 traced bytes per half-edge held and 58 at the peak (97
-    # with int-keyed dicts numbering names and keys and holding statuses).
+    # About 36 traced bytes per half-edge held (45 with statuses and
+    # added marks kept as two lists) and 58 at the peak (97 with
+    # int-keyed dicts numbering names and keys and holding statuses).
     *_, state = balls(catalog.load_spec("prism12"), 4)
     out, held, peak = traced_build(state.boundary_sphere)
     half_edges = len(out.h_face)
@@ -409,6 +418,7 @@ def test_cover_sphere_is_compact_when_held():
     assert held <= 60 * half_edges
     assert peak <= 130 * half_edges
     assert peak <= 70 * half_edges
+    assert held <= 40 * half_edges
 
 
 def twin_components(t):
@@ -434,7 +444,7 @@ def loaded_by_definition(t):
     """The vertices all of whose edges are loaded."""
     unloaded = set()
     for e in range(t.num_edges):
-        if t.edge_status[e] != "loaded":
+        if STATUSES[t.edge_marks[e] & 3] != "loaded":
             unloaded.update(t.edge_endpoints(e))
     return set(range(t.num_vertices)) - unloaded
 
