@@ -2,9 +2,9 @@
 
 A sphere tiling minus one face gives a disk; non-triangular faces are
 star-triangulated with a barycenter vertex.  Boundary radii are fixed at
-1.  Interior radii are solved over vertex-indexed lists by Gauss-Seidel
-sweeps of the uniform-neighbour update, accelerated by Collins and
-Stephenson's superstep, then centers are laid out breadth-first by circle
+1.  Interior radii are solved by Newton steps in log radii, each a
+sparse linear solve by Jacobi-preconditioned conjugate gradients over
+flat index lists; then centers are laid out breadth-first by circle
 intersection from a triangle deep inside the disk.
 """
 
@@ -12,13 +12,16 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import zip_longest
+from operator import add, mul, sub, truediv
+from typing import NamedTuple
 
 from .tiling import Tiling
 
 DEFAULT_TOL = 1e-8
-MAX_ITER = 10 ** 6
+MAX_STEPS = 100
+MIN_STEP = 2.0 ** -30
 TWO_PI = 2.0 * math.pi
-SETTLED = 0.1
 SVG_STROKE = "black"
 SVG_WIDTH = 640
 
@@ -40,8 +43,13 @@ class PackingProblem:
                 self.tris_at[v].append((tri[(i + 1) % 3], tri[(i + 2) % 3]))
         self.interior = [v for v in self.vertices if v not in self.boundary]
         for v in self.interior:
-            if len(self.tris_at[v]) < 3:
+            petals = self.tris_at[v]
+            if len(petals) < 3:
                 raise PackError(f"interior vertex {v!r} has valence < 3")
+            # closed: each neighbour is once a first, once a second petal
+            firsts = {u for u, _ in petals}
+            if len(firsts) < len(petals) or firsts != {w for _, w in petals}:
+                raise PackError(f"interior vertex {v!r} has an open flower")
 
 
 @dataclass
@@ -85,117 +93,207 @@ def triangulate(t: Tiling, removed_face: int) -> PackingProblem:
     return PackingProblem(sorted(verts, key=str), tris, boundary)
 
 
-def _angle_sum(r, v, petals):
-    """Angle sum at v of its triangles (v, u, w), from the radii in r."""
-    rv = r[v]
-    theta = 0.0
-    for u, w in petals:
-        ru, rw = r[u], r[w]
-        theta += math.asin(math.sqrt(ru * rw / ((rv + ru) * (rv + rw))))
-    return 2.0 * theta
+class _Pattern(NamedTuple):
+    """Flat index lists over the corners of the interior vertices.
 
-
-def _worst_error(r, flowers):
-    return max(abs(_angle_sum(r, v, petals) - TWO_PI)
-               for v, petals, _ in flowers)
-
-
-def _sweep(r, flowers):
-    """One Gauss-Seidel sweep of uniform-neighbour updates, in place.
-
-    Each interior radius is set so that, were all its petals of one
-    radius, its angle sum would be exactly 2*pi.  Returns the worst and
-    the root-sum-square angle-sum error seen before each update.
+    Interior vertices come first in the radius list, ``n`` of them, in
+    order of falling degree, so row v of the Jacobian is radius index v.
+    Each has one corner (v, u, w) per triangle, in a closed flower, so
+    one per neighbour u: its Jacobian entry (v, u) sums the triangles
+    ``t1`` = (v, u, w) and ``t2`` = (v, x, u) holding edge vu, and sits
+    in column ``cols`` = u, or ``n`` for a boundary u.  The lists run
+    layer by layer: layer k holds corner k of every vertex of degree
+    above k, which are the first ones, and ends at ``bounds[k]``.
     """
-    worst = squares = 0.0
-    for v, petals, gain in flowers:
-        theta = _angle_sum(r, v, petals)
-        err = abs(theta - TWO_PI)
-        squares += err * err
-        if err > worst:
-            worst = err
-        beta = math.sin(theta / (2 * len(petals)))
-        r[v] *= beta / (1.0 - beta) * gain
-    return worst, math.sqrt(squares)
+    bounds: list
+    v: list
+    u: list
+    w: list
+    t1: list
+    t2: list
+    cols: list
+    tris: tuple         # the first, second and third vertex of each triangle
 
 
-def _superstep(r, last, flowers, fact):
-    """Extrapolate the radii along their last change, in place.
+def _index(p):
+    """The vertices in radius-list order, and their ``_Pattern``."""
+    inner = sorted(p.interior, key=lambda v: -len(p.tris_at[v]))
+    order = inner + [v for v in p.vertices if v in p.boundary]
+    index = {v: i for i, v in enumerate(order)}
+    n = len(inner)
+    tris = [[index[x] for x in tri] for tri in p.triangles]
+    corners = [[] for _ in range(n)]
+    for t, abc in enumerate(tris):
+        for i, x in enumerate(abc):
+            if x < n:
+                corners[x].append((abc[i - 2], abc[i - 1], t))
+    second = [{w: t for _, w, t in cs} for cs in corners]
+    pat = _Pattern([], [], [], [], [], [], [], tuple(zip(*tris)))
+    for layer in zip_longest(*corners):
+        for x, corner in enumerate(layer):
+            if corner is None:
+                break
+            u, w, t = corner
+            pat.v.append(x)
+            pat.u.append(u)
+            pat.w.append(w)
+            pat.t1.append(t)
+            pat.t2.append(second[x][u])
+            pat.cols.append(min(u, n))
+        pat.bounds.append(len(pat.v))
+    return order, pat
 
-    While sweeps shrink the error by a steady factor ``fact``, the
-    remaining radius change is about ``fact / (1 - fact)`` times the last
-    one.  The step is capped so no radius loses more than half of itself,
-    then halved until the worst error drops; a step below one sweep's
-    change is not worth taking, and the radii are left as they were.
+
+def _row_sums(values, bounds):
+    """Per interior vertex, the sum of its entries in the layered list."""
+    sums = values[:bounds[0]]
+    for start, stop in zip(bounds, bounds[1:]):
+        m = stop - start
+        sums[:m] = map(add, sums[:m], values[start:stop])
+    return sums
+
+
+def _angle_sums(r, pat):
+    """Per interior vertex, the angle sum of its triangles at the radii r."""
+    rv, ru, rw = (list(map(r.__getitem__, x))
+                  for x in (pat.v, pat.u, pat.w))
+    halves = map(math.asin, map(math.sqrt, map(
+        truediv, map(mul, ru, rw), map(mul, map(add, rv, ru),
+                                       map(add, rv, rw)))))
+    return [2.0 * x for x in _row_sums(list(halves), pat.bounds)]
+
+
+def _jacobian(r, pat):
+    """The Jacobian J of the interior angle sums in u = log r, as the
+    diagonal ``d`` of -J and the per-corner off-diagonal entries ``c``
+    of J.
+
+    Per triangle T = (a, b, c), rho_T = sqrt(r_a r_b r_c / (r_a+r_b+r_c))
+    is the inradius of its centers' triangle, and the angle of T at v
+    grows with u_w at rate rho_T / (r_v + r_w).  Scaling every radius
+    leaves each angle as it is, so the diagonal is minus its row's
+    off-diagonal sum, boundary columns included.
     """
-    change = [a - b for a, b in zip(r, last)]
-    step = fact / (1.0 - fact)
-    for x, dx in zip(r, change):
-        if dx < 0.0:
-            step = min(step, -0.5 * x / dx)
-    base = r[:]
-    before = _worst_error(r, flowers)
-    while step >= 1.0:
-        r[:] = [x + step * dx for x, dx in zip(base, change)]
-        if _worst_error(r, flowers) < before:
-            return
-        step /= 2.0
-    r[:] = base
+    rho = [math.sqrt(a * b * c / (a + b + c))
+           for a, b, c in zip(*(map(r.__getitem__, x) for x in pat.tris))]
+    c = list(map(truediv, map(add, map(rho.__getitem__, pat.t1),
+                              map(rho.__getitem__, pat.t2)),
+                 map(add, map(r.__getitem__, pat.v),
+                      map(r.__getitem__, pat.u))))
+    return _row_sums(c, pat.bounds), c
 
 
-def _solve(r, flowers, tolerance):
-    """Sweep r until within tolerance; return the residual and sweeps."""
-    facts = []
-    err = None
-    for it in range(1, MAX_ITER + 1):
-        last = r[:]
-        worst, new_err = _sweep(r, flowers)
-        if worst <= tolerance:
-            return worst, it
-        if err:
-            facts = facts[-2:] + [new_err / err]
-        err = new_err
-        # settled: three ratios agree, which pins fact/(1-fact) to 10%
-        fact = facts[-1] if len(facts) == 3 else 1.0
-        if fact < 1.0 and all(abs(f - fact) < SETTLED * (1.0 - fact)
-                              for f in facts[:2]):
-            _superstep(r, last, flowers, fact)
-            facts = []
-            err = None
-    raise PackError(f"no convergence after {MAX_ITER} sweeps "
-                    f"(residual {worst:.3e})")
+def _dot(x, y):
+    return sum(map(mul, x, y))
+
+
+def _cg(d, c, pat, b, forcing):
+    """x with |b - Ax| <= forcing * |b| for A = -J, by conjugate gradients
+    preconditioned with A's diagonal.  A is symmetric, and positive
+    definite: each diagonal entry is its row's off-diagonal sum in J,
+    boundary columns included, and the interior of a disk is connected
+    to its boundary."""
+    def times(x):
+        xs = x + [0.0]      # column n: every boundary neighbour
+        prods = list(map(mul, c, map(xs.__getitem__, pat.cols)))
+        return list(map(sub, map(mul, d, x), _row_sums(prods, pat.bounds)))
+
+    inv = [1.0 / x for x in d]
+    x = [0.0] * len(b)
+    res = b
+    rr = _dot(res, res)
+    goal = forcing * forcing * rr
+    z = p = list(map(mul, res, inv))
+    rz = _dot(res, z)
+    for _ in range(len(b)):
+        if rr <= goal:
+            break
+        q = times(p)
+        alpha = rz / _dot(p, q)
+        x = [xi + alpha * pi for xi, pi in zip(x, p)]
+        res = [ri - alpha * qi for ri, qi in zip(res, q)]
+        rr = _dot(res, res)
+        z = list(map(mul, res, inv))
+        last, rz = rz, _dot(res, z)
+        beta = rz / last
+        p = [zi + beta * pi for zi, pi in zip(z, p)]
+    return x
+
+
+def _errors(r, pat):
+    """Per interior vertex theta - 2*pi, and the worst of their sizes."""
+    errors = [theta - TWO_PI for theta in _angle_sums(r, pat)]
+    return errors, max(map(abs, errors))
+
+
+def _solve(r, pat, tolerance, floor):
+    """Newton steps in u = log r until within tolerance, then one more;
+    returns the residual and the steps taken.
+
+    Each step solves J du = -(theta - 2*pi) by ``_cg`` to the relative
+    tolerance min(0.1, worst error), then halves du until the worst
+    error drops.  The step after the first one within tolerance polishes
+    the radii to rounding level; it is kept only if it lowers the worst
+    error.  Once the worst error is below sqrt(floor), the relative
+    tolerance stops at floor / worst error: a step only gets within the
+    rounding ``floor`` of the angle sums, however well it is solved.
+    """
+    n = pat.bounds[0]
+    errors, worst = _errors(r, pat)
+    steps = 0
+    while worst > 0.0:      # exact angle sums need no step
+        polish = worst <= tolerance
+        if steps == MAX_STEPS and not polish:
+            raise PackError(f"no convergence after {MAX_STEPS} Newton "
+                            f"steps (residual {worst:.3e})")
+        d, c = _jacobian(r, pat)
+        du = _cg(d, c, pat, errors, min(0.1, max(worst, floor / worst)))
+        step = 1.0
+        while True:
+            trial = [x * math.exp(step * dx) for x, dx in zip(r, du)]
+            trial += r[n:]
+            trial_errors, trial_worst = _errors(trial, pat)
+            if trial_worst < worst:
+                break
+            if polish:
+                return worst, steps
+            step /= 2.0
+            if step < MIN_STEP:
+                raise PackError(f"no convergence: Newton step {steps + 1} "
+                                f"cannot lower the residual {worst:.3e}")
+        r[:], errors, worst = trial, trial_errors, trial_worst
+        steps += 1
+        if polish:
+            break
+    return worst, steps
 
 
 def pack(p: PackingProblem, tolerance=DEFAULT_TOL) -> PackingLabel:
     """Radii and centers with every interior angle sum within tolerance.
 
-    Sweeps run until the worst ``|theta - 2*pi|`` of a sweep is at most
-    ``tolerance``; ``iterations`` counts them.  Once the ratio of
-    successive sweeps' errors has settled, a superstep (Collins &
-    Stephenson, "A circle packing algorithm", 2003) jumps ahead.
+    Newton steps in log radii (Orick, Stephenson & Collins, "A linearized
+    circle packing algorithm", 2017) run until the worst ``|theta - 2*pi|``
+    is at most ``tolerance``, and one polishing step follows;
+    ``iterations`` counts the steps kept.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise PackError(f"tolerance must be finite and positive, "
                         f"not {tolerance}")
     # an angle sum of k terms near 2*pi carries about k*2*pi*eps of
-    # rounding, so no sweep can be trusted to get closer than that
+    # rounding, so no solver can be trusted to get closer than that
     k_max = max((len(p.tris_at[v]) for v in p.interior), default=0)
     floor = k_max * TWO_PI * sys.float_info.epsilon
     if tolerance < floor:
         raise PackError(f"tolerance {tolerance:g} is below {floor:.1e}, "
                         f"the rounding floor of an angle sum at valence "
                         f"{k_max}")
-    index = {v: i for i, v in enumerate(p.vertices)}
-    flowers = []
-    for v in p.interior:
-        delta = math.sin(math.pi / len(p.tris_at[v]))
-        flowers.append((index[v],
-                        [(index[u], index[w]) for u, w in p.tris_at[v]],
-                        (1.0 - delta) / delta))
-    r = [1.0] * len(p.vertices)
-    worst, sweeps = _solve(r, flowers, tolerance) if flowers else (0.0, 0)
-    label = PackingLabel(p, dict(zip(p.vertices, r)), residual=worst,
-                         iterations=sweeps)
+    order, pat = _index(p)
+    r = [1.0] * len(order)
+    worst, steps = (_solve(r, pat, tolerance, floor) if p.interior
+                    else (0.0, 0))
+    radius = dict(zip(order, r))
+    label = PackingLabel(p, {v: radius[v] for v in p.vertices},
+                         residual=worst, iterations=steps)
     _layout(label)
     return label
 

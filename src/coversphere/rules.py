@@ -375,7 +375,10 @@ def _directive(d):
 
 def _transition(declared):
     """``default_transition`` as a ``translate`` table: per mark, the mark of
-    its status's declared new status and its added bit, else ``_NO_MARK``."""
+    its status's declared new status and its added bit, else ``_NO_MARK``.
+    A key that is no status raises as an unknown value does."""
+    for status in declared:
+        mark(status)
     return bytes(mark(declared[s], m & ADDED) if s in declared else _NO_MARK
                  for m, s in enumerate(STATUS_OF))
 

@@ -184,7 +184,12 @@ class Tiling:
         self.edge_marks = bytes(map(marks.__getitem__, key_ints))
         for c in self.edge_marks.translate(None, MARKS):
             raise TilingError("unknown edge mark %d" % c)
-        self._validate()
+        # Every vertex has at least one rotation orbit, and <next, twin>
+        # makes each component a closed orientable surface, on which
+        # orbits - E + F is at most 2.  So V - E + F = 2 * components
+        # leaves no vertex a second orbit, and the walk can be skipped.
+        if self.euler_characteristic() != 2 * self.num_components:
+            self._validate()
 
     # -- construction -------------------------------------------------
 

@@ -1,11 +1,13 @@
 import math
+import random
 
 import pytest
 
+from coversphere import pack as packmod
 from coversphere.catalog import get_rule
 from coversphere.growth import stage_tilings
-from coversphere.pack import (PackError, flower, pack, render_svg,
-                              tangency_error, triangulate)
+from coversphere.pack import (PackError, PackingProblem, flower, pack,
+                              render_svg, tangency_error, triangulate)
 from coversphere.tiling import Tiling
 
 
@@ -102,3 +104,78 @@ def test_empty_label_rejected():
     from coversphere.pack import PackingLabel
     with pytest.raises(PackError):
         render_svg(PackingLabel(p, {v: 1.0 for v in p.vertices}))
+
+
+def torus3_stage2_system(seed):
+    """torus3 stage 2 minus face 0, its ``_Pattern``, and radii with
+    interior ones spread over [1/e, e]."""
+    t = list(stage_tilings(get_rule("torus3"), 2, "replacement"))[-1]
+    p = triangulate(t, 0)
+    order, pat = packmod._index(p)
+    rng = random.Random(seed)
+    r = [math.exp(rng.uniform(-1.0, 1.0)) if v in p.interior else 1.0
+         for v in order]
+    return p, order, pat, r
+
+
+def test_angle_sums_equal_the_per_vertex_loop():
+    p, order, pat, r = torus3_stage2_system(1)
+    radius = dict(zip(order, r))
+    for v, theta in zip(order, packmod._angle_sums(r, pat)):
+        # the loop the layered sums replace, in the same order
+        total = 0.0
+        for u, w in p.tris_at[v]:
+            rv, ru, rw = radius[v], radius[u], radius[w]
+            total += math.asin(math.sqrt(ru * rw / ((rv + ru) * (rv + rw))))
+        assert theta == 2.0 * total
+
+
+def test_jacobian_matches_central_differences():
+    _, _, pat, r = torus3_stage2_system(2)
+    n = pat.bounds[0]
+    d, c = packmod._jacobian(r, pat)
+    jac = [[0.0] * n for _ in range(n)]
+    for v in range(n):
+        jac[v][v] = -d[v]
+    for v, col, x in zip(pat.v, pat.cols, c):
+        if col < n:
+            jac[v][col] = x
+    h = 1e-5
+    for w in range(n):
+        up, down = r[:], r[:]
+        up[w] *= math.exp(h)
+        down[w] *= math.exp(-h)
+        column = [(a - b) / (2 * h) for a, b in
+                  zip(packmod._angle_sums(up, pat),
+                      packmod._angle_sums(down, pat))]
+        assert column == pytest.approx([row[w] for row in jac], abs=1e-8)
+    for v in range(n):
+        for w in range(v):
+            assert jac[v][w] == pytest.approx(jac[w][v], rel=1e-12)
+    assert sum(x != 0.0 for row in jac for x in row) > 3 * n
+
+
+def test_nxs1_stage_2_packs_in_few_newton_steps():
+    # 409 interior vertices; Gauss-Seidel sweeps needed hundreds
+    t = list(stage_tilings(get_rule("nxs1"), 2, "replacement"))[-1]
+    label = pack(triangulate(t, 0))
+    assert label.residual <= 1e-8
+    assert tangency_error(label) <= 1e-6
+    assert label.iterations <= 10
+
+
+def test_no_convergence_is_an_error(monkeypatch):
+    monkeypatch.setattr(packmod, "MAX_STEPS", 2)
+    t = list(stage_tilings(get_rule("torus3"), 2, "replacement"))[-1]
+    with pytest.raises(PackError, match=r"^no convergence after 2 Newton "
+                       r"steps \(residual [0-9.e-]+\)$"):
+        pack(triangulate(t, 0))
+
+
+def test_open_flower_rejected():
+    # c's triangles fan from p0 to p3 without closing up
+    tris = [("c", f"p{i}", f"p{i + 1}") for i in range(3)]
+    with pytest.raises(PackError, match="^interior vertex 'c' has an open "
+                       "flower$"):
+        PackingProblem(["c", "p0", "p1", "p2", "p3"], tris,
+                       {"p0", "p1", "p2", "p3"})

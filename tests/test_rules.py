@@ -297,7 +297,8 @@ TRI = [{"label": "t", "cycle": ["a", "b", "c"]}]
 def rule_with_bent_status(where):
     """A small rule whose only unknown status, "bent", is at ``where``."""
     bent = {"status": "bent"}
-    if where in ("match", "set", "split", "transition", "tile-edge"):
+    if where in ("match", "set", "split", "transition", "transition-key",
+                 "tile-edge"):
         data = tri_data(
             [{"set": bent} if where == "set" else
              {"split": [bent, PLAIN]} if where == "split" else "default",
@@ -306,6 +307,7 @@ def rule_with_bent_status(where):
              ["v0", "v1", "v2"]],
             match=[bent if where == "match" else None, None, None],
             transition={"plain": "bent"} if where == "transition" else
+            {**KEEP_ALL, "bent": "plain"} if where == "transition-key" else
             KEEP_ALL)
         if where == "tile-edge":
             data["subdivision"]["tiles"][0]["template"]["edges"] = [
@@ -323,8 +325,8 @@ def rule_with_bent_status(where):
 
 
 @pytest.mark.parametrize("where", [
-    "match", "set", "split", "transition", "tile-edge", "status", "to",
-    "internal", "pattern-edge"])
+    "match", "set", "split", "transition", "transition-key", "tile-edge",
+    "status", "to", "internal", "pattern-edge"])
 def test_load_names_the_rule_of_an_unknown_status(where):
     data = rule_with_bent_status(where)
     with pytest.raises(RuleError, match=r"^rule %s: unknown edge status "

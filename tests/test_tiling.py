@@ -173,6 +173,34 @@ def test_rejects_split_vertex():
                 ("sq", (1, 0, 3, 2), ("a", "y2", "b", "x2"))])
 
 
+def test_rejects_a_vertex_in_two_rotation_orbits():
+    # two tetrahedra sharing vertex 3: V - E + F = 7 - 12 + 8 = 3, while
+    # two spheres would give 4
+    tetra = [("t", c) for c in ((0, 2, 1), (0, 1, 3), (1, 2, 3), (2, 0, 3))]
+    faces = tetra + [("t", [v + 3 for v in c]) for _, c in tetra]
+    with pytest.raises(TilingError, match=r"^inconsistent rotation: vertex "
+                       r"3 appears in two rotation orbits$"):
+        Tiling(faces)
+    # a 4x4 torus with (2, 2) renamed (0, 0), which is no neighbour of it
+    merged = [(label, [(0, 0) if v == (2, 2) else v for v in cycle], keys)
+              for label, cycle, keys in square_torus(4, 4)]
+    with pytest.raises(TilingError, match=r"vertex \(0, 0\) appears in two"):
+        Tiling(merged)
+
+
+def test_rotation_walk_runs_only_off_euler_equality(monkeypatch):
+    # V - E + F = 2 * components proves every rotation orbit; a torus
+    # (0, not 2) still walks them
+    walked = []
+    validate = Tiling._validate
+    monkeypatch.setattr(Tiling, "_validate",
+                        lambda t: walked.append(t.num_faces) or validate(t))
+    Tiling(cube_faces())
+    assert walked == []
+    Tiling(square_torus(3, 3))
+    assert walked == [9]
+
+
 def test_edge_status_and_loaded_vertices():
     faces = cube_faces()
     t = Tiling(faces)
