@@ -62,7 +62,7 @@ def _cmd_subdivide(args):
     if args.stats:
         _emit(stats, args.stats)
     if args.out:
-        _write(tilings[-1].to_json() + "\n", args.out)
+        _write(tilings[-1].to_json(), args.out)
     return 0
 
 
@@ -87,8 +87,7 @@ def _cmd_growth(args):
            "face_counts": rep.faces, "edge_counts": rep.edges,
            "vertex_counts": rep.vertices,
            "classification": str(rep.classification),
-           "evidence": {k: v for k, v in
-                        rep.classification.evidence.items()}}, "-")
+           "evidence": rep.classification.evidence}, "-")
     return 0
 
 

@@ -291,9 +291,8 @@ def pack(p: PackingProblem, tolerance=DEFAULT_TOL) -> PackingLabel:
     r = [1.0] * len(order)
     worst, steps = (_solve(r, pat, tolerance, floor) if p.interior
                     else (0.0, 0))
-    radius = dict(zip(order, r))
-    label = PackingLabel(p, {v: radius[v] for v in p.vertices},
-                         residual=worst, iterations=steps)
+    label = PackingLabel(p, dict(zip(order, r)), residual=worst,
+                         iterations=steps)
     _layout(label)
     return label
 
@@ -311,28 +310,6 @@ def _place_third(a, b, c, center, radius):
     center[c] = (ax + x * ux - y * uy, ay + x * uy + y * ux)
 
 
-def _root_triangle(p: PackingProblem) -> int:
-    """A triangle at the vertex farthest from the boundary (first in order).
-
-    Each residual angle error turns everything laid out after it, so the
-    breadth-first layout starts deep inside, where every circle is fewest
-    steps from the root (CirclePack's "alpha" vertex).
-    """
-    depth = dict.fromkeys(p.boundary, 0)
-    level = list(p.boundary)
-    while level:
-        nxt = []
-        for v in level:
-            for pair in p.tris_at[v]:
-                for u in pair:
-                    if u not in depth:
-                        depth[u] = depth[v] + 1
-                        nxt.append(u)
-        level = nxt
-    alpha = max(p.vertices, key=lambda v: depth.get(v, 0))
-    return next(i for i, tri in enumerate(p.triangles) if alpha in tri)
-
-
 def _layout(label: PackingLabel):
     p, radius = label.problem, label.radius
     if not p.triangles:
@@ -343,13 +320,12 @@ def _layout(label: PackingLabel):
         for i in range(3):
             by_edge.setdefault(frozenset((tri[i], tri[(i + 1) % 3])),
                                []).append(idx)
-    root = _root_triangle(p)
-    a, b, c = p.triangles[root]
+    a, b, c = p.triangles[0]
     center[a] = (0.0, 0.0)
     center[b] = (radius[a] + radius[b], 0.0)
     _place_third(a, b, c, center, radius)
-    done = {root}
-    q = deque([root])
+    done = {0}
+    q = deque([0])
     while q:
         idx = q.popleft()
         tri = p.triangles[idx]

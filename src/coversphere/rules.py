@@ -513,14 +513,15 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
 
 
 def _loaded_groups(t: Tiling):
-    """Partition face ids into components connected by loaded edges."""
+    """Partition face ids into components connected by loaded edges, in
+    order of lowest face, each face list ascending."""
     uf = UnionFind(t.num_faces)
     for e in compress(count(), t.edge_marks.translate(IS_LOADED)):
         uf.union(*t.edge_faces(e))
     groups = {}
     for f in range(t.num_faces):
         groups.setdefault(uf.find(f), []).append(f)
-    return [sorted(g) for g in sorted(groups.values())]
+    return list(groups.values())
 
 
 def _match_pattern(pat: Pattern, t: Tiling, group):

@@ -710,11 +710,12 @@ def isomorphic(a: Tiling, b: Tiling) -> bool:
     the codes of b from the flags of that colour, in both orientations,
     until one matches in full or the failed walks have visited as many
     flags as a has; only then is the partition refined once more.  At
-    stability every remaining candidate is walked.  A walk of a that
-    misses flags means a is disconnected, and canonical forms decide.
-    The code of a is held as one flat ``array('i')``, three entries per
-    flag, and read back flag by flag against each walk of b, so a
-    candidate is dropped at its first mismatched flag.
+    stability every remaining candidate is walked.  A disconnected a is
+    split into its components, which ``_pair_components`` matches with
+    those of b, so every walk of a is of a connected tiling.  The code of
+    a is held as one flat ``array('i')``, three entries per flag, and
+    read back flag by flag against each walk of b, so a candidate is
+    dropped at its first mismatched flag.
 
     The walks key each flag by its colour alone.  A walk that matches in
     full is a flag bijection that keeps ``next`` (or ``prev``) and
@@ -729,14 +730,14 @@ def isomorphic(a: Tiling, b: Tiling) -> bool:
     flags = len(a.h_face)
     if not flags:
         return True
+    if a.num_components > 1:
+        return _pair_components(a, b)
     for (ca, cb), (ha, hb) in _wl_colours([a, b]):
         if ha != hb:
             return False
         root = _root_colour(ha)
         code = array("i", chain.from_iterable(
             _bfs(a, ca.index(root), False, ca)))
-        if len(code) < 3 * flags:
-            return a.canonical_form() == b.canonical_form()
         # Per candidate walk of b, the flags it matches before a mismatch.
         walks = (sum(takewhile(bool, map(eq, _triples(code),
                                          _bfs(b, s, m, cb))))
@@ -752,3 +753,25 @@ def isomorphic(a: Tiling, b: Tiling) -> bool:
         else:
             return False
     return flags in walks
+
+
+def _pair_components(a, b):
+    """Whether the components of a match those of b in isomorphic pairs,
+    given equal face, edge and vertex counts.
+
+    Each component of a takes the first remaining piece of b isomorphic to
+    it.  Isomorphism is an equivalence relation, so the pieces one
+    component accepts form one class, any of them will do, and no pairing
+    ever needs undoing.  The counts match, so no piece is left over.  For
+    C components this makes at most C(C+1)/2 connected comparisons.
+    """
+    pieces = [b.restrict(c) for c in b.components()]
+    for comp in a.components():
+        part = a.restrict(comp)
+        for i, piece in enumerate(pieces):
+            if isomorphic(part, piece):
+                del pieces[i]
+                break
+        else:
+            return False
+    return True

@@ -8,6 +8,7 @@ import pytest
 
 import coversphere
 from coversphere.cli import main
+from coversphere.tiling import Tiling
 
 SRC = str(Path(coversphere.__file__).resolve().parents[1])
 
@@ -173,11 +174,18 @@ def test_verify_sl2r_against_utn_cover(capsys):
                                "equivalent": True}
 
 
-def test_verify_s2xr_against_s2_cover(capsys):
+def test_verify_s2xr_against_s2_cover(capsys, monkeypatch):
+    # every stage has two components, which walks pair without any
+    # canonical form
+    calls = []
+    canonical_form = Tiling.canonical_form
+    monkeypatch.setattr(Tiling, "canonical_form",
+                        lambda t: calls.append(t) or canonical_form(t))
     code, out, _ = run(capsys, "verify", "--rule", "s2xr", "--steps", "4")
     assert code == 0
     assert json.loads(out) == {"rule": "s2xr", "spec": "s2", "steps": 4,
                                "equivalent": True}
+    assert calls == []
 
 
 def test_verify_reports_first_mismatched_stage(capsys, monkeypatch):

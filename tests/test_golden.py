@@ -11,6 +11,7 @@ import json
 import pytest
 
 from coversphere.catalog import get_rule, load_spec
+from coversphere.cli import main
 from coversphere.cover import build_cover
 from coversphere.growth import stage_tilings
 from coversphere.tiling import ADDED, STATUSES
@@ -53,6 +54,14 @@ GOLDEN = [
                          ids=[g[0] for g in GOLDEN])
 def test_to_json_digest(make, digest):
     assert hashlib.sha256(make().to_json().encode()).hexdigest() == digest
+
+
+def test_subdivide_out_writes_to_json(capsys):
+    assert main(["subdivide", "--rule", "torus3", "--steps", "4",
+                 "--mode", "subdivision", "--out", "-"]) == 0
+    digest = {name: d for name, _, d in GOLDEN}["torus3 subdivision 4"]
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def table_digest(t):

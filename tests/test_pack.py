@@ -60,6 +60,8 @@ def test_torus3_replacement_stage_packs_fast(stage):
     label = pack(triangulate(t, 0))
     assert label.residual <= 1e-8
     assert tangency_error(label) <= 1e-6
+    # laid out from triangle 0, Newton's radii keep this near 1e-13
+    assert tangency_error(label) <= 1e-10
     assert all(r > 0 for r in label.radius.values())
     assert label.iterations <= 1000
 
@@ -161,6 +163,7 @@ def test_nxs1_stage_2_packs_in_few_newton_steps():
     label = pack(triangulate(t, 0))
     assert label.residual <= 1e-8
     assert tangency_error(label) <= 1e-6
+    assert tangency_error(label) <= 1e-10
     assert label.iterations <= 10
 
 

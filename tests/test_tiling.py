@@ -279,7 +279,7 @@ def test_components_and_disjoint_iso():
     assert two.euler_characteristic() == 4
     one = two.restrict(two.components()[0])
     assert one.is_sphere()
-    # Disconnected tilings fall back to comparing canonical forms.
+    # Disconnected tilings are decided by pairing their components.
     shuffled = Tiling([(two.face_labels[f],
                         [("x", v) for v in two.face_vertices(f)])
                        for f in reversed(range(two.num_faces))])
@@ -296,6 +296,9 @@ def test_components_and_disjoint_iso():
     assert sorted(split.face_labels) == sorted(mixed.face_labels)
     assert not isomorphic(split, mixed)
     assert isomorphic(split, tetras("bbbb", "aaaa"))
+    three = tetras("aaaa", "bbbb", "aabb")
+    assert isomorphic(three, tetras("aabb", "aaaa", "bbbb"))
+    assert not isomorphic(three, tetras("aabb", "aabb", "aabb"))
 
 
 def nxs1_stage4():
