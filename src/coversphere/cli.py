@@ -8,6 +8,7 @@ import argparse
 import itertools
 import json
 import sys
+from array import array
 
 from . import catalog, cayley, growth, pack as packmod
 from .cover import balls
@@ -139,16 +140,37 @@ def _cmd_verify(args):
     # a flat zip, cover before rule: enumerate(zip(...)) peaked higher
     stages = zip(itertools.count(1), balls(spec, args.steps),
                  growth.stage_tilings(entry, args.steps))
+    names = []      # per vertex of the last rule stage: its image's name
     for stage, state, t in stages:
         sphere = state.boundary_sphere()
-        if not isomorphic(t, sphere):
+        images = []
+        if not isomorphic(t, sphere, _seed(t, names, sphere),
+                          images if stage < args.steps else None):
             print(f"stage {stage}: rule output does not match cover "
                   f"({t.num_faces} vs {sphere.num_faces} faces)",
                   file=sys.stderr)
             return 1
+        names = array("q", map(sphere.vertex_names.__getitem__, images))
     _emit({"rule": entry.name, "spec": entry.companion,
            "steps": args.steps, "equivalent": True}, "-")
     return 0
+
+
+def _seed(t, names, sphere):
+    """Where to seed rule stage t's match with the cover's sphere: a
+    vertex of each, or None.  ``names`` gives, per vertex of the last
+    rule stage, the cover name of its image in the last match.  A rule
+    stage names a vertex that survives from the last stage by its id
+    there, and the cover keeps a vertex's name, so a survivor should map
+    to the vertex of the sphere with its image's name.  The seed is the
+    first vertex of the sphere named so, with its survivor."""
+    if not names:
+        return None
+    kept = {names[u]: v for v, u in enumerate(t.vertex_names)
+            if u < len(names)}
+    w = next(itertools.compress(itertools.count(), map(
+        kept.__contains__, sphere.vertex_names)), None)
+    return None if w is None else (kept[sphere.vertex_names[w]], w)
 
 
 def build_parser():

@@ -232,8 +232,3 @@ def balls(spec: GluingSpec, stages: int, cap: int | None = None):
 def build_cover(spec: GluingSpec, stages: int) -> CoverState:
     *_, state = balls(spec, stages)
     return state
-
-
-def sphere_series(spec: GluingSpec, stages: int):
-    """Boundary tilings S(1) .. S(stages)."""
-    return [state.boundary_sphere() for state in balls(spec, stages)]

@@ -97,11 +97,6 @@ def stage_tilings(entry: RuleCatalogEntry, n: int, mode=None):
         yield t
 
 
-def growth_series(entry: RuleCatalogEntry, n: int, mode=None):
-    """Face counts for stages 1..n."""
-    return [t.num_faces for t in stage_tilings(entry, n, mode)]
-
-
 def growth_report(entry: RuleCatalogEntry, n: int, mode=None) -> GrowthReport:
     faces, edges, verts = [], [], []
     mode = entry.resolve_mode(mode)

@@ -318,9 +318,6 @@ class Tiling:
             return [*table[s:stop]]
         return [table[s], *table[stop - 1:s:-1]]
 
-    def face_halfedges(self, f):
-        return self._face_read(range(len(self.h_face)), f)
-
     def face_vertices(self, f):
         return self._face_read(self.h_origin, f)
 
@@ -334,10 +331,6 @@ class Tiling:
     def edge_faces(self, e):
         h = self.edge_half[e]
         return (self.h_face[h], self.h_face[self.h_twin[h]])
-
-    def edges_with_status(self, status):
-        return [e for e, m in enumerate(self.edge_marks)
-                if STATUS_OF[m] == status]
 
     def euler_characteristic(self):
         return self.num_vertices - self.num_edges + self.num_faces
@@ -701,21 +694,46 @@ def _triples(code):
     return zip(entries, entries, entries)
 
 
-def isomorphic(a: Tiling, b: Tiling) -> bool:
+def isomorphic(a: Tiling, b: Tiling, seed=None, vertex_map=None) -> bool:
     """Label- and status-preserving isomorphism (mirror images allowed).
 
     The map must preserve face labels, edge statuses, added edges and
-    loaded vertices.  After each round of joint refinement, the code of
-    one root flag of a, from its smallest colour class, is compared with
-    the codes of b from the flags of that colour, in both orientations,
-    until one matches in full or the failed walks have visited as many
-    flags as a has; only then is the partition refined once more.  At
-    stability every remaining candidate is walked.  A disconnected a is
-    split into its components, which ``_pair_components`` matches with
-    those of b, so every walk of a is of a connected tiling.  The code of
-    a is held as one flat ``array('i')``, three entries per flag, and
-    read back flag by flag against each walk of b, so a candidate is
-    dropped at its first mismatched flag.
+    loaded vertices.  A disconnected a is split into its components, which
+    ``_pair_components`` matches with those of b, so every walk of a is of
+    a connected tiling.  For a connected a, a ``seed``, a vertex of a and
+    a vertex of b, is tried first (``_seeded_match``); if no walk from it
+    matches, or without one, ``_colour_match`` searches by colour.  Given
+    a list ``vertex_map``, a connected match sets it to per vertex of a
+    its image in b; otherwise the list is left as it is.
+    """
+    if (a.num_faces, a.num_edges, a.num_vertices, a.num_components) != \
+            (b.num_faces, b.num_edges, b.num_vertices, b.num_components):
+        return False
+    if not a.h_face:
+        return True
+    if a.num_components > 1:
+        return _pair_components(a, b)
+    match = (seed and _seeded_match(a, b, *seed)) or _colour_match(a, b)
+    if match is None:
+        return False
+    if vertex_map is not None:
+        vertex_map[:] = _vertex_images(a, b, *match)
+    return True
+
+
+def _colour_match(a, b):
+    """A root flag of connected a, a flag of b and an orientation whose
+    walks match, as ``(root, start, mirror)``, found by colour; else None.
+
+    After each round of joint refinement, the code of one root flag of a,
+    from its smallest colour class, is compared with the codes of b from
+    the flags of that colour, in both orientations, until one matches in
+    full or the failed walks have visited as many flags as a has; only
+    then is the partition refined once more.  At stability every
+    remaining candidate is walked.  The code of a is held as one flat
+    ``array('i')``, three entries per flag, and read back flag by flag
+    against each walk of b, so a candidate is dropped at its first
+    mismatched flag.
 
     The walks key each flag by its colour alone.  A walk that matches in
     full is a flag bijection that keeps ``next`` (or ``prev``) and
@@ -724,35 +742,125 @@ def isomorphic(a: Tiling, b: Tiling) -> bool:
     face label, edge status and added mark, so the bijection keeps them,
     and a vertex all of whose edges are loaded maps to one too.
     """
-    if (a.num_faces, a.num_edges, a.num_vertices) != \
-            (b.num_faces, b.num_edges, b.num_vertices):
-        return False
     flags = len(a.h_face)
-    if not flags:
-        return True
-    if a.num_components > 1:
-        return _pair_components(a, b)
     for (ca, cb), (ha, hb) in _wl_colours([a, b]):
         if ha != hb:
-            return False
-        root = _root_colour(ha)
-        code = array("i", chain.from_iterable(
-            _bfs(a, ca.index(root), False, ca)))
+            return None
+        colour = _root_colour(ha)
+        root = ca.index(colour)
+        code = array("i", chain.from_iterable(_bfs(a, root, False, ca)))
         # Per candidate walk of b, the flags it matches before a mismatch.
-        walks = (sum(takewhile(bool, map(eq, _triples(code),
-                                         _bfs(b, s, m, cb))))
-                 for s, c in enumerate(cb) if c == root
+        walks = ((sum(takewhile(bool, map(eq, _triples(code),
+                                          _bfs(b, s, m, cb)))), s, m)
+                 for s, c in enumerate(cb) if c == colour
                  for m in (False, True))
         budget = flags
-        for matched in walks:
+        for matched, s, m in walks:
             if matched == flags:
-                return True
+                return root, s, m
             budget -= matched + 1
             if budget <= 0:
                 break
         else:
-            return False
-    return flags in walks
+            return None
+    return next(((root, s, m) for matched, s, m in walks if matched == flags),
+                None)
+
+
+def _seeded_match(a, b, u, v):
+    """A match ``(root, start, mirror)`` of connected a onto b that
+    sends vertex u to vertex v, else None.
+
+    The root is a's first flag at u.  The candidates are the flags at v,
+    around its rotation, each in both orientations (for a mirror map, the
+    flag whose far end is v).  Failed walks spend the budget of a round
+    of ``_colour_match``, a's flag count, by one more than the flags they
+    matched.
+    """
+    flags = len(a.h_face)
+    root = a.h_origin.index(u)
+    image = array("i", [-1]) * flags
+    budget = flags
+    start = first = b.h_origin.index(v)
+    while True:
+        for s, m in ((start, False), (b.h_twin[start], True)):
+            matched = _extend(a, b, root, s, m, image)
+            if matched == flags:
+                return root, s, m
+            budget -= matched + 1
+            if budget <= 0:
+                return None
+        start = b.h_next[b.h_twin[start]]
+        if start == first:
+            return None
+
+
+def _extend(a, b, root, start, mirror, image):
+    """How many flags of connected a the map sending root to start takes
+    onto b, breadth first by ``next`` and ``twin`` (``prev`` and ``twin``
+    in b for a mirror map), before it first fails to keep them, a face
+    label or an edge mark: all of them exactly when it is an isomorphism,
+    b having as many flags and components.  Keeping marks, it keeps
+    loaded vertices, so no colours are needed.  A flag reached by
+    ``next`` shares its face with the flag it came from, and one reached
+    by ``twin`` its edge, so each is checked for its edge mark or its
+    face label alone.  ``image``, -1 per flag of a on entry, holds the
+    map after a full match, and after a failed one is -1 again at the
+    flags reached, so a failed walk costs only those.  It and the queue
+    are ``array('i')``: as lists of boxed ints they took about 72 bytes
+    a flag, and set ``verify``'s peak at stage 6.
+    """
+    label_a, label_b = a.face_labels, b.face_labels
+    face_a, face_b, edge_a, edge_b = a.h_face, b.h_face, a.h_edge, b.h_edge
+    mark_a, mark_b = a.edge_marks, b.edge_marks
+    step_a, twin_a, twin_b = a.h_next, a.h_twin, b.h_twin
+    step_b = b.h_prev if mirror else b.h_next
+    if (label_a[face_a[root]] != label_b[face_b[start]]
+            or mark_a[edge_a[root]] != mark_b[edge_b[start]]):
+        return 0
+    image[root] = start
+    queue = array("i", [root])
+    for h in queue:         # grows while it is read
+        g = image[h]
+        x, y = step_a[h], step_b[g]
+        z = image[x]
+        if z < 0:
+            if mark_a[edge_a[x]] != mark_b[edge_b[y]]:
+                break
+            image[x] = y
+            queue.append(x)
+        elif z != y:
+            break
+        x, y = twin_a[h], twin_b[g]
+        z = image[x]
+        if z < 0:
+            if label_a[face_a[x]] != label_b[face_b[y]]:
+                break
+            image[x] = y
+            queue.append(x)
+        elif z != y:
+            break
+    else:
+        return len(queue)
+    matched = queue.index(h)
+    for h in queue:
+        image[h] = -1
+    return matched
+
+
+def _vertex_images(a, b, root, start, mirror):
+    """Per vertex of a, its image in b under the match ``(root, start,
+    mirror)``: where the flags at it are sent, or, for a mirror map,
+    their far ends."""
+    image = array("i", [-1]) * len(a.h_face)
+    _extend(a, b, root, start, mirror, image)
+    if mirror:
+        image = map(b.h_twin.__getitem__, image)
+    out = [0] * a.num_vertices
+    origin = b.h_origin
+    for v, g in zip(a.h_origin, image):
+        out[v] = origin[g]
+    return out
 
 
 def _pair_components(a, b):

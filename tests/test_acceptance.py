@@ -13,11 +13,11 @@ import pytest
 from coversphere.catalog import get_rule, load_spec
 from coversphere.cayley import ac_profile, cone_type_count, make_group
 from coversphere.cli import main as cli_main
-from coversphere.cover import CoverState, sphere_series
-from coversphere.growth import classify_growth, growth_series
+from coversphere.cover import CoverState, balls
+from coversphere.growth import classify_growth, stage_tilings
 from coversphere.pack import flower, pack, tangency_error, triangulate
 from coversphere.rules import apply_replacement
-from coversphere.tiling import isomorphic
+from coversphere.tiling import STATUS_OF, isomorphic
 
 
 def report(line):
@@ -35,7 +35,7 @@ def nxs1_stages():
 
 def test_criterion_1_torus_oracle_equivalence(cube_oracle):
     e = get_rule("torus3")
-    spheres = sphere_series(load_spec("cube"), 5)
+    spheres = [s.boundary_sphere() for s in balls(load_spec("cube"), 5)]
     t = e.initial
     faces = []
     for n in range(1, 6):
@@ -50,11 +50,12 @@ def test_criterion_1_torus_oracle_equivalence(cube_oracle):
 
 
 def test_criterion_2_loaded_bookkeeping():
-    spheres = sphere_series(load_spec("cube"), 3)
+    spheres = [s.boundary_sphere() for s in balls(load_spec("cube"), 3)]
     # the 30-face sphere carries the 12 loaded edges; the 8 loaded
     # vertices (the seed cube's corners) surface one expansion later,
     # on the 78-face sphere
-    assert len(spheres[1].edges_with_status("loaded")) == 12
+    assert [*map(STATUS_OF.__getitem__, spheres[1].edge_marks)].count(
+        "loaded") == 12
     assert len(spheres[2].loaded_vertices) == 8
     state = CoverState(load_spec("cube"))
     state.expand()  # start the burial check at stage 2
@@ -74,12 +75,13 @@ def test_criterion_2_loaded_bookkeeping():
 
 
 def test_criterion_3_growth_classification(nxs1_stages):
-    c = classify_growth(growth_series(get_rule("torus3"), 6, "replacement"))
+    def faces(rule, n, mode=None):
+        return [t.num_faces for t in stage_tilings(get_rule(rule), n, mode)]
+    c = classify_growth(faces("torus3", 6, "replacement"))
     assert (c.kind, c.degree) == ("polynomial", 2)
     assert c.evidence["diff_value"] == 24
-    assert classify_growth(growth_series(get_rule("s2xr"), 4)).kind \
-        == "constant"
-    assert classify_growth(growth_series(get_rule("s3"), 4)).kind == "empty"
+    assert classify_growth(faces("s2xr", 4)).kind == "constant"
+    assert classify_growth(faces("s3", 4)).kind == "empty"
     faces = [len(t.face_start) for t in nxs1_stages]
     ce = classify_growth(faces)
     assert ce.kind == "exponential"
@@ -89,7 +91,7 @@ def test_criterion_3_growth_classification(nxs1_stages):
 
 
 def test_criterion_4_nxs1_validity(nxs1_stages):
-    spheres = sphere_series(load_spec("prism12"), 4)
+    spheres = [s.boundary_sphere() for s in balls(load_spec("prism12"), 4)]
     for n in range(1, 5):
         t = nxs1_stages[n - 1]
         assert t.euler_characteristic() == 2

@@ -152,6 +152,7 @@ def test_cayley_cones_stdout_stable_across_hash_seeds():
     "subdivide --rule torus3 --steps 3 --mode subdivision --out -",
     "cover --spec prism12 --steps 4",
     "verify --rule s2xr --steps 3",
+    "verify --rule nxs1 --steps 4",
 ])
 def test_stdout_stable_across_hash_seeds(argv):
     code = ("from coversphere.cli import main; "

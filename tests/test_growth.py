@@ -2,7 +2,11 @@ import pytest
 
 from coversphere.catalog import get_rule
 from coversphere.growth import (GrowthError, classify_growth, growth_report,
-                                growth_series)
+                                stage_tilings)
+
+
+def face_counts(entry, n, mode=None):
+    return [t.num_faces for t in stage_tilings(entry, n, mode)]
 
 
 def test_quadratic_series():
@@ -43,7 +47,7 @@ def test_no_growth_ratio_rejected(series, last):
 
 def test_torus3_polynomial_for_every_window():
     e = get_rule("torus3")
-    faces = growth_series(e, 6, "replacement")
+    faces = face_counts(e, 6, "replacement")
     assert faces == [6, 30, 78, 150, 246, 366]
     for n in (4, 5, 6):
         c = classify_growth(faces[:n])
@@ -51,10 +55,10 @@ def test_torus3_polynomial_for_every_window():
 
 
 def test_s2xr_constant_s3_empty():
-    assert classify_growth(growth_series(get_rule("s2xr"), 4)).kind \
+    assert classify_growth(face_counts(get_rule("s2xr"), 4)).kind \
         == "constant"
-    assert growth_series(get_rule("s3"), 4) == [0, 0, 0, 0]
-    assert classify_growth(growth_series(get_rule("s3"), 4)).kind == "empty"
+    assert face_counts(get_rule("s3"), 4) == [0, 0, 0, 0]
+    assert classify_growth(face_counts(get_rule("s3"), 4)).kind == "empty"
 
 
 def test_nxs1_exponential():
@@ -66,4 +70,6 @@ def test_nxs1_exponential():
 
 def test_report_mode_mismatch():
     with pytest.raises(GrowthError):
-        growth_series(get_rule("nxs1"), 3, "subdivision")
+        face_counts(get_rule("nxs1"), 3, "subdivision")
+    with pytest.raises(GrowthError):
+        growth_report(get_rule("nxs1"), 3, "subdivision")

@@ -2,6 +2,7 @@
 canonical form, and stability of canonical forms across processes."""
 
 import gc
+import json
 import os
 import random
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import coversphere
-from coversphere import tiling
+from coversphere import cli, tiling
 from coversphere.catalog import get_rule, load_spec
 from coversphere.cover import balls
 from coversphere.growth import stage_tilings
@@ -96,7 +97,7 @@ def status_changed(t):
 def added_swapped(t):
     """An added and a non-added plain edge trade added marks."""
     added = added_marks(t)
-    plain = t.edges_with_status("plain")
+    plain = [e for e, s in enumerate(statuses(t)) if s == "plain"]
     i = next(e for e in plain if added[e])
     j = next(e for e in plain if not added[e])
     added[i], added[j] = False, True
@@ -122,6 +123,21 @@ def stage(request):
     return t, t.canonical_form(), breaker
 
 
+def carries_faces(a, b, images):
+    """Whether ``images``, per vertex of a a vertex of b, is a bijection
+    that carries every face of a onto a face of b with its label, up to
+    rotation and reversal of its vertex cycle."""
+    def faces(t, name):
+        out = []
+        for f, label in enumerate(t.face_labels):
+            vs = [*map(name, t.face_vertices(f))]
+            out.append((label, min(min(c[i:] + c[:i] for i in range(len(c)))
+                                   for c in (vs, vs[::-1]))))
+        return sorted(out)
+    return (sorted(images) == [*range(b.num_vertices)]
+            and faces(a, images.__getitem__) == faces(b, int))
+
+
 @pytest.mark.parametrize("variant,expected", [
     ("shuffled", True), ("mirrored", True), ("broken", False)])
 def test_walk_verdicts_agree_with_canonical_form(stage, variant, expected):
@@ -133,8 +149,50 @@ def test_walk_verdicts_agree_with_canonical_form(stage, variant, expected):
     assert sorted(u.face_labels) == sorted(t.face_labels)
     assert sorted(statuses(u)) == sorted(statuses(t))
     assert sum(added_marks(u)) == sum(added_marks(t))
-    assert isomorphic(t, u) is expected
+    images = []
+    assert isomorphic(t, u, vertex_map=images) is expected
     assert (form == u.canonical_form()) is expected
+    assert carries_faces(t, u, images) is expected
+    # A seed, right or wrong, changes no verdict.
+    for seed in ((0, 0), (0, u.num_vertices - 1), (t.num_vertices - 1, 0)):
+        assert isomorphic(t, u, seed) is expected
+
+
+def spy_refinement(monkeypatch):
+    """The flag counts of the first tiling of each ``_wl_colours`` call,
+    as they are made."""
+    sizes = []
+    wl_colours = tiling._wl_colours
+
+    def spy(tilings):
+        sizes.append(len(tilings[0].h_face))
+        return wl_colours(tilings)
+    monkeypatch.setattr(tiling, "_wl_colours", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("copy", ["shuffled", "mirrored"])
+def test_wrong_seed_falls_back_to_the_colour_search(monkeypatch, copy):
+    # Three relabelled faces leave nxs1 stage 2 no symmetry, so each copy
+    # matches it by one map only.  Seeded at the image of vertex 0 the
+    # walk finds it; seeded anywhere else the colour search does.
+    t = final_stage("nxs1", 2, "replacement")
+    labels = list(t.face_labels)
+    for i, f in enumerate((0, 5, 17)):
+        labels[f] = "C%d" % i
+    chiral = rebuilt(t, labels=labels)
+    u = {"shuffled": shuffled,
+         "mirrored": lambda t: rebuilt(t, reverse=True)}[copy](chiral)
+    images = []
+    assert isomorphic(chiral, u, vertex_map=images)
+    assert carries_faces(chiral, u, images)
+    refined = spy_refinement(monkeypatch)
+    for v in range(u.num_vertices):
+        seeded = []
+        assert isomorphic(chiral, u, (0, v), seeded)
+        assert seeded == images
+        assert refined == ([] if v == images[0] else [len(chiral.h_face)])
+        refined.clear()
 
 
 def test_chiral_tiling_matches_its_mirror_image():
@@ -184,6 +242,16 @@ def test_isomorphic_decides_after_one_round(nxs1_stage4, monkeypatch):
     monkeypatch.setattr(tiling, "_wl_colours", spy)
     assert isomorphic(*nxs1_stage4)
     assert len(rounds) == 1
+
+
+@pytest.mark.parametrize("rule", ["nxs1", "sl2r", "torus3"])
+def test_verify_refines_colours_at_stage_1_only(capsys, monkeypatch, rule):
+    # Each later stage's walk is seeded from the match before it, through
+    # a vertex whose name both stages share.
+    refined = spy_refinement(monkeypatch)
+    assert cli.main(["verify", "--rule", rule, "--steps", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["equivalent"]
+    assert refined == [len(get_rule(rule).initial.h_face)]
 
 
 @pytest.mark.parametrize("rule,n,mode,expected", [
@@ -266,27 +334,45 @@ def test_packed_round0_colours_equal_tuple_colours(name):
     assert classes > 1
 
 
+def traced_peak(call):
+    """The traced peak of a call, in bytes above what was held before."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def test_isomorphic_working_set_is_flat():
     # Packed round-0 colours, colour arrays and a flat walk code keep the
     # traced peak near 112 bytes per flag of a; 6-tuple signatures, colour
     # lists and a walk code of 3-tuples took about 246.
     a, b = nxs1_pair(3)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert isomorphic(a, b)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 150 * len(a.h_face)
+    assert traced_peak(lambda: isomorphic(a, b)) <= 150 * len(a.h_face)
+
+
+def test_seeded_working_set_is_flatter():
+    # No colours, and the flag map and walk queue in array('i'): near 16
+    # bytes per flag of a, vertex map included; as lists of boxed ints
+    # they took about 79.
+    a, b = nxs1_pair(3)
+    images = []
+    assert isomorphic(a, b, vertex_map=images)
+    peak = traced_peak(lambda: isomorphic(a, b, (0, images[0]), []))
+    assert peak <= 24 * len(a.h_face)
 
 
 @pytest.mark.parametrize("breaker", [labels_swapped, statuses_swapped,
                                      label_changed, status_changed])
 def test_stage4_broken_copies_rejected(nxs1_stage4, breaker):
     t, _ = nxs1_stage4
-    assert not isomorphic(t, breaker(t))
+    broken = breaker(t)
+    assert not isomorphic(t, broken)
+    # seeded where the unbroken copy would match
+    assert not isomorphic(t, broken, (0, 0))
 
 
 def square_torus(p, q, name=lambda i, j: (i, j)):

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from coversphere.cover import sphere_series
+from coversphere.cover import balls
 from coversphere.gluing import parse_gluing
 from coversphere.rules import (
     RuleError, apply_replacement, apply_subdivision, load_rule,
@@ -24,7 +24,8 @@ def torus3():
 
 @pytest.fixture(scope="module")
 def cube_series():
-    return sphere_series(parse_gluing(load_data("cube.glue")), 6)
+    return [state.boundary_sphere() for state in
+            balls(parse_gluing(load_data("cube.glue")), 6)]
 
 
 def tetra():
@@ -254,7 +255,7 @@ def test_subdivision_rejects_disagreeing_neighbours(boundary, cycles,
 def test_s2xr_identity():
     rule = load_rule(load_data("s2xr.json"))
     spec = parse_gluing(load_data("s2.glue"))
-    t = sphere_series(spec, 1)[0]
+    t = next(balls(spec, 1)).boundary_sphere()
     for n in range(4):
         t2 = apply_replacement(rule.replacement, t)
         assert t2.num_faces == t.num_faces == 4

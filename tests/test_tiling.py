@@ -9,11 +9,11 @@ from itertools import accumulate, zip_longest
 import pytest
 
 from coversphere import catalog
-from coversphere.cover import balls, sphere_series
+from coversphere.cover import balls
 from coversphere.growth import stage_tilings
 from coversphere.rules import apply_replacement
 from coversphere.tiling import (ADDED, STATUSES, FaceTables, Tiling,
-                                TilingError, isomorphic)
+                                TilingError, isomorphic, mark)
 from test_cli import python
 from test_isomorphism import square_torus
 
@@ -212,7 +212,7 @@ def test_edge_status_and_loaded_vertices():
         if 0 in names:
             status[t.edge_keys[e]] = "loaded"
     t2 = Tiling(faces, edge_status=status)
-    assert len(t2.edges_with_status("loaded")) == 3
+    assert t2.edge_marks.count(mark("loaded")) == 3
     loaded = {t2.vertex_names[v] for v in t2.loaded_vertices}
     assert loaded == {0}
 
@@ -326,7 +326,7 @@ def test_face_reads_follow_h_next(make, flipped):
         while t.h_next[walk[-1]] != walk[0]:
             walk.append(t.h_next[walk[-1]])
         walked_back += walk[1] != walk[0] + 1
-        assert t.face_halfedges(f) == walk
+        assert t._face_read(range(len(t.h_face)), f) == walk
         assert t.face_vertices(f) == [t.h_origin[h] for h in walk]
         assert t.face_edges(f) == [t.h_edge[h] for h in walk]
     assert walked_back == flipped
@@ -340,7 +340,8 @@ SAME_TABLES = ("face_labels", "face_start", "face_component", "h_face",
 
 @pytest.mark.parametrize("grow, built", [
     (lambda: stage_tilings(catalog.get_rule("nxs1"), 4, "replacement"), 3),
-    (lambda: sphere_series(catalog.load_spec("prism12"), 4), 4),
+    (lambda: (s.boundary_sphere()
+              for s in balls(catalog.load_spec("prism12"), 4)), 4),
     (lambda: stage_tilings(catalog.get_rule("torus3"), 3, "subdivision"), 2),
 ], ids=["nxs1", "prism12", "torus3-subdivision"])
 def test_table_path_matches_per_face_path(monkeypatch, grow, built):
