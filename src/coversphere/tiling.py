@@ -57,7 +57,9 @@ class FaceTables(NamedTuple):
     keys ints in ``range(len(marks))``, ranges the producer declares;
     ``marks`` holds one ``mark`` per key.  ``new()`` gives empty tables
     for a producer to fill: ``array('i')`` for the ints, and a zeroed
-    ``bytearray`` of marks, all plain, for ``num_keys`` keys."""
+    ``bytearray`` of marks, all plain, for ``num_keys`` keys.  A
+    ``Tiling`` consumes the ``names`` and ``keys`` it is handed, writing
+    vertex and edge ids over them in place."""
     labels: list
     sizes: array
     names: array
@@ -81,12 +83,17 @@ class Tiling:
     numbers them by first appearance into ``FaceTables``, so either way
     the tiling is built from int tables, owns their ``labels`` list as
     ``face_labels`` and keeps one mark per edge, in the ``bytes``
-    ``edge_marks``.  Without ``edges``, side i's key is the unordered pair
-    of its endpoints; keys must be given whenever two distinct edges share
-    both endpoints (e.g. the square model of the torus).  Face f's
-    half-edges are the contiguous ids ``face_start[f]..``, side i of the
-    input cycle being ``face_start[f] + i``; a face flipped to orient the
-    surface keeps that start and walks its sides backwards.
+    ``edge_marks``.  It consumes the ``names`` and ``keys`` tables: they
+    are renumbered in place into ``h_origin`` and ``h_edge``, so that a
+    stage is built in little more than the memory it keeps (at stage 4,
+    nxs1 peaks at about 46 traced bytes per half-edge and holds 40,
+    prism12 about 40 and 36).  Without ``edges``, side i's key is the
+    unordered pair of its endpoints; keys must be given whenever two
+    distinct edges share both endpoints (e.g. the square model of the
+    torus).  Face f's half-edges are the contiguous ids
+    ``face_start[f]..``, side i of the input cycle being
+    ``face_start[f] + i``; a face flipped to orient the surface keeps that
+    start and walks its sides backwards.
 
     The half-edge tables use the usual conventions: ``next`` walks around
     a face, ``twin`` jumps across an edge, and ``next(twin(h))`` walks the
@@ -133,20 +140,21 @@ class Tiling:
             face.frombytes(run)
 
         # One pass numbers names and keys by first appearance, through
-        # lookup tables indexed by the name or key, and pairs each key's
-        # two sides.  A key's third side is reported at once.  Failing
-        # that, every key has two sides exactly when there are half as
-        # many edges as sides; a key with one side makes more, which may
-        # overflow ``half``.
+        # lookup tables indexed by the name or key, writes each side's
+        # vertex id and edge id over its name and key, and pairs each
+        # key's two sides.  It stops at a key's third side.  Failing that,
+        # every key has two sides exactly when there are half as many
+        # edges as sides; a key with one side makes more, which overflows
+        # ``half``.  Either way the sides renumbered so far get their keys
+        # back, and the message names the key ``_unpaired`` finds.
         n = len(keys)
         vid = array("i", [-1]) * num_names
         eid = array("i", [-1]) * len(marks)
         # tables made by repeating one entry are sized exactly
-        origin = array("i", [0]) * n
-        edge = array("i", [0]) * n
         twin = array("i", [-1]) * n
         half = array("i", [0]) * (n // 2)      # per edge: its first side
-        new = bytearray(n)          # 1 at each vertex's first side
+        # per vertex its name and per edge its key, which indexes ``marks``
+        name_ints, key_ints = array("q"), array("q")
         nv = ne = 0
         try:
             for h, k, v in zip(count(), keys, names):
@@ -154,32 +162,34 @@ class Tiling:
                 if x < 0:
                     vid[v] = x = nv
                     nv += 1
-                    new[h] = 1
-                origin[h] = x
+                    name_ints.append(v)
+                names[h] = x
                 e = eid[k]
                 if e < 0:
-                    eid[k] = edge[h] = ne
                     half[ne] = h
+                    eid[k] = e = ne
                     ne += 1
+                    key_ints.append(k)
                 else:
                     g = half[e]
                     if twin[g] >= 0:
-                        raise _side_count_error(keys, k, edge_keys)
+                        ne = -1
+                        break
                     twin[g], twin[h] = h, g
-                    edge[h] = e
+                keys[h] = e
         except IndexError:
             ne = -1
         if 2 * ne != n:
+            for i in range(h):
+                keys[i] = key_ints[keys[i]]
             raise _side_count_error(keys, _unpaired(keys, len(marks)),
                                     edge_keys)
         del vid, eid
-        # per edge its int key, which indexes ``marks``
-        key_ints = array("q", map(keys.__getitem__, half))
-        self.vertex_names = vertex_names or array("q", compress(names, new))
+        self.vertex_names = vertex_names or name_ints
         self.edge_keys = edge_keys or key_ints
-        self.h_edge, self.h_twin = edge, twin
+        self.h_edge, self.h_twin = keys, twin
         self.edge_half = half       # per edge: one side; h_twin the other
-        self._orient(origin)
+        self._orient(names)
 
         self.edge_marks = bytes(map(marks.__getitem__, key_ints))
         for c in self.edge_marks.translate(None, MARKS):
@@ -198,34 +208,34 @@ class Tiling:
         needed for twin half-edges to run antiparallel, and label each face
         with its connected component.
 
-        ``origin`` gives each side's first vertex along its input cycle.
-        Works component by component (DFS from the lowest face id), each
-        root keeping its input orientation.  Loop edges give no orientation
-        information: the DFS does not cross them, and the components they
-        join are merged afterwards.  An edge is checked from the first of
-        its faces to be popped; from the other it would pass the same tests:
-        its two sides must join the same two vertices, and their faces
-        must be flipped so that the sides run antiparallel.
+        ``origin``, which becomes ``h_origin``, gives each side's first
+        vertex along its input cycle; while ``h_next`` still walks that
+        cycle, a side ends where the next one starts.  Works component by
+        component (DFS from the lowest face id), each root keeping its
+        input orientation.  Loop edges give no orientation information:
+        the DFS does not cross them, and the components they join are
+        merged afterwards.  An edge is checked from the first of its faces
+        to be popped; from the other it would pass the same tests: its two
+        sides must join the same two vertices, and their faces must be
+        flipped so that the sides run antiparallel.
         """
         start, twin, face = self.face_start, self.h_twin, self.h_face
         stops = start[1:]
         stops.append(len(origin))
         # Half-edges walk their input cycles until a face is flipped.
-        ids = array("i", range(-1, len(origin) + 1))
-        nxt, prev = ids[2:], ids[:-2]
-        end = origin[1:]
-        end.append(0)
+        nxt = array("i", range(1, len(origin) + 1))
+        prev = array("i", range(-1, len(origin) - 1))
         for s, e in zip(start, stops):
-            nxt[e - 1], prev[s], end[e - 1] = s, e - 1, origin[s]
-        flip = [None] * len(start)
-        comp = array("i", [-1]) * len(start)
+            nxt[e - 1], prev[s] = s, e - 1
+        flip = bytearray(len(start))
+        comp = array("i", [-1]) * len(start)   # -1 until a face is reached
         done = bytearray(len(start))
         loops = []      # half-edges whose loop edge the DFS did not cross
         n = 0
-        for root in range(len(flip)):
-            if flip[root] is not None:
+        for root in range(len(start)):
+            if comp[root] >= 0:
                 continue
-            flip[root], comp[root] = False, n
+            comp[root] = n
             stack = [root]
             while stack:
                 f = stack.pop()
@@ -235,7 +245,8 @@ class Tiling:
                     g = face[t]
                     if done[g]:
                         continue
-                    a, b, c, d = origin[h], end[h], origin[t], end[t]
+                    a, b = origin[h], origin[nxt[h]]
+                    c, d = origin[t], origin[nxt[t]]
                     same = a == c and b == d
                     if not (same or a == d and b == c):
                         names = self.vertex_names
@@ -249,7 +260,7 @@ class Tiling:
                         continue
                     # Sides running the same way need opposite flips.
                     want = flipped ^ same
-                    if flip[g] is None:
+                    if comp[g] < 0:
                         flip[g], comp[g] = want, n
                         stack.append(g)
                     elif flip[g] != want:
@@ -258,10 +269,11 @@ class Tiling:
                             "cannot be oriented compatibly" % (f, g))
                 done[f] = 1
             n += 1
+        # A flipped face walks back, so each side starts at its old end.
         for f in compress(range(len(flip)), flip):
             s, e = start[f], stops[f]
             nxt[s:e], prev[s:e] = prev[s:e], nxt[s:e]
-            origin[s:e] = end[s:e]
+            origin[s:e] = origin[s + 1:e] + origin[s:s + 1]
         self.h_next, self.h_prev, self.h_origin = nxt, prev, origin
         self.face_component, self.num_components = _merge_components(
             comp, n, [(comp[face[h]], comp[face[twin[h]]]) for h in loops])
@@ -704,7 +716,8 @@ def isomorphic(a: Tiling, b: Tiling, seed=None, vertex_map=None) -> bool:
     a vertex of b, is tried first (``_seeded_match``); if no walk from it
     matches, or without one, ``_colour_match`` searches by colour.  Given
     a list ``vertex_map``, a connected match sets it to per vertex of a
-    its image in b; otherwise the list is left as it is.
+    its image in b, read off the seeded walk's flag map or, after a colour
+    match, off a walk of the match; otherwise the list is left as it is.
     """
     if (a.num_faces, a.num_edges, a.num_vertices, a.num_components) != \
             (b.num_faces, b.num_edges, b.num_vertices, b.num_components):
@@ -768,8 +781,9 @@ def _colour_match(a, b):
 
 
 def _seeded_match(a, b, u, v):
-    """A match ``(root, start, mirror)`` of connected a onto b that
-    sends vertex u to vertex v, else None.
+    """A match ``(root, start, mirror, image)`` of connected a onto b
+    that sends vertex u to vertex v, ``image`` being its flag map, else
+    None.
 
     The root is a's first flag at u.  The candidates are the flags at v,
     around its rotation, each in both orientations (for a mirror map, the
@@ -786,7 +800,7 @@ def _seeded_match(a, b, u, v):
         for s, m in ((start, False), (b.h_twin[start], True)):
             matched = _extend(a, b, root, s, m, image)
             if matched == flags:
-                return root, s, m
+                return root, s, m, image
             budget -= matched + 1
             if budget <= 0:
                 return None
@@ -848,12 +862,14 @@ def _extend(a, b, root, start, mirror, image):
     return matched
 
 
-def _vertex_images(a, b, root, start, mirror):
+def _vertex_images(a, b, root, start, mirror, image=None):
     """Per vertex of a, its image in b under the match ``(root, start,
     mirror)``: where the flags at it are sent, or, for a mirror map,
-    their far ends."""
-    image = array("i", [-1]) * len(a.h_face)
-    _extend(a, b, root, start, mirror, image)
+    their far ends.  The match's flag map is ``image`` if given, else
+    walked by ``_extend``."""
+    if image is None:
+        image = array("i", [-1]) * len(a.h_face)
+        _extend(a, b, root, start, mirror, image)
     if mirror:
         image = map(b.h_twin.__getitem__, image)
     out = [0] * a.num_vertices

@@ -107,6 +107,20 @@ def test_rejects_three_faces_on_edge():
         assert str(exc.value) == message
 
 
+def test_one_sided_key_is_named_as_the_producer_gave_it():
+    # Key 12 has one side.  That shows only at side 7, which makes a
+    # seventh edge of 12 sides, once sides 0-6 were renumbered in place;
+    # the message still names and counts the producer's key, not an
+    # edge id.
+    keys = [10, 11, 12, 10, 13, 14, 15, 16, 17, 16, 11, 13]
+    with pytest.raises(TilingError) as exc:
+        Tiling(FaceTables(["t"] * 4, array("i", [3] * 4),
+                          array("i", [0, 1, 2] * 4), array("i", keys),
+                          bytearray(18), 3))
+    assert str(exc.value) == ("edge 12 bounds 1 face sides; closed surfaces "
+                              "need exactly 2")
+
+
 @pytest.mark.parametrize("names, keys, message", [
     ([0, 1, 2] * 3, [0, 1, 2, 2, 1, 9, 0, 3, 3],
      "edge key 9 is outside the declared range(4)"),
@@ -346,14 +360,16 @@ SAME_TABLES = ("face_labels", "face_start", "face_component", "h_face",
 ], ids=["nxs1", "prism12", "torus3-subdivision"])
 def test_table_path_matches_per_face_path(monkeypatch, grow, built):
     # Every stage the rules and the cover hand over as flat tables equals
-    # the tiling built from the same faces given one by one.
+    # the tiling built from the same faces given one by one.  A Tiling
+    # renumbers the names and keys it is handed, so copies are recorded.
     calls = []
     init = Tiling.__init__
 
     def recorded(t, faces, **kw):
-        init(t, faces, **kw)
         if isinstance(faces, FaceTables):
-            calls.append((faces, kw, t))
+            calls.append((faces._replace(names=faces.names[:],
+                                         keys=faces.keys[:]), kw, t))
+        init(t, faces, **kw)
 
     catalog.list_rules()    # builds the catalog's initial tilings first
     monkeypatch.setattr(Tiling, "__init__", recorded)
@@ -421,11 +437,12 @@ def nxs1_stage3():
 def test_rule_stage_is_compact_while_built_and_held():
     # A stage held in flat int tables, with one mark byte per edge, takes
     # about 40 traced bytes per half-edge (48 with statuses and added
-    # marks kept as two lists) and peaks near 64 while built from flat
-    # face tables with byte marks; numbering through int-keyed dicts and
-    # handing statuses over as a dict peaked near 100, per face tuples
-    # near 180, and int tables kept as lists take about 218 and 560, over
-    # every bound.
+    # marks kept as two lists) and peaks near 46 while built from flat
+    # face tables with byte marks renumbered in place (64 with the ids
+    # in tables of their own and scratch copies to orient); numbering
+    # through int-keyed dicts and handing statuses over as a dict peaked
+    # near 100, per face tuples near 180, and int tables kept as lists
+    # take about 218 and 560, over every bound.
     rule, t = nxs1_stage3()
     out, held, peak = traced_build(lambda: apply_replacement(rule, t))
     half_edges = len(out.h_face)
@@ -436,11 +453,13 @@ def test_rule_stage_is_compact_while_built_and_held():
     assert peak <= 130 * half_edges
     assert peak <= 77 * half_edges
     assert held <= 44 * half_edges
+    assert peak <= 52 * half_edges
 
 
 def test_cover_sphere_is_compact_when_held():
     # About 36 traced bytes per half-edge held (45 with statuses and
-    # added marks kept as two lists) and 58 at the peak (97 with
+    # added marks kept as two lists) and 40 at the peak (58 with the ids
+    # in tables of their own and scratch copies to orient, 97 with
     # int-keyed dicts numbering names and keys and holding statuses).
     *_, state = balls(catalog.load_spec("prism12"), 4)
     out, held, peak = traced_build(state.boundary_sphere)
@@ -451,6 +470,7 @@ def test_cover_sphere_is_compact_when_held():
     assert peak <= 130 * half_edges
     assert peak <= 70 * half_edges
     assert held <= 40 * half_edges
+    assert peak <= 46 * half_edges
 
 
 def twin_components(t):
