@@ -211,10 +211,11 @@ def build_parser():
     p = sub.add_parser("cayley", help="Cayley-graph experiments")
     p.add_argument("--group", required=True)
     p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--ac2", action="store_true",
-                   help="almost-convexity table K(2, n)")
-    p.add_argument("--cones", action="store_true",
-                   help="approximate cone-type count")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--ac2", action="store_true",
+                       help="almost-convexity table K(2, n)")
+    which.add_argument("--cones", action="store_true",
+                       help="approximate cone-type count")
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--cap", type=int, default=10 ** 6)
     p.set_defaults(fn=_cmd_cayley)

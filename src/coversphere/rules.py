@@ -429,18 +429,23 @@ def load_rule_file(path) -> Rule:
 
 
 def apply_subdivision(rule: SubdivisionRule, t: Tiling):
-    """Replace every face by its tile-type template.
+    """Replace every face by its tile-type template, in one pass.
 
-    New vertices are numbered from ``t.num_vertices`` and new edge keys from
+    A split edge's segments and inner vertices take their keys and ints
+    when a face first splits it, in canonical orientation (from its lower
+    vertex id); later faces are checked against that split.  New vertices
+    are numbered from ``t.num_vertices`` and new edge keys from
     ``t.num_edges`` upward; surviving edges keep their ids as keys.
     """
-    split_plan = {}      # edge id -> segment marks (canonical orient.)
+    # edge id -> (segment marks in canonical orientation, first segment
+    # key, first inner vertex)
+    splits = {}
     # a surviving edge's new mark, _NO_MARK until a face sets it
     tables = FaceTables.new()._replace(
         marks=bytearray([_NO_MARK]) * t.num_edges)
     marks, old = tables.marks, t.edge_marks
     moved = old.translate(rule.default_transition)
-    face_plans = []
+    nv = t.num_vertices
 
     for f in range(t.num_faces):
         vs = t.face_vertices(f)
@@ -458,18 +463,26 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
                 "statuses %r)" % (rule.name, f, t.face_labels[f],
                                   [STATUS_OF[old[e]] for e in es]))
         tile, avs, aes = chosen
-        face_plans.append(chosen)
 
-        for i, m in enumerate(tile.boundary):
-            e = aes[i]
+        rim_vs, rim_es = [], []
+        for u, v, e, m in zip(avs, avs[1:] + avs[:1], aes, tile.boundary):
+            rim_vs.append(u)
             if isinstance(m, bytes):
-                if avs[i] > avs[(i + 1) % n]:
-                    # face traverses against canonical orientation
-                    m = m[::-1]
-                if split_plan.setdefault(e, m) != m:
+                k = len(m)
+                # -1: the face traverses against canonical orientation
+                step = -1 if u > v else 1
+                m = m[::step]
+                if e not in splits:
+                    splits[e] = m, len(marks), nv
+                    marks += m
+                    nv += k - 1
+                segs, ke, kv = splits[e]
+                if segs != m:
                     raise RuleError(
                         "adjacent templates disagree on the subdivision of "
                         "edge %d" % e)
+                rim_vs += range(kv, kv + k - 1)[::step]
+                rim_es += range(ke, ke + k)[::step]
             else:
                 m = moved[e] if m is None else m
                 if marks[e] not in (_NO_MARK, m):
@@ -477,33 +490,16 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
                         "adjacent templates disagree on the new status of "
                         "edge %d" % e)
                 marks[e] = m
+                rim_es.append(e)
+        nv = tile.template.instantiate(rim_vs, rim_es, nv, tables)
 
-    for e in split_plan:
+    # checked in the order the split edges were first met
+    for e in splits:
         if marks[e] != _NO_MARK:
             raise RuleError(
                 "adjacent templates disagree on the subdivision of edge "
                 "%d" % e)
         marks[e] = 0        # a split edge's key is not handed over
-
-    # each split edge's segments and inner vertices take ints once, in
-    # canonical orientation
-    nv = t.num_vertices
-    chains = {}          # edge id -> (segment keys, inner vertex ids)
-    for e, segs in split_plan.items():
-        k, ne = len(segs), len(marks)
-        chains[e] = list(range(ne, ne + k)), list(range(nv, nv + k - 1))
-        marks += segs
-        nv += k - 1
-
-    for tile, avs, aes in face_plans:
-        rim_vs, rim_es = [], []
-        for u, v, e in zip(avs, avs[1:] + avs[:1], aes):
-            segs, ivs = chains[e] if e in chains else ([e], [])
-            if u > v:   # face traverses against canonical orientation
-                segs, ivs = segs[::-1], ivs[::-1]
-            rim_vs += [u] + ivs
-            rim_es += segs
-        nv = tile.template.instantiate(rim_vs, rim_es, nv, tables)
 
     return Tiling(tables._replace(num_names=nv), stage=t.stage + 1)
 

@@ -132,6 +132,16 @@ def test_cayley_rejects_negative_radius_or_depth(capsys, argv):
     assert err.startswith("error:") and "must be non-negative" in err
 
 
+def test_cayley_rejects_ac2_with_cones(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cayley", "--group", "heis", "--radius", "3", "--ac2",
+              "--cones"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --cones: not allowed with argument --ac2" in out.err
+
+
 def test_cli_import_leaves_networkx_unloaded():
     out = python("import sys, coversphere.cli; "
                  "print('networkx' in sys.modules)")

@@ -241,7 +241,14 @@ def test_matcher_and_boundary_compile_to_marks():
     ([{"set": LOADED}, {"set": PLAIN}, {"set": PLAIN}],
      [["v0", "v1", "v2"]],
      "adjacent templates disagree on the new status of edge 2"),
-], ids=["split-split", "split-kept", "new-status"])
+    # faces 1-3 each split an edge face 0 or 1 kept, but a new-status
+    # conflict on face 3 is what is reported: split-versus-kept is only
+    # checked once every face is placed
+    ([{"split": [PLAIN, PLAIN]}, {"set": LOADED}, {"set": PLAIN}],
+     [["v0", "e0.1", "v1", "v2"]],
+     "adjacent templates disagree on the new status of edge 1"),
+], ids=["split-split", "split-kept", "new-status",
+        "new-status-after-split-kept"])
 def test_subdivision_rejects_disagreeing_neighbours(boundary, cycles,
                                                     message):
     rule = load_rule(tri_data(boundary, cycles))

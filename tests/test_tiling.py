@@ -11,7 +11,7 @@ import pytest
 from coversphere import catalog
 from coversphere.cover import balls
 from coversphere.growth import stage_tilings
-from coversphere.rules import apply_replacement
+from coversphere.rules import apply_replacement, apply_subdivision
 from coversphere.tiling import (ADDED, STATUSES, FaceTables, Tiling,
                                 TilingError, isomorphic, mark)
 from test_cli import python
@@ -471,6 +471,22 @@ def test_cover_sphere_is_compact_when_held():
     assert peak <= 70 * half_edges
     assert held <= 40 * half_edges
     assert peak <= 46 * half_edges
+
+
+def test_subdivision_stage_is_compact_while_built():
+    # Numbering each split edge's segments and inner vertices when a face
+    # first splits it peaks near 60 traced bytes per half-edge; planning
+    # the whole stage first, with every face's dihedral image and every
+    # split edge's key and vertex lists kept for a second pass, peaked
+    # near 94.
+    entry = catalog.get_rule("barycentric")
+    *_, t = stage_tilings(entry, 4)
+    out, _, peak = traced_build(
+        lambda: apply_subdivision(entry.rule.subdivision, t))
+    half_edges = len(out.h_face)
+    assert out.num_faces == 5184
+    assert peak <= 85 * half_edges
+    assert peak <= 70 * half_edges
 
 
 def twin_components(t):
