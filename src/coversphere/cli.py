@@ -75,6 +75,7 @@ def _cmd_cover(args):
         cells.append(state.num_cells)
         faces.append(sphere.num_faces)
         spheres.append(sphere.is_sphere())
+        del sphere      # so S(n) is not held while S(n + 1) is built
     _emit({"spec": spec.name or args.spec, "steps": args.steps,
            "cells": cells, "face_counts": faces,
            "all_spheres": all(spheres)}, args.stats)

@@ -20,6 +20,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, count
 from operator import itemgetter
+from struct import Struct
 
 from .tiling import (ADDED, IS_LOADED, LOADED, MARKS, PLAIN, STATUS_OF,
                      STATUSES, FaceTables, Tiling, TilingError, mark)
@@ -27,6 +28,7 @@ from .unionfind import UnionFind
 
 ANY = "any"
 _NO_MARK = 0xFF         # a byte that is no mark
+_STATUS_CODE = bytes(m & 3 for m in range(256))  # per mark: its status code
 
 
 class RuleError(ValueError):
@@ -117,10 +119,15 @@ class Pattern:
     face, ``region_faces`` holds its label and size; its anchor, the first
     cycle position whose vertex an earlier face binds, with that vertex's
     number (or None); the positions of its new vertices and edges with
-    the runs of numbers they bind; and readers of its whole cycle and
-    sides.  Status checks pair edge numbers with a status code (a mark's
-    low two bits), ``boundary_to`` with a new mark, flap chains list them,
-    and ``template`` takes bound vertex ids and edge keys in this numbering.
+    the runs of numbers they bind; readers of its whole cycle and sides;
+    and the numbers of its new edges that a later face has, each with
+    that face's label and size.  ``read_checked`` reads the numbers of
+    the edges whose status code (a mark's low two bits) is checked, and
+    ``checked_statuses`` holds the codes; ``read_internal`` reads the
+    internal edges' numbers, and each of ``flap_chains``, in ``flaps``
+    order, the numbers of a flap's chain; ``boundary_to`` pairs edge
+    numbers with a new mark; and ``template`` takes bound vertex ids and
+    edge keys in this numbering and holds the flaps out.
     """
     name: str
     region: list                # {label, cycle of names}
@@ -132,11 +139,14 @@ class Pattern:
 
     def __post_init__(self):
         vid, eid, uses = {}, {}, Counter()
+        shapes = [(f["label"], len(f["cycle"])) for f in self.region]
+        region_sides = [_sides(f["cycle"]) for f in self.region]
+        last = {e: j for j, sides in enumerate(region_sides) for e in sides}
         self.region_faces = []
-        for f in self.region:
+        for j, f in enumerate(self.region):
             nv, ne = len(vid), len(eid)
             cyc = [vid.setdefault(nm, len(vid)) for nm in f["cycle"]]
-            sides = [eid.setdefault(e, len(eid)) for e in _sides(f["cycle"])]
+            sides = [eid.setdefault(e, len(eid)) for e in region_sides[j]]
             uses.update(sides)
             anchor = next(((i, v) for i, v in enumerate(cyc) if v < nv),
                           None)
@@ -145,7 +155,9 @@ class Pattern:
                 _picker(map(cyc.index, range(nv, len(vid)))),
                 slice(nv, len(vid)),
                 _picker(map(sides.index, range(ne, len(eid)))),
-                slice(ne, len(eid)), _picker(cyc), _picker(sides)))
+                slice(ne, len(eid)), _picker(cyc), _picker(sides),
+                [(i, shapes[last[e]]) for e, i in eid.items()
+                 if i >= ne and last[e] != j]))
         self.vertex_syms, self.edge_syms = list(vid), list(eid)
         self.region_labels = sorted(f["label"] for f in self.region)
         # symbolic edges appearing in two region faces are internal
@@ -160,20 +172,24 @@ class Pattern:
             raise RuleError(
                 "pattern %s: boundary declaration does not match the region "
                 "boundary" % self.name)
-        self.status_checks = list(internal.items()) + [
+        checks = list(internal.items()) + [
             (eid[sym], mark(req["status"]))
             for sym, req in self.boundary_req.items()
             if req.get("status", ANY) != ANY]
+        self.read_checked = _picker(i for i, _ in checks)
+        self.checked_statuses = bytes(want for _, want in checks)
+        self.read_internal = _picker(self.internal_edges)
         self.boundary_to = [(eid[sym], mark(req["to"]))
                             for sym, req in self.boundary_req.items()
                             if req.get("to") is not None]
-        self.flap_chains = [(fl["face"], [self._region_edge(eid, e, "flap")
-                                          for e in fl["chain"]])
+        self.flap_chains = [_picker([self._region_edge(eid, e, "flap")
+                                     for e in fl["chain"]])
                             for fl in self.flaps]
         self.template = Template(
             self.faces, self.vertex_syms,
             [sym if sym in self.boundary_req else None
-             for sym in self.edge_syms], self.edges)
+             for sym in self.edge_syms], self.edges,
+            [fl["face"] for fl in self.flaps])
 
     def _region_edge(self, eid, ends, what):
         try:
@@ -258,7 +274,7 @@ class Rule:
 
 def _sides(cycle):
     """Symbolic sides of a closed cycle; side i joins cycle[i], cycle[i+1]."""
-    return [frozenset(p) for p in zip(cycle, cycle[1:] + cycle[:1])]
+    return [*map(frozenset, zip(cycle, cycle[1:] + cycle[:1]))]
 
 
 class Template:
@@ -267,31 +283,50 @@ class Template:
     The template's vertices are the ``bound`` names, then the names only
     the template has, numbered by first appearance; its sides are the
     ``sides`` symbols (None marks a position the template may not reuse),
-    then its new sides.  Per face, ``labels`` and ``sizes`` hold its label
-    and size and ``starts`` its first side's offset among all the faces'
-    sides; two itemgetters read every face's vertex ids and edge keys, in
-    one run, off those two numberings.  ``new_marks`` holds the new
-    sides' marks, from ``edge_marks``, else plain.
+    then its new sides.  The faces listed in ``flaps`` are held out: they
+    still number their names and sides, but are read apart from the
+    others.  Per kept face, ``labels`` and ``sizes`` hold its label and
+    size; two ``_packer`` functions read every kept face's vertex ids and
+    edge keys, in one run, off those two numberings, and two more the
+    flaps' cycles, whose sizes ``flap_sizes`` holds.  ``rim_named`` and
+    ``rim_keyed`` list the kept sides, counted along that run, that name
+    a new vertex or carry a new side that a flap also has.  ``new_marks``
+    holds the new sides' marks, from ``edge_marks``, else plain.
     """
 
-    def __init__(self, faces, bound, sides, edge_marks):
+    def __init__(self, faces, bound, sides, edge_marks, flaps=()):
         vid = defaultdict(count(len(bound)).__next__, zip(bound, count()))
         eid = defaultdict(count(len(sides)).__next__,
                           ((s, i) for i, s in enumerate(sides)
                            if s is not None))
         cycles = [f["cycle"] for f in faces]
-        self.labels = [f["label"] for f in faces]
-        self.sizes = array("i", map(len, cycles))
-        self.starts = [*accumulate(self.sizes, initial=0)]
-        self.read_vertices = _picker(vid[v] for cyc in cycles for v in cyc)
-        self.read_edges = _picker(eid[s] for cyc in cycles
-                                  for s in _sides(cyc))
-        self.new_vertices = len(vid) - len(bound)
+        vcodes = [[vid[v] for v in cyc] for cyc in cycles]
+        # instantiate reads the edge keys after all the vertex ids
+        nvid = len(vid)
+        ecodes = [[nvid + eid[s] for s in _sides(cyc)] for cyc in cycles]
+        self.new_vertices = nvid - len(bound)
         self.new_marks = bytes(edge_marks.get(sym, 0)      # 0: plain
                                for sym, i in eid.items() if i >= len(sides))
+        # an index out of range is left to Pattern.problems to report
+        held = [f for f in flaps if 0 <= f < len(faces)]
+        kept = [f for f in range(len(faces)) if f not in held]
+        vs = [v for f in kept for v in vcodes[f]]
+        es = [e for f in kept for e in ecodes[f]]
+        flap_vs = [v for f in held for v in vcodes[f]]
+        flap_es = [e for f in held for e in ecodes[f]]
+        self.labels = [faces[f]["label"] for f in kept]
+        self.sizes = array("i", [len(cycles[f]) for f in kept])
+        self.flap_sizes = array("i", [len(cycles[f]) for f in held])
+        self.read_vertices, self.read_edges, self.read_flap_vertices, \
+            self.read_flap_edges = map(_packer, (vs, es, flap_vs, flap_es))
+        rim_v = {v for v in flap_vs if v >= len(bound)}
+        rim_e = {e for e in flap_es if e >= nvid + len(sides)}
+        self.rim_named = [*compress(count(), map(rim_v.__contains__, vs))]
+        self.rim_keyed = [*compress(count(), map(rim_e.__contains__, es))]
 
-    def instantiate(self, vertices, edges, nv, tables):
-        """Append the faces to the ``FaceTables`` ``tables``.
+    def instantiate(self, vertices, edges, nv, tables, held=None):
+        """Append the kept faces to the ``FaceTables`` ``tables``, and the
+        flaps' sizes, vertex ids and edge keys to those of ``held``.
 
         ``vertices`` and ``edges`` give the bound names' ids and the bound
         sides' keys, in the template's numbering.  New vertices take the
@@ -300,15 +335,17 @@ class Template:
         """
         labels, sizes, names, keys, marks, _ = tables
         ne = len(marks)
+        ints = [*vertices, *range(nv, nv + self.new_vertices),
+                *edges, *range(ne, ne + len(self.new_marks))]
         labels += self.labels
         sizes += self.sizes
-        # an array made from a tuple, then appended, is the quickest way
-        # to add the tuple's ints
-        names += array("i", self.read_vertices(
-            [*vertices, *range(nv, nv + self.new_vertices)]))
-        keys += array("i", self.read_edges(
-            [*edges, *range(ne, ne + len(self.new_marks))]))
+        names.frombytes(self.read_vertices(ints))
+        keys.frombytes(self.read_edges(ints))
         marks += self.new_marks
+        if self.flap_sizes:
+            held.sizes.extend(self.flap_sizes)
+            held.names.frombytes(self.read_flap_vertices(ints))
+            held.keys.frombytes(self.read_flap_edges(ints))
         return nv + self.new_vertices
 
 
@@ -318,7 +355,19 @@ def _picker(idx):
     idx = tuple(idx)
     if len(idx) > 1:
         return itemgetter(*idx)
-    return lambda seq: tuple(seq[i] for i in idx)
+    if idx:
+        i, = idx
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
+
+
+def _packer(idx):
+    """A function that reads the entries at ``idx`` off a list of ints
+    as the bytes of an ``array('i')`` of them: packing them is quicker
+    than making an array of the tuple ``_picker`` reads."""
+    idx = tuple(idx)
+    pick, pack = _picker(idx), Struct("%di" % len(idx)).pack
+    return lambda seq: pack(*pick(seq))
 
 
 def _dihedral(vs, es, anchor=None):
@@ -531,7 +580,7 @@ def _match_pattern(pat: Pattern, t: Tiling, group):
     if len(pat.region_faces) != len(group):
         return None
     labels = t.face_labels
-    if sorted(labels[g] for g in group) != pat.region_labels:
+    if sorted(map(labels.__getitem__, group)) != pat.region_labels:
         return None
     faces = [(g, labels[g], t.face_vertices(g), t.face_edges(g))
              for g in group]
@@ -541,12 +590,13 @@ def _match_pattern(pat: Pattern, t: Tiling, group):
     sigma = [None] * len(pat.vertex_syms)
     edge_of = [None] * len(pat.edge_syms)
     taken, used = set(), set()
+    shape = {g: (glabel, len(vs)) for g, glabel, vs, _ in faces}
 
     def extend(idx):
         if idx == len(faces):
             return True
         (label, n, anchor, fresh_v, v_slots, fresh_e, e_slots, read_v,
-         read_e) = pat.region_faces[idx]
+         read_e, ahead) = pat.region_faces[idx]
         if anchor is not None:
             anchor = anchor[0], sigma[anchor[1]]
         for g, glabel, vs, es in faces:
@@ -563,6 +613,13 @@ def _match_pattern(pat: Pattern, t: Tiling, group):
                 if read_v(sigma) != tuple(avs) or \
                         read_e(edge_of) != tuple(aes):
                     continue
+                # an image whose edge a later face must have, but no
+                # unused group face of its label and size has, fails
+                if ahead and any(
+                        all(f == g or f in used or shape.get(f) != want
+                            for f in t.edge_faces(edge_of[i]))
+                        for i, want in ahead):
+                    continue
                 taken.update(vals)
                 used.add(g)
                 if extend(idx + 1):
@@ -571,18 +628,23 @@ def _match_pattern(pat: Pattern, t: Tiling, group):
                 used.discard(g)
         return False
 
-    if not extend(0):
+    found = extend(0)
+    # extend refers to itself through its closure: dropping it frees the
+    # search state now rather than in the cyclic garbage collector
+    del extend
+    if not found:
         return None
     marks = t.edge_marks
-    if any(marks[edge_of[i]] & 3 != want for i, want in pat.status_checks):
+    if bytes(map(marks.__getitem__, pat.read_checked(edge_of))).translate(
+            _STATUS_CODE) != pat.checked_statuses:
         return None
-    # every loaded edge interior to the group must be part of the pattern
-    mapped_internal = {edge_of[i] for i in pat.internal_edges}
-    gset = set(group)
-    return None if any(
-        IS_LOADED[marks[e]] and e not in mapped_internal
-        and set(t.edge_faces(e)) <= gset
-        for *_, es in faces for e in es) else (sigma, edge_of)
+    # every loaded edge of the group's faces must be a mapped internal
+    # edge (both faces of a loaded edge are in its group)
+    sides = [e for *_, es in faces for e in es]
+    loaded = compress(sides, bytes(map(marks.__getitem__, sides)).translate(
+        IS_LOADED))
+    return (sigma, edge_of) if set(pat.read_internal(edge_of)).issuperset(
+        loaded) else None
 
 
 def apply_replacement(rule: ReplacementRule, t: Tiling):
@@ -592,7 +654,7 @@ def apply_replacement(rule: ReplacementRule, t: Tiling):
     shared fragile-edge chains: both faces are removed and their remaining
     boundaries identified.  New vertices are numbered from
     ``t.num_vertices`` and new edge keys from ``t.num_edges`` upward, so
-    old and new keys share one union-find.
+    old and new keys share one numbering.
     """
     return Tiling(_replaced_faces(rule, t), stage=t.stage + 1)
 
@@ -612,13 +674,18 @@ def _replaced_faces(rule, t):
     mark's low two bits, and reads an old key that no group prescribes
     by its old status, which ``_DROP`` marks to be dropped after.
 
-    Every other stage-sized table the replacement and the zipping need is
-    local here, so all of them are freed before the output Tiling is built.
+    Flap faces never enter the output tables: each template writes their
+    sizes, names and keys to ``held``, and the zipping reads them there.
+    Per template that held flaps out, ``templates`` lists it and
+    ``bases`` the first side it wrote.  Every other table the replacement
+    and the zipping need is local here, so all of them are freed before
+    the output Tiling is built.
     """
-    tables = FaceTables.new()
+    tables, held = FaceTables.new(), FaceTables.new()
     labels, sizes, names, keys, marks, _ = tables
     marks += t.edge_marks.translate(_OLD)
-    by_chain = {}       # old edge ids -> flaps: (face, first side, size)
+    by_chain = {}       # old edge ids -> the flaps' numbers in ``held``
+    bases, templates = array("i"), []
     nv = t.num_vertices
 
     for group in _loaded_groups(t):
@@ -641,33 +708,37 @@ def _replaced_faces(rule, t):
                     % e)
             marks[e] = to
 
-        face, side, tmpl = len(labels), len(names), pat.template
-        nv = tmpl.instantiate(sigma, edge_of, nv, tables)
-        for f, chain in pat.flap_chains:
-            chain = frozenset([edge_of[i] for i in chain])
-            by_chain.setdefault(chain, []).append(
-                (face + f, side + tmpl.starts[f], tmpl.sizes[f]))
+        if pat.flap_chains:
+            bases.append(len(names))
+            templates.append(pat.template)
+        flap = len(held.sizes)
+        nv = pat.template.instantiate(sigma, edge_of, nv, tables, held)
+        for flap, chain in enumerate(pat.flap_chains, flap):
+            by_chain.setdefault(frozenset(chain(edge_of)), []).append(flap)
 
     # -- zip flaps across fragile chains --------------------------------
-    vert_uf = UnionFind(nv)
-    key_uf = UnionFind(len(marks))
-    live_faces = bytearray(b"\1") * len(labels)
-    live_sides = bytearray(b"\1") * len(names)
+    # Each pair of flaps is checked and aligned in chain order, and the
+    # vertex and key pairs it identifies are listed, to be united after.
+    # Every listed key pair carries one status, so every class of keys
+    # does: a pair already in one class passes the status check as well.
+    starts = array("i", accumulate(held.sizes, initial=0))
+    rim_v, rim_k = held.names, held.keys
+    vpairs, kpairs = array("i"), array("i")
     for chain_key, pair in sorted(by_chain.items(),
                                   key=lambda kv: sorted(kv[0])):
         if len(pair) != 2:
             raise RuleError(
                 "collapse flap mismatch: fragile chain %r has %d flaps"
                 % (sorted(chain_key), len(pair)))
-        (f1, s1, n1), (f2, s2, n2) = pair
-        if n1 != n2:
+        (s1, e1), (s2, e2) = [starts[j:j + 2] for j in pair]
+        if e1 - s1 != e2 - s2:
             raise RuleError(
                 "collapse flap mismatch: flap faces of different sizes")
-        c1, k1 = names[s1:s1 + n1].tolist(), keys[s1:s1 + n1].tolist()
-        c2, k2 = names[s2:s2 + n2].tolist(), keys[s2:s2 + n2].tolist()
+        c1, k1 = rim_v[s1:e1].tolist(), rim_k[s1:e1].tolist()
+        c2, k2 = rim_v[s2:e2].tolist(), rim_k[s2:e2].tolist()
         n = len(chain_key)
-        if sum(k in chain_key for k in k1) != n or \
-                sum(k in chain_key for k in k2) != n:
+        on_chain = chain_key.__contains__
+        if sum(map(on_chain, k1)) != n or sum(map(on_chain, k2)) != n:
             raise RuleError("collapse flap mismatch: chain not on flap face")
         # align both cycles so that the shared chain occupies the same
         # leading positions and runs between the same vertex ids
@@ -681,32 +752,57 @@ def _replaced_faces(rule, t):
                 "collapse flap mismatch: flap boundaries cannot be aligned")
         c1r, k1r, c2r, k2r = aligned
         for a, b in zip(c1r, c2r):
-            vert_uf.union(a, b)
+            if a != b:
+                vpairs.append(a)
+                vpairs.append(b)
         for a, b in zip(k1r, k2r):
-            if key_uf.find(a) != key_uf.find(b):
+            if a != b:
                 if marks[a] & 3 != marks[b] & 3:
                     raise RuleError(
                         "collapse flap mismatch: identified edges carry "
                         "different statuses")
-                key_uf.union(a, b)
-        live_faces[f1] = live_faces[f2] = 0
-        live_sides[s1:s1 + n1] = live_sides[s2:s2 + n2] = bytes(n1)
+                kpairs.append(a)
+                kpairs.append(b)
+    del by_chain
 
-    # Zipped vertices and keys are renamed to the roots of their classes
-    # and the flaps dropped, each in one pass over a whole table.  A
-    # zipped class's keys all carry one status, as the zipping checked;
-    # the root takes a member's new status and added mark.
-    vroot, kroot = vert_uf.non_roots(), key_uf.non_roots()
-    for k, root in kroot.items():
+    # Zipped vertices and keys are renamed to the roots of their classes.
+    # A new one is named only by the template that made it, on the sides
+    # that template lists in ``rim_named`` or ``rim_keyed``.  The root key
+    # takes a member's new status and added mark.
+    vmoved, kmoved = _zipped(vpairs), _zipped(kpairs)
+    for k, root in kmoved.items():
         if not marks[k] & _DROP:
             marks[root] = (marks[root] | marks[k]) & ~_DROP
-    del tables      # so each unzipped table is freed once it is replaced
-    labels = [*compress(labels, live_faces)]
-    sizes = array("i", compress(sizes, live_faces))
-    names = array("i", compress(map(vroot.get, names, names), live_sides))
-    keys = array("i", compress(map(kroot.get, keys, keys), live_sides))
-    return FaceTables(labels, sizes, names, keys, marks.translate(_HANDED),
-                      nv)
+    placed = [*zip(bases, templates)]
+    _rename(names, vmoved, t.num_vertices,
+            (side + h for side, tp in placed for h in tp.rim_named))
+    _rename(keys, kmoved, t.num_edges,
+            (side + h for side, tp in placed for h in tp.rim_keyed))
+    return tables._replace(marks=marks.translate(_HANDED), num_names=nv)
+
+
+def _zipped(pairs):
+    """{x: the root of its class} for each int x that is not a root, once
+    the ints ``pairs`` lists two by two are united, in that order, in a
+    ``UnionFind`` over a dense numbering of only these ints."""
+    ints = [*dict.fromkeys(pairs)]
+    dense = map(dict(zip(ints, count())).__getitem__, pairs)
+    uf = UnionFind(len(ints))
+    for x, y in zip(dense, dense):
+        uf.union(x, y)
+    return {ints[x]: ints[r] for x, r in uf.non_roots().items()}
+
+
+def _rename(table, moved, first_new, sides):
+    """Write ``moved[x]`` over each entry x of ``table`` that ``moved``
+    maps.  If all those x are new ints, at least ``first_new``, only the
+    positions ``sides`` yields are read; an old one may be anywhere."""
+    if min(moved, default=first_new) < first_new:
+        sides = range(len(table))
+    for h in sides:
+        x = table[h]
+        if x in moved:
+            table[h] = moved[x]
 
 
 # ---------------------------------------------------------------------
@@ -719,15 +815,15 @@ def strip_added_edges(t: Tiling, relabel=None) -> Tiling:
     if not any(m & ADDED for m in marks):
         return t
     # walk each merged region's boundary, skipping over added edges
-    done = set()
+    done = bytearray(len(t.h_face))
     tables = FaceTables.new(t.num_vertices)._replace(marks=marks)
     for h0 in range(len(t.h_face)):
-        if h0 in done or marks[t.h_edge[h0]] & ADDED:
+        if done[h0] or marks[t.h_edge[h0]] & ADDED:
             continue
         n = len(tables.names)
         h = h0
-        while h not in done:
-            done.add(h)
+        while not done[h]:
+            done[h] = 1
             tables.names.append(t.h_origin[h])
             tables.keys.append(t.h_edge[h])
             h = t.h_next[h]

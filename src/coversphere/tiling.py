@@ -86,8 +86,8 @@ class Tiling:
     ``edge_marks``.  It consumes the ``names`` and ``keys`` tables: they
     are renumbered in place into ``h_origin`` and ``h_edge``, so that a
     stage is built in little more than the memory it keeps (at stage 4,
-    nxs1 peaks at about 46 traced bytes per half-edge and holds 40,
-    prism12 about 40 and 36).  Without ``edges``, side i's key is the
+    nxs1 peaks at about 40 traced bytes per half-edge and holds 35,
+    prism12 about 36 and 32).  Without ``edges``, side i's key is the
     unordered pair of its endpoints; keys must be given whenever two
     distinct edges share both endpoints (e.g. the square model of the
     torus).  Face f's half-edges are the contiguous ids
@@ -104,11 +104,12 @@ class Tiling:
     and there are ``num_components`` of them.
 
     The int tables ``face_start``, ``face_component``, ``h_face``,
-    ``h_next``, ``h_prev``, ``h_twin``, ``h_origin``, ``h_edge`` and
-    ``edge_half`` are ``array('i')``: four bytes an entry, no int objects,
-    nothing for the cyclic garbage collector to walk.  ``vertex_names``
-    and ``edge_keys`` list the names and keys by id: an ``array('q')``
-    when all are ints, as every rule and cover stage's are, else a list.
+    ``h_next``, ``h_twin``, ``h_origin``, ``h_edge`` and ``edge_half``,
+    and ``h_prev``, which is built from ``h_next`` on first read, are
+    ``array('i')``: four bytes an entry, no int objects, nothing for the
+    cyclic garbage collector to walk.  ``vertex_names`` and ``edge_keys``
+    list the names and keys by id: an ``array('q')`` when all are ints,
+    as every rule and cover stage's are, else a list.
     """
 
     def __init__(self, faces, *, stage=0, edge_status=None, added_edges=None):
@@ -204,9 +205,9 @@ class Tiling:
     # -- construction -------------------------------------------------
 
     def _orient(self, origin):
-        """Set ``h_next``, ``h_prev`` and ``h_origin``, flipping the faces
-        needed for twin half-edges to run antiparallel, and label each face
-        with its connected component.
+        """Set ``h_next`` and ``h_origin``, flipping the faces needed for
+        twin half-edges to run antiparallel, and label each face with its
+        connected component.
 
         ``origin``, which becomes ``h_origin``, gives each side's first
         vertex along its input cycle; while ``h_next`` still walks that
@@ -224,9 +225,8 @@ class Tiling:
         stops.append(len(origin))
         # Half-edges walk their input cycles until a face is flipped.
         nxt = array("i", range(1, len(origin) + 1))
-        prev = array("i", range(-1, len(origin) - 1))
         for s, e in zip(start, stops):
-            nxt[e - 1], prev[s] = s, e - 1
+            nxt[e - 1] = s
         flip = bytearray(len(start))
         comp = array("i", [-1]) * len(start)   # -1 until a face is reached
         done = bytearray(len(start))
@@ -269,12 +269,14 @@ class Tiling:
                             "cannot be oriented compatibly" % (f, g))
                 done[f] = 1
             n += 1
-        # A flipped face walks back, so each side starts at its old end.
+        # A flipped face walks back, so each side starts at its old end,
+        # and its next side is its old previous one: the old next of the
+        # side two places back.
         for f in compress(range(len(flip)), flip):
             s, e = start[f], stops[f]
-            nxt[s:e], prev[s:e] = prev[s:e], nxt[s:e]
+            nxt[s:e] = nxt[e - 2:e] + nxt[s:e - 2]
             origin[s:e] = origin[s + 1:e] + origin[s:s + 1]
-        self.h_next, self.h_prev, self.h_origin = nxt, prev, origin
+        self.h_next, self.h_origin = nxt, origin
         self.face_component, self.num_components = _merge_components(
             comp, n, [(comp[face[h]], comp[face[twin[h]]]) for h in loops])
 
@@ -298,6 +300,16 @@ class Tiling:
                 h = nxt[twin[h]]
 
     # -- basic queries ------------------------------------------------
+
+    @cached_property
+    def h_prev(self):
+        """The inverse of ``h_next``: per half-edge, the one before it
+        around its face.  Built on first read, as only the isomorphism
+        code walks faces backwards."""
+        prev = array("i", bytes(4 * len(self.h_next)))
+        for h, x in enumerate(self.h_next):
+            prev[x] = h
+        return prev
 
     @cached_property
     def loaded_vertices(self):

@@ -28,9 +28,11 @@ def cube_series():
             balls(parse_gluing(load_data("cube.glue")), 6)]
 
 
+TETRA = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
+
+
 def tetra():
-    return Tiling([("t", (0, 1, 2)), ("t", (0, 2, 3)),
-                   ("t", (0, 3, 1)), ("t", (1, 3, 2))])
+    return Tiling([("t", cycle) for cycle in TETRA])
 
 
 # -- replacement mode ---------------------------------------------------
@@ -120,6 +122,50 @@ def test_replacement_rejects_inconsistent_groups(patterns, faces, message):
     with pytest.raises(RuleError) as exc:
         apply_replacement(rule.replacement, t)
     assert str(exc.value) == message
+
+
+LONE_FLAP = face_pattern("f", [QUAD[:3]], flaps=[(0, [["a", "b"]])])
+
+
+@pytest.mark.parametrize("patterns, labels, message", [
+    ([LONE_FLAP, face_pattern("v", [QUAD[:3]])], "fvvw",
+     "no pattern of rule zip matches the group of faces [3] "
+     "(labels ['w'])"),
+    ([LONE_FLAP, face_pattern("t", [QUAD[:3]], to="loaded"),
+      face_pattern("u", [QUAD[:3]], to="fragile"),
+      face_pattern("v", [QUAD[:3]])], "ftuv",
+     "groups flanking edge 4 prescribe different statuses"),
+], ids=["unmatched", "prescriptions"])
+def test_group_errors_precede_flap_errors(patterns, labels, message):
+    """Face 0's flap has no partner, yet a later group's error is the
+    one raised: every group is placed before any flap is zipped."""
+    rule = load_rule({"name": "zip", "replacement": {"patterns": patterns}})
+    with pytest.raises(RuleError) as exc:
+        apply_replacement(rule.replacement, Tiling([*zip(labels, TETRA)]))
+    assert str(exc.value) == message
+
+
+def test_zipping_renames_old_vertices_everywhere():
+    """Two faces of an octahedron across edge 12 are whole flaps: zipping
+    them joins old vertex S to N and old edges S1, S2 to N1, N2, which
+    the six kept faces must then name, though no template made them."""
+    n, s = "N", "S"
+    rule = load_rule({"name": "zip", "replacement": {"patterns": [
+        LONE_FLAP, face_pattern("k", [QUAD[:3]])]}})
+    t = Tiling([("f", (1, 2, n)), ("f", (2, 1, s)),
+                ("k", (n, 2, 3)), ("k", (n, 3, 4)), ("k", (n, 4, 1)),
+                ("k", (s, 3, 2)), ("k", (s, 4, 3)), ("k", (s, 1, 4))])
+    out = apply_replacement(rule.replacement, t)
+    zipped = Tiling([
+        ("k", (n, 2, 3), ("N2", "23", "N3")),
+        ("k", (n, 3, 4), ("N3", "34", "N4")),
+        ("k", (n, 4, 1), ("N4", "41", "N1")),
+        ("k", (n, 3, 2), ("S3", "23", "N2")),
+        ("k", (n, 4, 3), ("S4", "34", "S3")),
+        ("k", (n, 1, 4), ("N1", "41", "S4"))])
+    assert (out.num_vertices, out.num_edges, out.num_faces) == (5, 9, 6)
+    assert isomorphic(out, zipped)
+    assert t.vertex_names.index(n) in out.vertex_names
 
 
 # -- subdivision mode ---------------------------------------------------

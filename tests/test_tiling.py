@@ -435,14 +435,15 @@ def nxs1_stage3():
 
 
 def test_rule_stage_is_compact_while_built_and_held():
-    # A stage held in flat int tables, with one mark byte per edge, takes
-    # about 40 traced bytes per half-edge (48 with statuses and added
-    # marks kept as two lists) and peaks near 46 while built from flat
-    # face tables with byte marks renumbered in place (64 with the ids
-    # in tables of their own and scratch copies to orient); numbering
-    # through int-keyed dicts and handing statuses over as a dict peaked
-    # near 100, per face tuples near 180, and int tables kept as lists
-    # take about 218 and 560, over every bound.
+    # A stage held in flat int tables, with one mark byte per edge and
+    # ``h_prev`` built only when read, takes about 35 traced bytes per
+    # half-edge (40 with ``h_prev`` built with the stage, 48 with statuses
+    # and added marks kept as two lists) and peaks near 40 (46) while
+    # built from flat face tables with byte marks renumbered in place (64
+    # with the ids in tables of their own and scratch copies to orient);
+    # numbering through int-keyed dicts and handing statuses over as a
+    # dict peaked near 100, per face tuples near 180, and int tables kept
+    # as lists take about 218 and 560, over every bound.
     rule, t = nxs1_stage3()
     out, held, peak = traced_build(lambda: apply_replacement(rule, t))
     half_edges = len(out.h_face)
@@ -454,11 +455,14 @@ def test_rule_stage_is_compact_while_built_and_held():
     assert peak <= 77 * half_edges
     assert held <= 44 * half_edges
     assert peak <= 52 * half_edges
+    assert held <= 37 * half_edges
+    assert peak <= 43 * half_edges
 
 
 def test_cover_sphere_is_compact_when_held():
-    # About 36 traced bytes per half-edge held (45 with statuses and
-    # added marks kept as two lists) and 40 at the peak (58 with the ids
+    # About 32 traced bytes per half-edge held and 36 at the peak (36 and
+    # 40 with ``h_prev`` built with the stage, 45 held with statuses and
+    # added marks kept as two lists, 58 at the peak with the ids
     # in tables of their own and scratch copies to orient, 97 with
     # int-keyed dicts numbering names and keys and holding statuses).
     *_, state = balls(catalog.load_spec("prism12"), 4)
@@ -471,6 +475,8 @@ def test_cover_sphere_is_compact_when_held():
     assert peak <= 70 * half_edges
     assert held <= 40 * half_edges
     assert peak <= 46 * half_edges
+    assert held <= 34 * half_edges
+    assert peak <= 38 * half_edges
 
 
 def test_subdivision_stage_is_compact_while_built():
