@@ -77,6 +77,8 @@ def probe(state_factory, name, stage, region):
     groups = _loaded_groups(t)
     hit = None
     for group in groups:
+        if tuple(sorted(t.face_labels[f] for f in group)) != pat.shape:
+            continue
         m = _match_pattern(pat, t, group)
         if m:
             hit = (group, *m)

@@ -47,6 +47,7 @@ class CoverState:
         self.NV, self.NE = len(spec.vertices), len(spec.cycle)
         self.num_cells = 0
         self.slot_partner = array("i")
+        self._open_cell = array("i", [-1]) * self.F    # a new cell's slots
         self.verts = UnionFind(0)
         self.edges = UnionFind(0)
         self._new_cell()
@@ -60,7 +61,7 @@ class CoverState:
         self.num_cells += 1
         self.verts.add(self.NV)
         self.edges.add(self.NE)
-        self.slot_partner.extend([-1] * self.F)
+        self.slot_partner += self._open_cell
         return c
 
     def open_slots(self):

@@ -18,6 +18,7 @@ import json
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate, compress, count
 from operator import itemgetter
 from struct import Struct
@@ -29,6 +30,7 @@ from .unionfind import UnionFind
 ANY = "any"
 _NO_MARK = 0xFF         # a byte that is no mark
 _STATUS_CODE = bytes(m & 3 for m in range(256))  # per mark: its status code
+_LOADED_CODE = STATUSES.index(LOADED)
 
 
 class RuleError(ValueError):
@@ -112,16 +114,17 @@ class SubdivisionRule:
 class Pattern:
     """A region of faces to match, and the template that replaces it.
 
-    On load the region is compiled to int tables.  Its vertex names are
-    numbered in ``vertex_syms`` and its sides in ``edge_syms``, both by
-    first appearance, so each region face first binds a contiguous run of
-    each; ``_match_pattern`` binds them into two flat lists.  Per region
-    face, ``region_faces`` holds its label and size; its anchor, the first
-    cycle position whose vertex an earlier face binds, with that vertex's
-    number (or None); the positions of its new vertices and edges with
-    the runs of numbers they bind; readers of its whole cycle and sides;
-    and the numbers of its new edges that a later face has, each with
-    that face's label and size.  ``read_checked`` reads the numbers of
+    On load the region is compiled to int tables.  Its ``shape`` is the
+    sorted tuple of its face labels.  Its vertex names are numbered in
+    ``vertex_syms`` and its sides in ``edge_syms``, both by first
+    appearance, so each region face first binds a contiguous run of each;
+    ``_match_pattern`` binds them into two flat lists.  Per region face,
+    ``region_faces`` holds its label and size; its anchor, the first cycle
+    position whose vertex an earlier face binds, with that vertex's number
+    (or None); the positions of its new vertices and edges with the runs
+    of numbers they bind; readers of its whole cycle and sides; and the
+    positions of its new edges that a later face has, each with that
+    face's label and size.  ``read_checked`` reads the numbers of
     the edges whose status code (a mark's low two bits) is checked, and
     ``checked_statuses`` holds the codes; ``read_internal`` reads the
     internal edges' numbers, and each of ``flap_chains``, in ``flaps``
@@ -156,10 +159,13 @@ class Pattern:
                 slice(nv, len(vid)),
                 _picker(map(sides.index, range(ne, len(eid)))),
                 slice(ne, len(eid)), _picker(cyc), _picker(sides),
-                [(i, shapes[last[e]]) for e, i in eid.items()
+                [(sides.index(i), shapes[last[e]]) for e, i in eid.items()
                  if i >= ne and last[e] != j]))
         self.vertex_syms, self.edge_syms = list(vid), list(eid)
-        self.region_labels = sorted(f["label"] for f in self.region)
+        self.shape = tuple(sorted(f["label"] for f in self.region))
+        # one region face, whose names are distinct
+        self.whole_face = len(self.region) == 1 and \
+            len(vid) == len(self.region[0]["cycle"])
         # symbolic edges appearing in two region faces are internal
         self.internal_edges = [e for e, k in uses.items() if k == 2]
         internal = dict.fromkeys(self.internal_edges, mark(LOADED))
@@ -216,7 +222,10 @@ class Pattern:
 
 @dataclass
 class ReplacementRule:
-    """Patterns, checked on build, tried in order on each group."""
+    """Patterns, checked on build, tried in order on each group.
+
+    ``by_shape`` lists the patterns of each region shape in rule order:
+    a group is offered only the patterns of its own shape."""
     name: str
     patterns: list
 
@@ -226,6 +235,9 @@ class ReplacementRule:
             "pattern set", [f["label"] for pat in self.patterns
                             for f in pat.faces],
             [f["label"] for pat in self.patterns for f in pat.region])
+        self.by_shape = {}
+        for pat in self.patterns:
+            self.by_shape.setdefault(pat.shape, []).append(pat)
 
 
 def _check_template_disk(faces, boundary_syms, where, diags):
@@ -370,29 +382,54 @@ def _packer(idx):
     return lambda seq: pack(*pick(seq))
 
 
+@cache
+def _images(n):
+    """The n rotations, then the n reflections, of an n-gon, as index
+    tables: per image, the positions its vertices are read from (n + 1
+    of them, the last wrapping round to the first), those its edges are
+    read from, and a reader of each.  Rotation r starts at vertex r;
+    reflection r runs vs[r], vs[r-1], ... with es[r-1], es[r-2], ..."""
+    rows = [(range(r, r + n + 1), range(r, r + n)) for r in range(n)] + [
+        (range(r, r - n - 1, -1), range(r - 1, r - n - 1, -1))
+        for r in range(n)]
+    images = []
+    for v, e in rows:
+        vp, ep = [i % n for i in v], [i % n for i in e]
+        images.append((vp, ep, _picker(vp[:n]), _picker(ep)))
+    return images
+
+
+@cache
+def _heads(n):
+    """Per set of an n-gon's edge positions, given as the ``bytes`` with
+    a 1 at each of them, the images of ``_images(n)`` that read those
+    edges first, in order."""
+    heads = {}
+    for image in _images(n):
+        mask = bytearray(n)
+        for i in image[1]:
+            mask[i] = 1
+            heads.setdefault(bytes(mask), []).append(image)
+    return heads
+
+
 def _dihedral(vs, es, anchor=None):
     """The n rotations, then the n reflections, of a face's cycles.
 
-    Yields (vertices, edges) lists in which edge i joins vertex i and
+    Yields (vertices, edges) tuples in which edge i joins vertex i and
     vertex i+1, as it does in ``vs`` and ``es``.  With ``anchor = (p, x)``
     it yields, in the same order, only the images with vertex x at
     position p.
     """
     n = len(vs)
-    if anchor is None:
-        rots = refls = range(n)
-    else:
+    images = _images(n)
+    if anchor is not None:
         p, x = anchor
         hits = [i for i, v in enumerate(vs) if v == x]
-        rots = sorted((i - p) % n for i in hits)
-        refls = sorted((i + p) % n for i in hits)
-    for r in rots:
-        yield vs[r:] + vs[:r], es[r:] + es[:r]
-    rv, re = vs[::-1], es[::-1]
-    for r in refls:
-        # through vertex r: vs[r], vs[r-1], ... with es[r-1], es[r-2], ...
-        a, b = n - 1 - r, (n - r) % n
-        yield rv[a:] + rv[:a], re[b:] + re[:b]
+        images = [images[r] for r in sorted((i - p) % n for i in hits)] + [
+            images[n + r] for r in sorted((i + p) % n for i in hits)]
+    for _, _, read_v, read_e in images:
+        yield read_v(vs), read_e(es)
 
 
 def _mark(rec):
@@ -576,12 +613,39 @@ def _match_pattern(pat: Pattern, t: Tiling, group):
     edge_of[j] the tiling edge id of ``pat.edge_syms[j]``.  The first
     embedding found, trying group faces in order and each face's dihedral
     images in ``_dihedral`` order, is the one checked; no other is tried.
+    The group must have the pattern's ``shape``.
     """
-    if len(pat.region_faces) != len(group):
+    marks = t.edge_marks
+    if pat.whole_face:
+        # its first image binds a face with distinct vertices: the face,
+        # whose sides are the region's edges in order, none internal
+        g, = group
+        sigma, edge_of = t.face_vertices(g), t.face_edges(g)
+        if len(sigma) != len(pat.vertex_syms) or \
+                len(set(sigma)) < len(sigma):
+            return None
+        codes = bytes(map(marks.__getitem__, edge_of)).translate(_STATUS_CODE)
+        if _LOADED_CODE in codes or \
+                bytes(pat.read_checked(codes)) != pat.checked_statuses:
+            return None
+        return sigma, edge_of
+    sigma, edge_of, sides = _search(pat, t, group)
+    if sigma is None or bytes(map(marks.__getitem__, pat.read_checked(
+            edge_of))).translate(_STATUS_CODE) != pat.checked_statuses:
         return None
+    # every loaded edge of the group's faces must be a mapped internal
+    # edge (both faces of a loaded edge are in its group)
+    loaded = compress(sides, bytes(map(marks.__getitem__, sides)).translate(
+        IS_LOADED))
+    return (sigma, edge_of) if set(pat.read_internal(edge_of)).issuperset(
+        loaded) else None
+
+
+def _search(pat, t, group):
+    """``_match_pattern``'s first embedding of any region but one face
+    with distinct names, by search: (sigma, edge_of, the group's sides in
+    face order), or three Nones."""
     labels = t.face_labels
-    if sorted(map(labels.__getitem__, group)) != pat.region_labels:
-        return None
     faces = [(g, labels[g], t.face_vertices(g), t.face_edges(g))
              for g in group]
 
@@ -591,6 +655,7 @@ def _match_pattern(pat: Pattern, t: Tiling, group):
     edge_of = [None] * len(pat.edge_syms)
     taken, used = set(), set()
     shape = {g: (glabel, len(vs)) for g, glabel, vs, _ in faces}
+    edge_faces = t.edge_faces
 
     def extend(idx):
         if idx == len(faces):
@@ -603,6 +668,14 @@ def _match_pattern(pat: Pattern, t: Tiling, group):
             if g in used or glabel != label or len(vs) != n:
                 continue
             for avs, aes in _dihedral(vs, es, anchor):
+                # an image whose edge a later face must have, but no
+                # unused group face of its label and size has, fails
+                # before anything is bound
+                if ahead and any(
+                        all(f == g or f in used or shape.get(f) != want
+                            for f in edge_faces(aes[p]))
+                        for p, want in ahead):
+                    continue
                 # new vertices must be distinct and not yet taken; then
                 # every position must read back its image's vertex and edge
                 vals = fresh_v(avs)
@@ -610,15 +683,7 @@ def _match_pattern(pat: Pattern, t: Tiling, group):
                     continue
                 sigma[v_slots] = vals
                 edge_of[e_slots] = fresh_e(aes)
-                if read_v(sigma) != tuple(avs) or \
-                        read_e(edge_of) != tuple(aes):
-                    continue
-                # an image whose edge a later face must have, but no
-                # unused group face of its label and size has, fails
-                if ahead and any(
-                        all(f == g or f in used or shape.get(f) != want
-                            for f in t.edge_faces(edge_of[i]))
-                        for i, want in ahead):
+                if read_v(sigma) != avs or read_e(edge_of) != aes:
                     continue
                 taken.update(vals)
                 used.add(g)
@@ -633,18 +698,8 @@ def _match_pattern(pat: Pattern, t: Tiling, group):
     # search state now rather than in the cyclic garbage collector
     del extend
     if not found:
-        return None
-    marks = t.edge_marks
-    if bytes(map(marks.__getitem__, pat.read_checked(edge_of))).translate(
-            _STATUS_CODE) != pat.checked_statuses:
-        return None
-    # every loaded edge of the group's faces must be a mapped internal
-    # edge (both faces of a loaded edge are in its group)
-    sides = [e for *_, es in faces for e in es]
-    loaded = compress(sides, bytes(map(marks.__getitem__, sides)).translate(
-        IS_LOADED))
-    return (sigma, edge_of) if set(pat.read_internal(edge_of)).issuperset(
-        loaded) else None
+        return None, None, None
+    return sigma, edge_of, [e for *_, es in faces for e in es]
 
 
 def apply_replacement(rule: ReplacementRule, t: Tiling):
@@ -684,20 +739,21 @@ def _replaced_faces(rule, t):
     tables, held = FaceTables.new(), FaceTables.new()
     labels, sizes, names, keys, marks, _ = tables
     marks += t.edge_marks.translate(_OLD)
-    by_chain = {}       # old edge ids -> the flaps' numbers in ``held``
+    by_chain = {}       # sorted old edge ids -> the flaps' numbers in held
     bases, templates = array("i"), []
     nv = t.num_vertices
+    face_labels, by_shape = t.face_labels, rule.by_shape
 
     for group in _loaded_groups(t):
-        for pat in rule.patterns:
+        glabels = [*map(face_labels.__getitem__, group)]
+        for pat in by_shape.get(tuple(sorted(glabels)), ()):
             m = _match_pattern(pat, t, group)
             if m:
                 break
         else:
             raise RuleError(
                 "no pattern of rule %s matches the group of faces %r "
-                "(labels %r)" % (rule.name, group,
-                                 [t.face_labels[f] for f in group]))
+                "(labels %r)" % (rule.name, group, glabels))
         sigma, edge_of = m
 
         for i, to in pat.boundary_to:
@@ -714,7 +770,8 @@ def _replaced_faces(rule, t):
         flap = len(held.sizes)
         nv = pat.template.instantiate(sigma, edge_of, nv, tables, held)
         for flap, chain in enumerate(pat.flap_chains, flap):
-            by_chain.setdefault(frozenset(chain(edge_of)), []).append(flap)
+            by_chain.setdefault(tuple(sorted(chain(edge_of))), []).append(
+                flap)
 
     # -- zip flaps across fragile chains --------------------------------
     # Each pair of flaps is checked and aligned in chain order, and the
@@ -724,38 +781,32 @@ def _replaced_faces(rule, t):
     starts = array("i", accumulate(held.sizes, initial=0))
     rim_v, rim_k = held.names, held.keys
     vpairs, kpairs = array("i"), array("i")
-    for chain_key, pair in sorted(by_chain.items(),
-                                  key=lambda kv: sorted(kv[0])):
+    for chain_key, pair in sorted(by_chain.items()):
         if len(pair) != 2:
             raise RuleError(
                 "collapse flap mismatch: fragile chain %r has %d flaps"
-                % (sorted(chain_key), len(pair)))
-        (s1, e1), (s2, e2) = [starts[j:j + 2] for j in pair]
+                % (list(chain_key), len(pair)))
+        j1, j2 = pair
+        s1, e1, s2, e2 = starts[j1], starts[j1 + 1], starts[j2], starts[j2 + 1]
         if e1 - s1 != e2 - s2:
             raise RuleError(
                 "collapse flap mismatch: flap faces of different sizes")
-        c1, k1 = rim_v[s1:e1].tolist(), rim_k[s1:e1].tolist()
-        c2, k2 = rim_v[s2:e2].tolist(), rim_k[s2:e2].tolist()
-        n = len(chain_key)
-        on_chain = chain_key.__contains__
-        if sum(map(on_chain, k1)) != n or sum(map(on_chain, k2)) != n:
+        c1, c2 = rim_v[s1:e1], rim_v[s2:e2]
+        k1, k2 = rim_k[s1:e1], rim_k[s2:e2]
+        n, on_chain = len(chain_key), chain_key.__contains__
+        on1, on2 = bytes(map(on_chain, k1)), bytes(map(on_chain, k2))
+        if on1.count(1) != n or on2.count(1) != n:
             raise RuleError("collapse flap mismatch: chain not on flap face")
-        # align both cycles so that the shared chain occupies the same
-        # leading positions and runs between the same vertex ids
-        aligned = next((
-            (c1r, k1r, c2r, k2r) for c2r, k2r in _dihedral(c2, k2)
-            if chain_key.issuperset(k2r[:n])
-            for c1r, k1r in _dihedral(c1, k1, (0, c2r[0]))
-            if k1r[:n] == k2r[:n] and c1r[n] == c2r[n]), None)
+        aligned = _aligned(c1, k1, on1, c2, k2, on2, n)
         if aligned is None:
             raise RuleError(
                 "collapse flap mismatch: flap boundaries cannot be aligned")
-        c1r, k1r, c2r, k2r = aligned
-        for a, b in zip(c1r, c2r):
+        (*_, read_v1, read_k1), (*_, read_v2, read_k2) = aligned
+        for a, b in zip(read_v1(c1), read_v2(c2)):
             if a != b:
                 vpairs.append(a)
                 vpairs.append(b)
-        for a, b in zip(k1r, k2r):
+        for a, b in zip(read_k1(k1), read_k2(k2)):
             if a != b:
                 if marks[a] & 3 != marks[b] & 3:
                     raise RuleError(
@@ -781,10 +832,34 @@ def _replaced_faces(rule, t):
     return tables._replace(marks=marks.translate(_HANDED), num_names=nv)
 
 
+def _aligned(c1, k1, on1, c2, k2, on2, n):
+    """The images of two flaps' cycles that zip them: the first, in
+    ``_dihedral`` order of the second flap and then of the first, that
+    put each flap's n chain edges (marked by ``on1``, ``on2`` as in
+    ``_heads``) first, on the same keys, running between the same vertex
+    ids.  Only those images are read, through their index tables.  None
+    if there are none."""
+    heads = _heads(len(c1))
+    firsts = heads.get(on1, ())
+    for second in heads.get(on2, ()):
+        vp, ep, *_ = second
+        x, y, head = c2[vp[0]], c2[vp[n]], [k2[i] for i in ep[:n]]
+        for first in firsts:
+            vp, ep, *_ = first
+            if c1[vp[0]] == x and c1[vp[n]] == y and \
+                    [k1[i] for i in ep[:n]] == head:
+                return first, second
+    return None
+
+
 def _zipped(pairs):
     """{x: the root of its class} for each int x that is not a root, once
     the ints ``pairs`` lists two by two are united, in that order, in a
-    ``UnionFind`` over a dense numbering of only these ints."""
+    ``UnionFind`` over a dense numbering of only these ints.  When no int
+    is in two pairs, each class is one pair, whose first int union by
+    size makes the root: then each second int maps to its first."""
+    if len(set(pairs)) == len(pairs):
+        return dict(zip(pairs[1::2], pairs[::2]))
     ints = [*dict.fromkeys(pairs)]
     dense = map(dict(zip(ints, count())).__getitem__, pairs)
     uf = UnionFind(len(ints))

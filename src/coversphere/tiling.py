@@ -125,12 +125,10 @@ class Tiling:
             raise TilingError(
                 "face tables disagree: faces of %d sides in all, %d vertex "
                 "names, %d edge keys" % (sum(sizes), len(names), len(keys)))
-        for ints, n, what in ((names, num_names, "vertex name"),
-                              (keys, len(marks), "edge key")):
-            if ints and not (min(ints) >= 0 and max(ints) < n):
-                raise TilingError(
-                    "%s %d is outside the declared range(%d)"
-                    % (what, next(i for i in ints if not 0 <= i < n), n))
+        # A negative int would index the lookup tables below from their
+        # end; one past its range stops the numbering pass there.
+        if min(names, default=0) < 0 or min(keys, default=0) < 0:
+            _check_ranges(tables)
         self.stage = stage
         self.face_labels = labels
         self.face_start = array("i", accumulate(sizes, initial=0))
@@ -143,11 +141,14 @@ class Tiling:
         # One pass numbers names and keys by first appearance, through
         # lookup tables indexed by the name or key, writes each side's
         # vertex id and edge id over its name and key, and pairs each
-        # key's two sides.  It stops at a key's third side.  Failing that,
-        # every key has two sides exactly when there are half as many
-        # edges as sides; a key with one side makes more, which overflows
-        # ``half``.  Either way the sides renumbered so far get their keys
-        # back, and the message names the key ``_unpaired`` finds.
+        # key's two sides.  It stops at a key's third side, and at a name
+        # or key past the end of its lookup table.  Failing those, every
+        # key has two sides exactly when there are half as many edges as
+        # sides; a key with one side makes more, which overflows ``half``.
+        # Whichever stops it, an int out of its range is reported first
+        # (the ids written so far are in range, as their ints were), else
+        # the key ``_unpaired`` finds, once the sides renumbered so far
+        # get their keys back.
         n = len(keys)
         vid = array("i", [-1]) * num_names
         eid = array("i", [-1]) * len(marks)
@@ -164,7 +165,6 @@ class Tiling:
                     vid[v] = x = nv
                     nv += 1
                     name_ints.append(v)
-                names[h] = x
                 e = eid[k]
                 if e < 0:
                     half[ne] = h
@@ -177,10 +177,12 @@ class Tiling:
                         ne = -1
                         break
                     twin[g], twin[h] = h, g
+                names[h] = x
                 keys[h] = e
         except IndexError:
             ne = -1
         if 2 * ne != n:
+            _check_ranges(tables)
             for i in range(h):
                 keys[i] = key_ints[keys[i]]
             raise _side_count_error(keys, _unpaired(keys, len(marks)),
@@ -534,6 +536,17 @@ def _name_table(names):
         except OverflowError:
             pass
     return list(names)
+
+
+def _check_ranges(tables):
+    """Raise for the first vertex name outside ``range(num_names)``, else
+    the first edge key outside the range of the marks, if any."""
+    for ints, n, what in ((tables.names, tables.num_names, "vertex name"),
+                          (tables.keys, len(tables.marks), "edge key")):
+        for i in ints:
+            if not 0 <= i < n:
+                raise TilingError("%s %d is outside the declared range(%d)"
+                                  % (what, i, n))
 
 
 def _side_count_error(keys, k, key_names=None):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from array import array
 from itertools import compress, count
 from operator import ne
+from struct import pack
 
 
 class UnionFind:
@@ -23,10 +24,12 @@ class UnionFind:
         self.size = array("i", [1]) * n     # class size, valid at roots
 
     def add(self, n: int):
-        """Append n singletons."""
+        """Append n singletons: their keys packed as the bytes of ints,
+        and a run of sizes made by repeating one entry, both quicker than
+        extending an array int by int."""
         start = len(self.parent)
-        self.parent.extend(range(start, start + n))
-        self.size.extend([1] * n)
+        self.parent.frombytes(pack("%di" % n, *range(start, start + n)))
+        self.size += array("i", [1]) * n
 
     def find(self, x: int) -> int:
         parent = self.parent

@@ -168,6 +168,175 @@ def test_zipping_renames_old_vertices_everywhere():
     assert t.vertex_names.index(n) in out.vertex_names
 
 
+def zip_rule(*patterns):
+    return load_rule({"name": "zip", "replacement": {
+        "patterns": list(patterns)}}).replacement
+
+
+def test_later_pattern_of_a_shape_wins_when_the_first_fails():
+    """Both patterns have the shape ('t',); the first asks for a loaded
+    side, so every face of the plain tetrahedron goes to the second."""
+    strict = face_pattern("t", SPLIT_TRI)
+    strict["boundary"][0]["status"] = "loaded"
+    out = apply_replacement(zip_rule(strict, face_pattern("t", FAN_TRI)),
+                            tetra())
+    assert (out.num_vertices, out.num_edges, out.num_faces) == (8, 18, 12)
+
+
+# A sphere of five faces whose quad 0 meets vertex a twice: its sides
+# a-b and b-a are the two edges of a digon split into triangles 1 and 2
+# by vertex d, and a-c and c-a likewise by vertex f.
+PINCHED = [("q", "abac", ("ab1", "ab2", "ac1", "ac2")),
+           ("t", "bad", ("ab1", "ad", "bd")),
+           ("t", "abd", ("ab2", "bd", "ad")),
+           ("t", "caf", ("ac1", "af", "cf")),
+           ("t", "acf", ("ac2", "cf", "af"))]
+
+
+@pytest.mark.parametrize("faces, statuses, message", [
+    # a group of two faces, though every pattern has one
+    (TETRA, {frozenset((0, 1)): "loaded"},
+     "no pattern of rule zip matches the group of faces [0, 2] "
+     "(labels ['t', 't'])"),
+    # a one-face group of a label a pattern has, but of another size
+    ([QUAD, QUAD[::-1]], {},
+     "no pattern of rule zip matches the group of faces [0] "
+     "(labels ['t'])"),
+], ids=["two-faces", "other-size"])
+def test_group_shape_without_pattern(faces, statuses, message):
+    t = Tiling([("t", cycle) for cycle in faces], edge_status=statuses)
+    with pytest.raises(RuleError) as exc:
+        apply_replacement(zip_rule(face_pattern("t", [QUAD[:3]])), t)
+    assert str(exc.value) == message
+
+
+def test_one_face_group_repeating_a_vertex_is_not_matched():
+    t = Tiling([(label, tuple(cycle), keys) for label, cycle, keys
+                in PINCHED])
+    assert t.is_sphere() and t.face_vertices(0)[0] == t.face_vertices(0)[2]
+    rule = zip_rule(face_pattern("q", [QUAD], region=QUAD),
+                    face_pattern("t", [QUAD[:3]]))
+    with pytest.raises(RuleError) as exc:
+        apply_replacement(rule, t)
+    assert str(exc.value) == ("no pattern of rule zip matches the group of "
+                              "faces [0] (labels ['q'])")
+
+
+# Two quads f = (u, v, w, x) and g = (w, v, u, y) share the two-key
+# chain u-v-w; quad h closes the sphere.  Each of f and g becomes a flap
+# on that chain, with a new vertex e, and a kept quad.
+QUADS = [("f", "uvwx"), ("g", "wvuy"), ("h", "xwyu")]
+TWO_KEY = [["a", "b", "c", "e"], ["c", "d", "a", "e"]]
+
+
+def zip_case(case, way):
+    """The input, rule and expected output of a zip along a one-key or a
+    two-key chain, where the second flap's template cycle runs along the
+    chain the ``way`` the first flap's does, or the opposite way as the
+    faces they come from do."""
+    if case == "one-key":
+        # tetrahedron faces 0 = (0, 1, 2) and 2 = (0, 3, 1) meet at 0-1
+        t = Tiling([*zip("fkgk", TETRA)])
+        first, flaps = FAN_TRI, ([(0, [["a", "b"]])], [(2, [["c", "a"]])])
+        region = QUAD[:3]
+        kept = [face_pattern("k", [QUAD[:3]])]
+        expected = [("k", (0, 2, 3)), ("k", (1, 3, 2)), ("f", (1, 2, "d")),
+                    ("f", (2, 0, "d")), ("g", (3, 1, "d")), ("g", (0, 3, "d"))]
+    else:
+        t = Tiling([(label, tuple(cycle)) for label, cycle in QUADS])
+        first, flaps = TWO_KEY, ([(0, [["a", "b"], ["b", "c"]])],) * 2
+        region = QUAD
+        kept = [face_pattern("h", [QUAD], region=QUAD)]
+        expected = [("f", tuple("wxue")), ("g", tuple("uywe")),
+                    ("h", tuple("xwyu"))]
+    flap = flaps[1][0][0]
+    second = [c[::-1] if f == flap and way == "same" else c
+              for f, c in enumerate(first)]
+    rule = zip_rule(face_pattern("f", first, region=region, flaps=flaps[0]),
+                    face_pattern("g", second, region=region, flaps=flaps[1]),
+                    *kept)
+    return t, rule, Tiling(expected)
+
+
+@pytest.mark.parametrize("case", ["one-key", "two-key"])
+def test_flap_chains_zip_either_way_round(case):
+    """A flap is aligned with its partner by a rotation or a reflection,
+    so the zipped stage is the same whether the second flap's template
+    cycle runs along the chain the way the first's does or against it."""
+    outs = []
+    for way in ("opposite", "same"):
+        t, rule, expected = zip_case(case, way)
+        out = apply_replacement(rule, t)
+        assert (out.num_vertices, out.num_edges, out.num_faces) == (
+            expected.num_vertices, expected.num_edges, expected.num_faces)
+        assert isomorphic(out, expected)
+        outs.append(out.to_json())
+    assert outs[0] == outs[1]
+
+
+def test_chain_as_long_as_its_flap():
+    """Each face of a pillow is a whole flap, its chain all three edges:
+    the two flaps align at every vertex and zip away, leaving no face."""
+    whole = face_pattern("f", [QUAD[:3]],
+                         flaps=[(0, [["a", "b"], ["b", "c"], ["c", "a"]])])
+    out = apply_replacement(zip_rule(whole),
+                            Tiling([("f", (0, 1, 2)), ("f", (0, 2, 1))]))
+    assert (out.num_vertices, out.num_edges, out.num_faces) == (0, 0, 0)
+
+
+def first_dihedral_alignment(c1, k1, c2, k2, chain):
+    """The alignment as a two-level ``_dihedral`` search finds it: the
+    first image of the second flap that puts the chain first, with the
+    first image of the first flap anchored at its first vertex that puts
+    the same keys first and ends them at the same vertex."""
+    from coversphere.rules import _dihedral
+    n = len(chain)
+    return next(((c1r, k1r, c2r, k2r) for c2r, k2r in _dihedral(c2, k2)
+                 if set(chain).issuperset(k2r[:n])
+                 for c1r, k1r in _dihedral(c1, k1, (0, c2r[0]))
+                 if k1r[:n] == k2r[:n] and c1r[n] == c2r[n]), None)
+
+
+@pytest.mark.parametrize("size", [3, 4, 6])
+@pytest.mark.parametrize("n", [1, 2])
+def test_flap_alignment_is_the_first_of_the_dihedral_search(size, n):
+    """Flap 2 runs 0, 1, ... with its chain first; flap 1 shares the
+    chain's keys and vertices, has new ones elsewhere, and is flap 2
+    rotated, reversed or both.  Only the images that put a chain first
+    are read, yet the one picked is the first the full search meets."""
+    from coversphere.rules import _aligned
+    c2, k2 = list(range(size)), [10 + i for i in range(size)]
+    chain = k2[:n]
+    for shift in range(size):
+        for reverse in (False, True):
+            c1 = [v if v <= n else 100 + v for v in c2]
+            k1 = [k if i < n else 200 + i for i, k in enumerate(k2)]
+            if reverse:     # side i still joins vertices i and i + 1
+                c1, k1 = c1[:1] + c1[:0:-1], k1[::-1]
+            c1, k1 = c1[shift:] + c1[:shift], k1[shift:] + k1[:shift]
+            marks = [bytes(k in chain for k in keys) for keys in (k1, k2)]
+            (*_, read_v1, read_k1), (*_, read_v2, read_k2) = _aligned(
+                c1, k1, marks[0], c2, k2, marks[1], n)
+            assert (read_v1(c1), read_k1(k1), read_v2(c2), read_k2(k2)) == \
+                tuple(map(tuple, first_dihedral_alignment(c1, k1, c2, k2,
+                                                          chain)))
+
+
+@pytest.mark.parametrize("pairs, moved", [
+    ([1, 2, 3, 4], {2: 1, 4: 3}),
+    # A~B, B~C: B's class, of two, takes C
+    ([1, 2, 2, 3], {2: 1, 3: 1}),
+    # the larger class keeps its root, though 7 comes first
+    ([5, 6, 7, 5], {6: 5, 7: 5}),
+    # two classes of two: the root of the first int's class wins
+    ([1, 2, 3, 4, 4, 2], {1: 3, 2: 3, 4: 3}),
+], ids=["disjoint", "chain", "by-size", "tie"])
+def test_zipped_roots(pairs, moved):
+    from array import array
+    from coversphere.rules import _zipped
+    assert _zipped(array("i", pairs)) == moved
+
+
 # -- subdivision mode ---------------------------------------------------
 
 

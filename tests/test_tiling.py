@@ -130,7 +130,14 @@ def test_one_sided_key_is_named_as_the_producer_gave_it():
      "vertex name 2147483647 is outside the declared range(3)"),
     ([0, 1, -2 ** 31, 0, 1, 2, 0, 1, 2], [0] * 9,
      "vertex name -2147483648 is outside the declared range(3)"),
-], ids=["key-above", "key-negative", "name-above", "name-negative"])
+    # a name out of range is reported before a key, and either before a
+    # key with three sides, though the numbering pass meets those first
+    ([0, 1, 2, 0, 1, 2, 0, 1, 5], [0, -1, 2, 2, 1, 0, 0, 3, 3],
+     "vertex name 5 is outside the declared range(3)"),
+    ([0, 1, 2] * 3, [0, 1, 2, 0, 1, 2, 0, 3, 9],
+     "edge key 9 is outside the declared range(4)"),
+], ids=["key-above", "key-negative", "name-above", "name-negative",
+        "name-before-key", "range-before-sides"])
 def test_rejects_ints_outside_the_declared_range(names, keys, message):
     # The lookup tables are sized by the declared ranges (3 names, 4
     # keys), never by a name or key read from the tables: the largest
