@@ -3,14 +3,15 @@
 Groups are given by a multiplication on hashable normal forms (integer
 tuples), so the word metric comes from plain BFS.  A ball is built once
 as a dense indexed graph: element ids in BFS order, and one flat list of
-generator products, so every later pass walks ints and multiplies
-nothing.  Cone types are approximated at finite depth: the portion of a
-sphere element's shadow within k steps, compared up to rooted labeled-graph
-isomorphism.
+generator products, so the cone-type pass walks ints and multiplies
+nothing; the almost-convexity pass multiplies only the products that
+leave its ball.  Cone types are approximated at finite depth: the
+portion of a sphere element's shadow within k steps, compared up to
+rooted labeled-graph isomorphism.
 """
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 DEFAULT_CAP = 10 ** 6
 
@@ -129,11 +130,6 @@ class BallData:
     inv: list
     nbr: list
 
-    @cached_property
-    def length(self):
-        """Element -> word length."""
-        return {e: k for k in range(self.radius + 1) for e in self.sphere(k)}
-
     def sphere(self, k):
         if not 0 <= k <= self.radius:
             return []
@@ -205,26 +201,31 @@ def _dist_within(bd: BallData, n: int, src, dst):
     """Shortest path between ids src and dst using only ids of B(n).
 
     Every element of B(n) reaches the identity along a geodesic inside
-    B(n), so the search always meets dst.
+    B(n), so the search always meets dst.  It grows a whole level at a
+    time from whichever end has the smaller frontier; the two visited
+    sets stay disjoint until a step lands in the other's, so that step
+    closes a shortest path.
     """
     if src == dst:
         return 0
     lim = bd.offsets[n + 1]
     nbr, ng = bd.nbr, len(bd.gens)
-    seen = {src}
-    level = [src]
+    seen = ({src}, {dst})
+    levels = [[src], [dst]]
     d = 0
     while True:
+        side = 0 if len(levels[0]) <= len(levels[1]) else 1
+        mine, other = seen[side], seen[1 - side]
         d += 1
         nxt = []
-        for e in level:
+        for e in levels[side]:
             for w in nbr[e * ng:(e + 1) * ng]:
-                if 0 <= w < lim and w not in seen:
-                    if w == dst:
+                if 0 <= w < lim and w not in mine:
+                    if w in other:
                         return d
-                    seen.add(w)
+                    mine.add(w)
                     nxt.append(w)
-        level = nxt
+        levels[side] = nxt
 
 
 def ac_profile(g: GroupSpec, n_max: int, cap=DEFAULT_CAP):
@@ -232,27 +233,45 @@ def ac_profile(g: GroupSpec, n_max: int, cap=DEFAULT_CAP):
 
     K(2, n) is the max over pairs of sphere-n elements at word distance
     <= 2 of their distance inside B(n); when no such pairs exist the bound
-    2 is vacuously attained and reported.
+    2 is vacuously attained and reported.  Only B(n_max) is built, with
+    ``cap`` bounding B(n_max + 1) as if it were.
     """
     _nonnegative(n_max, "radius")
-    # +1 so the midpoints of two steps between sphere elements are built
-    bd = ball(g, n_max + 1, cap)
-    nbr, ng = bd.nbr, len(bd.gens)
+    bd = ball(g, n_max, cap)
+    nbr, ng, offsets = bd.nbr, len(bd.gens), bd.offsets
+    # S(n_max + 1) is named, not built: its elements, each with the ids
+    # of S(n_max) next to it, from S(n_max)'s outward products
+    step = [g.generators[s] for s in bd.gens]
+    outer = {}
+    for v in range(offsets[n_max], offsets[n_max + 1]):
+        e = bd.elements[v]
+        for j, w in enumerate(bd.row(v)):
+            if w < 0:
+                outer.setdefault(g.mul(e, step[j]), []).append(v)
+    if len(bd.elements) + len(outer) > cap:
+        raise CayleyError(f"ball exceeds element cap {cap}")
     table = {}
     for n in range(2, n_max + 1):
-        hi = bd.offsets[n + 1]
+        lo, hi = offsets[n], offsets[n + 1]
+        if n < n_max:
+            below = (sorted([v for v in nbr[u * ng:(u + 1) * ng]
+                             if lo <= v < hi])
+                     for u in range(hi, offsets[n + 2]))
+        else:
+            below = outer.values()      # each list already in id order
+        # later sphere-n ids two steps away through sphere n + 1
+        far = {}
+        for vs in below:
+            for i in range(len(vs) - 1):
+                far.setdefault(vs[i], set()).update(vs[i + 1:])
         best = 2
-        for v in range(bd.offsets[n], hi):
-            near = nbr[v * ng:(v + 1) * ng]     # all inside B(n + 1)
+        for v, ws in far.items():
             # ends of two steps through a midpoint in B(n) are 2 apart in it
             via_mid = set()
-            for u in near:
-                if u < hi:
+            for u in nbr[v * ng:(v + 1) * ng]:
+                if 0 <= u < hi:
                     via_mid.update(nbr[u * ng:(u + 1) * ng])
-            # later sphere-n ids two steps away only through sphere n + 1
-            far = {w for u in near if u >= hi
-                   for w in nbr[u * ng:(u + 1) * ng] if v < w < hi}
-            for w in far.difference(via_mid):
+            for w in ws.difference(via_mid):
                 best = max(best, _dist_within(bd, n, v, w))
         table[n] = best
     return table

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from coversphere.catalog import load_spec
-from coversphere.cayley import (CayleyError, ac_profile, ball,
+from coversphere.cayley import (CayleyError, _dist_within, ac_profile, ball,
                                 cone_type_count, make_group)
 from coversphere.cover import build_cover
 
@@ -11,20 +11,20 @@ from coversphere.cover import build_cover
 def test_ball_sizes_closed_forms():
     Z = make_group("Z")
     for n in range(5):
-        assert len(ball(Z, n).length) == 2 * n + 1
+        assert ball(Z, n).ball_size(n) == 2 * n + 1
     Z3 = make_group("Z3")
-    assert len(ball(Z3, 2).length) == 25
+    assert ball(Z3, 2).ball_size(2) == 25
     # L1 ball in Z^3: sum over cube of |x|+|y|+|z| <= n
     def l1(n):
         return sum(1 for x in range(-n, n + 1) for y in range(-n, n + 1)
                    for z in range(-n, n + 1) if abs(x) + abs(y) + abs(z) <= n)
     for n in range(5):
-        assert len(ball(Z3, n).length) == l1(n)
+        assert ball(Z3, n).ball_size(n) == l1(n)
 
 
 def test_heisenberg_ball_and_inverses():
     H = make_group("heis")
-    assert len(ball(H, 2).length) == 17
+    assert ball(H, 2).ball_size(2) == 17
     for s, e in H.generators.items():
         assert H.mul(e, H.inv(e)) == H.identity
         assert H.gen_inverse[H.gen_inverse[s]] == s
@@ -105,10 +105,16 @@ def test_ball_neighbour_list_matches_multiplication():
     for name, n in (("Z", 3), ("heis", 4), ("sol", 3)):
         g = make_group(name)
         bd = ball(g, n)
+        assert [e for k in range(n + 1) for e in bd.sphere(k)] == \
+            bd.elements
         for k in range(n + 1):
             sphere = bd.sphere(k)
             assert sphere == sorted(sphere)
-            assert all(bd.length[e] == k for e in sphere)
+            # word length k: a step back into S(k - 1), none further
+            for i in range(bd.ball_size(k - 1), bd.ball_size(k)):
+                below = [x for x in bd.row(i) if 0 <= x < bd.ball_size(k - 1)]
+                assert all(x >= bd.ball_size(k - 2) for x in below)
+                assert below or k == 0
         for i, e in enumerate(bd.elements):
             assert bd.index[e] == i
             assert bd.row(i) == [bd.index.get(g.mul(e, g.generators[s]), -1)
@@ -159,6 +165,41 @@ def test_ac_profiles_pinned():
         {2: 2, 3: 6, 4: 6, 5: 10, 6: 10, 7: 10, 8: 10}
     assert ac_profile(make_group("sol"), 6) == \
         {2: 3, 3: 3, 4: 4, 5: 4, 6: 4}
+    assert ac_profile(make_group("heis"), 10) == \
+        {2: 2, 3: 6, 4: 6, **{n: 10 for n in range(5, 11)}}
+    assert ac_profile(make_group("sol"), 9) == \
+        {2: 3, 3: 3, 4: 4, 5: 4, 6: 4, 7: 6, 8: 6, 9: 12}
+
+
+@pytest.mark.parametrize("name", ["Z", "Z3", "heis", "sol"])
+def test_dist_within_matches_one_ended_bfs(name):
+    bd = ball(make_group(name), 4)
+    for n in range(5):
+        lim = bd.ball_size(n)
+        for src in range(bd.ball_size(n - 1), lim):
+            dist = {src: 0}
+            level = [src]
+            while level:
+                nxt = []
+                for e in level:
+                    for x in bd.row(e):
+                        if 0 <= x < lim and x not in dist:
+                            dist[x] = dist[e] + 1
+                            nxt.append(x)
+                level = nxt
+            for dst in range(bd.ball_size(n - 1), lim):
+                assert _dist_within(bd, n, src, dst) == dist[dst]
+
+
+@pytest.mark.parametrize("name", ["Z", "Z3", "heis", "sol"])
+def test_ac_profile_cap_bounds_next_ball(name):
+    # the ball one past n_max is never built, but the cap still bounds it
+    g = make_group(name)
+    for n_max in range(4):
+        size = ball(g, n_max + 1).ball_size(n_max + 1)
+        with pytest.raises(CayleyError, match="ball exceeds element cap"):
+            ac_profile(g, n_max, cap=size - 1)
+        assert ac_profile(g, n_max, cap=size) == ac_profile(g, n_max)
 
 
 @pytest.mark.parametrize("name, n, k, buckets, classes", [

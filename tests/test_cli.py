@@ -163,6 +163,7 @@ def test_cayley_cones_stdout_stable_across_hash_seeds():
     "cover --spec prism12 --steps 4",
     "verify --rule s2xr --steps 3",
     "verify --rule nxs1 --steps 4",
+    "cayley --group sol --radius 7 --ac2",
 ])
 def test_stdout_stable_across_hash_seeds(argv):
     code = ("from coversphere.cli import main; "
