@@ -5,7 +5,7 @@ star-triangulated with a barycenter vertex.  Boundary radii are fixed at
 1.  Interior radii are solved by Newton steps in log radii, each a
 sparse linear solve by Jacobi-preconditioned conjugate gradients over
 flat index lists; then centers are laid out breadth-first by circle
-intersection from a triangle deep inside the disk.
+intersection from the complex's first triangle.
 """
 
 import math

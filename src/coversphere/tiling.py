@@ -15,8 +15,8 @@ import json
 from array import array
 from collections import Counter, defaultdict
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, repeat, takewhile
-from operator import add, eq, mul, not_, sub
+from itertools import accumulate, compress, count, repeat
+from operator import add, mul, not_, sub
 from struct import Struct
 from typing import NamedTuple
 
@@ -316,10 +316,15 @@ class Tiling:
     @cached_property
     def loaded_vertices(self):
         """The vertices every edge at which is loaded: all but the origins
-        of the half-edges of other edges."""
+        of the half-edges of other edges.  Those origins are marked in a
+        ``bytearray``: a set of every vertex took about 47 traced bytes a
+        flag, the peak of a first ``isomorphic`` call."""
         loaded = self.edge_marks.translate(IS_LOADED)
-        return set(range(self.num_vertices)).difference(compress(
-            self.h_origin, map(not_, map(loaded.__getitem__, self.h_edge))))
+        other = bytearray(self.num_vertices)
+        for v in compress(self.h_origin,
+                          map(not_, map(loaded.__getitem__, self.h_edge))):
+            other[v] = 1
+        return set(compress(count(), map(not_, other)))
 
     @property
     def num_faces(self):
@@ -701,14 +706,14 @@ def _root_colour(counts):
 
 
 def _bfs(t, root, mirror, keys):
-    """Flag codes of t in breadth-first order from ``root``.
+    """Flag codes of t in breadth-first order from ``root``, for
+    ``Tiling.canonical_form``.
 
     The moves are ``next``, or ``prev`` for the mirror image, and ``twin``.
     Each flag, in the order it is reached, yields the visit positions of
     its two moves and its key.  Two connected tilings with as many flags
     give equal codes exactly when matching flags by position is a
-    key-preserving isomorphism between the two roots.  Codes come lazily,
-    so a comparison can stop at its first mismatch.
+    key-preserving isomorphism between the two roots.
     """
     step, twin = (t.h_prev if mirror else t.h_next), t.h_twin
     order = [-1] * len(step)
@@ -725,12 +730,6 @@ def _bfs(t, root, mirror, keys):
         yield order[x], order[y], keys[h]
 
 
-def _triples(code):
-    """A flat walk code read back flag by flag, as ``_bfs`` yields it."""
-    entries = iter(code)
-    return zip(entries, entries, entries)
-
-
 def isomorphic(a: Tiling, b: Tiling, seed=None, vertex_map=None) -> bool:
     """Label- and status-preserving isomorphism (mirror images allowed).
 
@@ -739,10 +738,10 @@ def isomorphic(a: Tiling, b: Tiling, seed=None, vertex_map=None) -> bool:
     ``_pair_components`` matches with those of b, so every walk of a is of
     a connected tiling.  For a connected a, a ``seed``, a vertex of a and
     a vertex of b, is tried first (``_seeded_match``); if no walk from it
-    matches, or without one, ``_colour_match`` searches by colour.  Given
-    a list ``vertex_map``, a connected match sets it to per vertex of a
-    its image in b, read off the seeded walk's flag map or, after a colour
-    match, off a walk of the match; otherwise the list is left as it is.
+    matches, or without one, ``_colour_match`` searches by colour.  Both
+    fill one flag map, so given a list ``vertex_map``, a connected match
+    sets it to per vertex of a its image in b, read off that map;
+    otherwise the list is left as it is.
     """
     if (a.num_faces, a.num_edges, a.num_vertices, a.num_components) != \
             (b.num_faces, b.num_edges, b.num_vertices, b.num_components):
@@ -751,103 +750,93 @@ def isomorphic(a: Tiling, b: Tiling, seed=None, vertex_map=None) -> bool:
         return True
     if a.num_components > 1:
         return _pair_components(a, b)
-    match = (seed and _seeded_match(a, b, *seed)) or _colour_match(a, b)
+    image = array("i", [-1]) * len(a.h_face)
+    match = ((seed and _seeded_match(a, b, *seed, image))
+             or _colour_match(a, b, image))
     if match is None:
         return False
     if vertex_map is not None:
-        vertex_map[:] = _vertex_images(a, b, *match)
+        vertex_map[:] = _vertex_images(a, b, match[1], image)
     return True
 
 
-def _colour_match(a, b):
-    """A root flag of connected a, a flag of b and an orientation whose
-    walks match, as ``(root, start, mirror)``, found by colour; else None.
+def _colour_match(a, b, image):
+    """A flag of b and an orientation, ``(start, mirror)``, to which a
+    root flag of connected a walks in full, found by colour; else None.
 
-    After each round of joint refinement, the code of one root flag of a,
-    from its smallest colour class, is compared with the codes of b from
-    the flags of that colour, in both orientations, until one matches in
-    full or the failed walks have visited as many flags as a has; only
-    then is the partition refined once more.  At stability every
-    remaining candidate is walked.  The code of a is held as one flat
-    ``array('i')``, three entries per flag, and read back flag by flag
-    against each walk of b, so a candidate is dropped at its first
-    mismatched flag.
-
-    The walks key each flag by its colour alone.  A walk that matches in
-    full is a flag bijection that keeps ``next`` (or ``prev``) and
-    ``twin``, so it maps every vertex's rotation onto a rotation (for a
-    mirror walk, the rotation at the far end).  A colour fixes its flag's
-    face label, edge status and added mark, so the bijection keeps them,
-    and a vertex all of whose edges are loaded maps to one too.
+    After each round of joint refinement, one root flag of a, from its
+    smallest colour class, is walked onto b from the flags of that colour,
+    in both orientations, until one walk matches in full or the failed
+    walks spend the budget of a round, a's flag count; only then is the
+    partition refined once more.  At stability the remaining candidates
+    are walked with no budget.  Every isomorphism keeps the colours of
+    every round, so the round at which a walk matches changes no verdict.
     """
-    flags = len(a.h_face)
     for (ca, cb), (ha, hb) in _wl_colours([a, b]):
         if ha != hb:
             return None
         colour = _root_colour(ha)
         root = ca.index(colour)
-        code = array("i", chain.from_iterable(_bfs(a, root, False, ca)))
-        # Per candidate walk of b, the flags it matches before a mismatch.
-        walks = ((sum(takewhile(bool, map(eq, _triples(code),
-                                          _bfs(b, s, m, cb)))), s, m)
-                 for s, c in enumerate(cb) if c == colour
-                 for m in (False, True))
-        budget = flags
-        for matched, s, m in walks:
-            if matched == flags:
-                return root, s, m
-            budget -= matched + 1
-            if budget <= 0:
-                break
-        else:
-            return None
-    return next(((root, s, m) for matched, s, m in walks if matched == flags),
-                None)
+        candidates = ((s, m) for s, c in enumerate(cb) if c == colour
+                      for m in (False, True))
+        match = _walks(a, b, root, candidates, image, len(image))
+        if match is not False:
+            return match
+    return _walks(a, b, root, candidates, image)
 
 
-def _seeded_match(a, b, u, v):
-    """A match ``(root, start, mirror, image)`` of connected a onto b
-    that sends vertex u to vertex v, ``image`` being its flag map, else
-    None.
-
-    The root is a's first flag at u.  The candidates are the flags at v,
-    around its rotation, each in both orientations (for a mirror map, the
-    flag whose far end is v).  Failed walks spend the budget of a round
-    of ``_colour_match``, a's flag count, by one more than the flags they
-    matched.
+def _seeded_match(a, b, u, v, image):
+    """A flag of b and an orientation, ``(start, mirror)``, to which a's
+    first flag at vertex u walks in full, so that u goes to vertex v; else
+    None, or False once the budget of a round of ``_colour_match`` is
+    spent.  The candidates are the flags at v, around its rotation, each
+    in both orientations (for a mirror map, the flag whose far end is v).
     """
-    flags = len(a.h_face)
-    root = a.h_origin.index(u)
-    image = array("i", [-1]) * flags
-    budget = flags
-    start = first = b.h_origin.index(v)
-    while True:
-        for s, m in ((start, False), (b.h_twin[start], True)):
-            matched = _extend(a, b, root, s, m, image)
-            if matched == flags:
-                return root, s, m, image
-            budget -= matched + 1
-            if budget <= 0:
-                return None
-        start = b.h_next[b.h_twin[start]]
-        if start == first:
-            return None
+    def rotation(start):
+        first = start
+        while True:
+            yield start, False
+            yield b.h_twin[start], True
+            start = b.h_next[b.h_twin[start]]
+            if start == first:
+                return
+    return _walks(a, b, a.h_origin.index(u), rotation(b.h_origin.index(v)),
+                  image, len(image))
 
 
-def _extend(a, b, root, start, mirror, image):
+def _walks(a, b, root, candidates, image, budget=float("inf")):
+    """The first candidate ``(start, mirror)`` onto which ``_extend``
+    walks a from root in full, leaving the map in ``image``; None once the
+    candidates run out, or False once the failed walks have spent
+    ``budget``, each one more than the flags it matched."""
+    flags = len(image)
+    taken = bytearray(len(b.h_face))
+    for start, mirror in candidates:
+        matched = _extend(a, b, root, start, mirror, image, taken)
+        if matched == flags:
+            return start, mirror
+        budget -= matched + 1
+        if budget <= 0:
+            return False
+    return None
+
+
+def _extend(a, b, root, start, mirror, image, taken):
     """How many flags of connected a the map sending root to start takes
     onto b, breadth first by ``next`` and ``twin`` (``prev`` and ``twin``
     in b for a mirror map), before it first fails to keep them, a face
-    label or an edge mark: all of them exactly when it is an isomorphism,
-    b having as many flags and components.  Keeping marks, it keeps
-    loaded vertices, so no colours are needed.  A flag reached by
-    ``next`` shares its face with the flag it came from, and one reached
-    by ``twin`` its edge, so each is checked for its edge mark or its
-    face label alone.  ``image``, -1 per flag of a on entry, holds the
-    map after a full match, and after a failed one is -1 again at the
-    flags reached, so a failed walk costs only those.  It and the queue
-    are ``array('i')``: as lists of boxed ints they took about 72 bytes
-    a flag, and set ``verify``'s peak at stage 6.
+    label or an edge mark, or reaches a flag of b twice: all of them
+    exactly when it is an isomorphism, b having as many flags and
+    components.  Keeping marks, it keeps loaded vertices, so no colours
+    are needed.  A flag reached by ``next`` shares its face with the flag
+    it came from, and one reached by ``twin`` its edge, so each is checked
+    for its edge mark or its face label alone.  ``image``, -1 per flag of
+    a on entry, holds the map after a full match; ``taken``, 0 per flag of
+    b on entry, marks its images, so a failed walk stops where b's walk
+    closes up before a's does.  A failed walk resets both at the flags it
+    reached, and so costs only those.  The map and the queue are
+    ``array('i')``: as lists of boxed ints they took about 72 bytes a
+    flag, and set ``verify``'s peak at stage 6.
     """
     label_a, label_b = a.face_labels, b.face_labels
     face_a, face_b, edge_a, edge_b = a.h_face, b.h_face, a.h_edge, b.h_edge
@@ -858,24 +847,27 @@ def _extend(a, b, root, start, mirror, image):
             or mark_a[edge_a[root]] != mark_b[edge_b[start]]):
         return 0
     image[root] = start
+    taken[start] = 1
     queue = array("i", [root])
     for h in queue:         # grows while it is read
         g = image[h]
         x, y = step_a[h], step_b[g]
         z = image[x]
         if z < 0:
-            if mark_a[edge_a[x]] != mark_b[edge_b[y]]:
+            if taken[y] or mark_a[edge_a[x]] != mark_b[edge_b[y]]:
                 break
             image[x] = y
+            taken[y] = 1
             queue.append(x)
         elif z != y:
             break
         x, y = twin_a[h], twin_b[g]
         z = image[x]
         if z < 0:
-            if label_a[face_a[x]] != label_b[face_b[y]]:
+            if taken[y] or label_a[face_a[x]] != label_b[face_b[y]]:
                 break
             image[x] = y
+            taken[y] = 1
             queue.append(x)
         elif z != y:
             break
@@ -883,18 +875,14 @@ def _extend(a, b, root, start, mirror, image):
         return len(queue)
     matched = queue.index(h)
     for h in queue:
+        taken[image[h]] = 0
         image[h] = -1
     return matched
 
 
-def _vertex_images(a, b, root, start, mirror, image=None):
-    """Per vertex of a, its image in b under the match ``(root, start,
-    mirror)``: where the flags at it are sent, or, for a mirror map,
-    their far ends.  The match's flag map is ``image`` if given, else
-    walked by ``_extend``."""
-    if image is None:
-        image = array("i", [-1]) * len(a.h_face)
-        _extend(a, b, root, start, mirror, image)
+def _vertex_images(a, b, mirror, image):
+    """Per vertex of a, its image in b under the flag map ``image``: where
+    the flags at it are sent, or, for a mirror map, their far ends."""
     if mirror:
         image = map(b.h_twin.__getitem__, image)
     out = [0] * a.num_vertices

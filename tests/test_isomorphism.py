@@ -347,11 +347,12 @@ def traced_peak(call):
 
 
 def test_isomorphic_working_set_is_flat():
-    # Packed round-0 colours, colour arrays and a flat walk code keep the
-    # traced peak near 112 bytes per flag of a; 6-tuple signatures, colour
-    # lists and a walk code of 3-tuples took about 246.
+    # Packed round-0 colours, colour arrays and walks that fill one flag
+    # map in array('i') keep the traced peak near 51 bytes per flag of a.
+    # A flat walk code of a beside a list-based walk of b took about 112,
+    # and 6-tuple signatures, colour lists and 3-tuple codes about 246.
     a, b = nxs1_pair(3)
-    assert traced_peak(lambda: isomorphic(a, b)) <= 150 * len(a.h_face)
+    assert traced_peak(lambda: isomorphic(a, b)) <= 70 * len(a.h_face)
 
 
 def test_seeded_working_set_is_flatter():
@@ -394,6 +395,23 @@ def test_square_tori_are_told_apart_by_the_walks():
     assert not isomorphic(t, Tiling(square_torus(2, 8)))
     assert isomorphic(t, Tiling(square_torus(4, 4, lambda i, j: "x%d%d"
                                              % (j, i))))
+
+
+def test_failed_walks_stop_where_b_closes_up(monkeypatch):
+    # All 144 flags of b, in both orientations, are candidates, and none
+    # matches.  A walk that may not reach a flag of b twice stops when b's
+    # walk closes up around its 2 x 18 torus before a's does around the
+    # 6 x 6; without that check the walks matched 19,008 flags.
+    matched = []
+    extend = tiling._extend
+
+    def spy(*args):
+        matched.append(extend(*args))
+        return matched[-1]
+    monkeypatch.setattr(tiling, "_extend", spy)
+    assert not isomorphic(Tiling(square_torus(6, 6)),
+                          Tiling(square_torus(2, 18)))
+    assert (len(matched), sum(matched)) == (288, 1872)
 
 
 def test_connected_torus_against_disjoint_tori():
