@@ -87,8 +87,12 @@ def validate(spec: GluingSpec):
     """Check the spec and fill in its int tables (see GluingSpec)."""
     if not spec.faces:
         raise GluingError("no face lines")
-    if spec.pairings.keys() != spec.faces.keys():
-        raise GluingError("every face needs exactly one pairing")
+    for name in spec.pairings:
+        if name not in spec.faces:
+            raise GluingError("pair line names undeclared face %s" % name)
+    for name in spec.faces:
+        if name not in spec.pairings:
+            raise GluingError("face %s has no pair line" % name)
     faces = list(spec.faces.values())
     vindex = {}
     for f in faces:

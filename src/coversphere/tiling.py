@@ -86,14 +86,15 @@ class Tiling:
     ``edge_marks``.  It consumes the ``names`` and ``keys`` tables: they
     are renumbered in place into ``h_origin`` and ``h_edge``, so that a
     stage is built in little more than the memory it keeps (at stage 4,
-    nxs1 peaks at about 40 traced bytes per half-edge and holds 35,
-    prism12 about 36 and 32).  Without ``edges``, side i's key is the
+    nxs1 peaks at about 34 traced bytes per half-edge and holds 27.5,
+    prism12 about 30 and 25).  Without ``edges``, side i's key is the
     unordered pair of its endpoints; keys must be given whenever two
     distinct edges share both endpoints (e.g. the square model of the
     torus).  Face f's half-edges are the contiguous ids
     ``face_start[f]..``, side i of the input cycle being
     ``face_start[f] + i``; a face flipped to orient the surface keeps that
-    start and walks its sides backwards.
+    start and walks its sides backwards, and its byte in the
+    ``bytearray`` ``face_flipped`` is 1.
 
     The half-edge tables use the usual conventions: ``next`` walks around
     a face, ``twin`` jumps across an edge, and ``next(twin(h))`` walks the
@@ -104,12 +105,14 @@ class Tiling:
     and there are ``num_components`` of them.
 
     The int tables ``face_start``, ``face_component``, ``h_face``,
-    ``h_next``, ``h_twin``, ``h_origin``, ``h_edge`` and ``edge_half``,
-    and ``h_prev``, which is built from ``h_next`` on first read, are
-    ``array('i')``: four bytes an entry, no int objects, nothing for the
-    cyclic garbage collector to walk.  ``vertex_names`` and ``edge_keys``
-    list the names and keys by id: an ``array('q')`` when all are ints,
-    as every rule and cover stage's are, else a list.
+    ``h_twin``, ``h_origin``, ``h_edge`` and ``edge_half``, and ``h_next``
+    and ``h_prev``, which are built from ``face_start`` and
+    ``face_flipped`` on first read, are ``array('i')``: four bytes an
+    entry, no int objects, nothing for the cyclic garbage collector to
+    walk.  ``vertex_names`` and ``edge_keys`` list the names and keys by
+    id: an ``array('i')`` for ``FaceTables``, whose ``array('i')`` tables
+    bound them; for faces given one by one, an ``array('q')`` when all
+    are ints, else a list.
     """
 
     def __init__(self, faces, *, stage=0, edge_status=None, added_edges=None):
@@ -156,7 +159,7 @@ class Tiling:
         twin = array("i", [-1]) * n
         half = array("i", [0]) * (n // 2)      # per edge: its first side
         # per vertex its name and per edge its key, which indexes ``marks``
-        name_ints, key_ints = array("q"), array("q")
+        name_ints, key_ints = array("i"), array("i")
         nv = ne = 0
         try:
             for h, k, v in zip(count(), keys, names):
@@ -207,28 +210,23 @@ class Tiling:
     # -- construction -------------------------------------------------
 
     def _orient(self, origin):
-        """Set ``h_next`` and ``h_origin``, flipping the faces needed for
-        twin half-edges to run antiparallel, and label each face with its
-        connected component.
+        """Set ``face_flipped`` and ``h_origin``, flipping the faces needed
+        for twin half-edges to run antiparallel, and label each face with
+        its connected component.
 
         ``origin``, which becomes ``h_origin``, gives each side's first
-        vertex along its input cycle; while ``h_next`` still walks that
-        cycle, a side ends where the next one starts.  Works component by
-        component (DFS from the lowest face id), each root keeping its
-        input orientation.  Loop edges give no orientation information:
-        the DFS does not cross them, and the components they join are
-        merged afterwards.  An edge is checked from the first of its faces
-        to be popped; from the other it would pass the same tests: its two
-        sides must join the same two vertices, and their faces must be
-        flipped so that the sides run antiparallel.
+        vertex along its input cycle, so a side ends where the next side of
+        its face's run starts, the last side where the first one does.
+        Works component by component (DFS from the lowest face id), each
+        root keeping its input orientation.  Loop edges give no orientation
+        information: the DFS does not cross them, and the components they
+        join are merged afterwards.  An edge is checked from the first of
+        its faces to be popped; from the other it would pass the same
+        tests: its two sides must join the same two vertices, and their
+        faces must be flipped so that the sides run antiparallel.
         """
         start, twin, face = self.face_start, self.h_twin, self.h_face
-        stops = start[1:]
-        stops.append(len(origin))
-        # Half-edges walk their input cycles until a face is flipped.
-        nxt = array("i", range(1, len(origin) + 1))
-        for s, e in zip(start, stops):
-            nxt[e - 1] = s
+        stops = self._face_stops()
         flip = bytearray(len(start))
         comp = array("i", [-1]) * len(start)   # -1 until a face is reached
         done = bytearray(len(start))
@@ -242,13 +240,15 @@ class Tiling:
             while stack:
                 f = stack.pop()
                 flipped = flip[f]
-                for h in range(start[f], stops[f]):
+                s, e = start[f], stops[f]
+                for h in range(s, e):
                     t = twin[h]
                     g = face[t]
                     if done[g]:
                         continue
-                    a, b = origin[h], origin[nxt[h]]
-                    c, d = origin[t], origin[nxt[t]]
+                    a, c = origin[h], origin[t]
+                    b = origin[h + 1 if h + 1 < e else s]
+                    d = origin[t + 1 if t + 1 < stops[g] else start[g]]
                     same = a == c and b == d
                     if not (same or a == d and b == c):
                         names = self.vertex_names
@@ -271,14 +271,11 @@ class Tiling:
                             "cannot be oriented compatibly" % (f, g))
                 done[f] = 1
             n += 1
-        # A flipped face walks back, so each side starts at its old end,
-        # and its next side is its old previous one: the old next of the
-        # side two places back.
+        # A flipped face walks back, so each side starts at its old end.
         for f in compress(range(len(flip)), flip):
             s, e = start[f], stops[f]
-            nxt[s:e] = nxt[e - 2:e] + nxt[s:e - 2]
             origin[s:e] = origin[s + 1:e] + origin[s:s + 1]
-        self.h_next, self.h_origin = nxt, origin
+        self.face_flipped, self.h_origin = flip, origin
         self.face_component, self.num_components = _merge_components(
             comp, n, [(comp[face[h]], comp[face[twin[h]]]) for h in loops])
 
@@ -304,14 +301,42 @@ class Tiling:
     # -- basic queries ------------------------------------------------
 
     @cached_property
+    def h_next(self):
+        """Per half-edge, the one after it around its face.  Built on
+        first read, from ``face_start`` and ``face_flipped``, as only the
+        isomorphism code, colour refinement, ``_validate`` and
+        ``rules.strip_added_edges`` walk faces by it."""
+        return self._face_steps(0)
+
+    @cached_property
     def h_prev(self):
         """The inverse of ``h_next``: per half-edge, the one before it
         around its face.  Built on first read, as only the isomorphism
         code walks faces backwards."""
-        prev = array("i", bytes(4 * len(self.h_next)))
-        for h, x in enumerate(self.h_next):
-            prev[x] = h
-        return prev
+        return self._face_steps(1)
+
+    def _face_steps(self, back):
+        """Per half-edge, the next side in its face's run, the last one
+        wrapping round to the first; with ``back``, the side before, the
+        first wrapping round to the last.  A flipped face's run is walked
+        the other way, by rotating its entries two places."""
+        start, stops = self.face_start, self._face_stops()
+        d = -1 if back else 1
+        step = array("i", range(d, len(self.h_face) + d))
+        lasts = map(sub, stops, repeat(1))
+        for h, x in zip(start, lasts) if back else zip(lasts, start):
+            step[h] = x
+        for f in compress(count(), self.face_flipped):
+            s, e = start[f], stops[f]
+            k = s + 2 if back else e - 2
+            step[s:e] = step[k:e] + step[s:k]
+        return step
+
+    def _face_stops(self):
+        """Per face, one past its last half-edge."""
+        stops = self.face_start[1:]
+        stops.append(len(self.h_face))
+        return stops
 
     @cached_property
     def loaded_vertices(self):
@@ -345,9 +370,9 @@ class Tiling:
         start = self.face_start
         s = start[f]
         stop = start[f + 1] if f + 1 < len(start) else len(table)
-        if self.h_next[s] == s + 1:
-            return [*table[s:stop]]
-        return [table[s], *table[stop - 1:s:-1]]
+        if self.face_flipped[f]:
+            return [table[s], *table[stop - 1:s:-1]]
+        return [*table[s:stop]]
 
     def face_vertices(self, f):
         return self._face_read(self.h_origin, f)
@@ -685,9 +710,7 @@ def _first_signatures(tilings):
 
 def _face_sizes(t):
     """Per face its number of sides."""
-    stops = t.face_start[1:]
-    stops.append(len(t.h_face))
-    return map(sub, stops, t.face_start)
+    return map(sub, t._face_stops(), t.face_start)
 
 
 def _end_codes(t):

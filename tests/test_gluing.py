@@ -63,7 +63,9 @@ ONE_FLANK = "face A t : 0 1 2\nface B t : 0 2 3\npair A B : 0->0 1->2 2->3\n"
 
 
 @pytest.mark.parametrize("text, message", [
-    (TRIANGLES, "every face needs exactly one pairing"),
+    (TRIANGLES, "face A has no pair line"),
+    (TRIANGLES + "pair A B : 0->0 1->2 2->1\npair C D : 0->0 1->2 2->1",
+     "pair line names undeclared face C"),
     (TRIANGLES.replace("B t", "B u") + "pair A B : 0->0 1->2 2->1",
      "paired faces A/B have different labels"),
     (TRIANGLES + "pair A B : 0->0 1->0 2->1",
@@ -77,7 +79,7 @@ ONE_FLANK = "face A t : 0 1 2\nface B t : 0 2 3\npair A B : 0->0 1->2 2->3\n"
     (TRIANGLES + "pair A B : 0->1 1->0 2->2",
      "ill-defined identification on edge ['0', '1']: the gluings around it "
      "swap its endpoints"),
-], ids=["unpaired", "labels", "bijection", "involutive", "boundary",
+], ids=["unpaired", "undeclared", "labels", "bijection", "involutive", "boundary",
         "one-flank", "swap"])
 def test_rejects_inconsistent_gluing(text, message):
     with pytest.raises(GluingError, match="^%s$" % re.escape(message)):

@@ -341,6 +341,7 @@ def test_face_reads_follow_h_next(make, flipped):
     # The contiguous-range reads against a walk of h_next, on tilings
     # where orienting flipped many faces.
     t = make()
+    assert sum(t.face_flipped) == flipped
     walked_back = 0
     for f in range(t.num_faces):
         walk = [t.face_start[f]]
@@ -351,6 +352,17 @@ def test_face_reads_follow_h_next(make, flipped):
         assert t.face_vertices(f) == [t.h_origin[h] for h in walk]
         assert t.face_edges(f) == [t.h_edge[h] for h in walk]
     assert walked_back == flipped
+
+
+def test_stage_tables_hold_no_h_next_until_read():
+    # Orienting keeps one flip byte per face; the walk tables are built
+    # from them only when first read.
+    *_, rule = stage_tilings(catalog.get_rule("nxs1"), 3, "replacement")
+    *_, state = balls(catalog.load_spec("prism12"), 3)
+    for t in (rule, state.boundary_sphere()):
+        assert "h_next" not in vars(t) and "h_prev" not in vars(t)
+        assert t.h_next[t.h_prev[5]] == 5
+        assert "h_next" in vars(t)
 
 
 SAME_TABLES = ("face_labels", "face_start", "face_component", "h_face",
@@ -393,13 +405,16 @@ def test_table_path_matches_per_face_path(monkeypatch, grow, built):
                                    if m & ADDED], **kw)
         for name in SAME_TABLES:
             assert getattr(got, name) == getattr(want, name), name
-        for table in (got.vertex_names, got.edge_keys,
-                      want.vertex_names, want.edge_keys):
-            assert isinstance(table, array) and table.typecode == "q"
+        # a producer's names and keys fit its array('i') tables, so their
+        # tables by id are 4-byte too; faces given one by one keep 8-byte
+        # int names
+        for table, code in ((got.vertex_names, "i"), (got.edge_keys, "i"),
+                            (want.vertex_names, "q"), (want.edge_keys, "q")):
+            assert isinstance(table, array) and table.typecode == code
         # numbering by first appearance, as dict.fromkeys orders its keys
-        assert got.vertex_names == array("q", dict.fromkeys(names))
+        assert got.vertex_names == array("i", dict.fromkeys(names))
         edge_keys = dict.fromkeys(keys)
-        assert got.edge_keys == array("q", edge_keys)
+        assert got.edge_keys == array("i", edge_keys)
         edge_id = dict(zip(edge_keys, range(len(edge_keys))))
         assert got.h_edge == array("i", map(edge_id.__getitem__, keys))
 
@@ -442,12 +457,14 @@ def nxs1_stage3():
 
 
 def test_rule_stage_is_compact_while_built_and_held():
-    # A stage held in flat int tables, with one mark byte per edge and
-    # ``h_prev`` built only when read, takes about 35 traced bytes per
-    # half-edge (40 with ``h_prev`` built with the stage, 48 with statuses
-    # and added marks kept as two lists) and peaks near 40 (46) while
-    # built from flat face tables with byte marks renumbered in place (64
-    # with the ids in tables of their own and scratch copies to orient);
+    # A stage held in flat int tables, with one mark byte per edge, one
+    # flip byte per face, ``h_next`` and ``h_prev`` built only when read
+    # and 4-byte names and keys, takes about 27.5 traced bytes per
+    # half-edge (35 with ``h_next`` stored and 8-byte names and keys, 40
+    # with ``h_prev`` built with the stage too, 48 with statuses and added
+    # marks kept as two lists) and peaks near 34 (40, 46) while built from
+    # flat face tables with byte marks renumbered in place (64 with the
+    # ids in tables of their own and scratch copies to orient);
     # numbering through int-keyed dicts and handing statuses over as a
     # dict peaked near 100, per face tuples near 180, and int tables kept
     # as lists take about 218 and 560, over every bound.
@@ -464,11 +481,14 @@ def test_rule_stage_is_compact_while_built_and_held():
     assert peak <= 52 * half_edges
     assert held <= 37 * half_edges
     assert peak <= 43 * half_edges
+    assert held <= 28 * half_edges
+    assert peak <= 35 * half_edges
 
 
 def test_cover_sphere_is_compact_when_held():
-    # About 32 traced bytes per half-edge held and 36 at the peak (36 and
-    # 40 with ``h_prev`` built with the stage, 45 held with statuses and
+    # About 25 traced bytes per half-edge held and 30 at the peak (32 and
+    # 36 with ``h_next`` stored and 8-byte names and keys, 36 and 40 with
+    # ``h_prev`` built with the stage too, 45 held with statuses and
     # added marks kept as two lists, 58 at the peak with the ids
     # in tables of their own and scratch copies to orient, 97 with
     # int-keyed dicts numbering names and keys and holding statuses).
@@ -484,6 +504,8 @@ def test_cover_sphere_is_compact_when_held():
     assert peak <= 46 * half_edges
     assert held <= 34 * half_edges
     assert peak <= 38 * half_edges
+    assert held <= 26 * half_edges
+    assert peak <= 32 * half_edges
 
 
 def test_subdivision_stage_is_compact_while_built():
