@@ -821,8 +821,11 @@ def _replaced_faces(rule, t):
     # that template lists in ``rim_named`` or ``rim_keyed``.  The root key
     # takes a member's new status and added mark.
     vmoved, kmoved = _zipped(vpairs), _zipped(kpairs)
-    for k, root in kmoved.items():
-        if not marks[k] & _DROP:
+    lo, moved = kmoved
+    # Every moved key is in a pair; merging one twice changes nothing.
+    for k in kpairs:
+        root = moved[k - lo] - 1
+        if root >= 0 and not marks[k] & _DROP:
             marks[root] = (marks[root] | marks[k]) & ~_DROP
     placed = [*zip(bases, templates)]
     _rename(names, vmoved, t.num_vertices,
@@ -853,31 +856,52 @@ def _aligned(c1, k1, on1, c2, k2, on2, n):
 
 
 def _zipped(pairs):
-    """{x: the root of its class} for each int x that is not a root, once
-    the ints ``pairs`` lists two by two are united, in that order, in a
-    ``UnionFind`` over a dense numbering of only these ints.  When no int
-    is in two pairs, each class is one pair, whose first int union by
-    size makes the root: then each second int maps to its first."""
-    if len(set(pairs)) == len(pairs):
-        return dict(zip(pairs[1::2], pairs[::2]))
+    """``(lo, moved)``: the renaming that unites the ints ``pairs`` lists
+    two by two, in that order, as in a ``UnionFind``.  ``moved`` spans the
+    ints from ``lo``, the least of them, to the greatest: int x's entry
+    ``moved[x - lo]`` is 0 if x is a root or in no pair, else 1 + the
+    root of its class.  When no int is in two pairs, each class is one
+    pair, whose first int union by size makes the root: then each second
+    int moves to its first.  Else the classes are united in a
+    ``UnionFind`` over a dense numbering of only these ints."""
+    lo = min(pairs, default=0)
+    span = max(pairs, default=-1) - lo + 1
+    moved = array("i", [0]) * span
+    seen = bytearray(span)      # marks the ints met, until one comes again
+    firsts = iter(pairs)
+    for a, b in zip(firsts, firsts):
+        if seen[a - lo] or seen[b - lo] or a == b:
+            break
+        seen[a - lo] = seen[b - lo] = 1
+        moved[b - lo] = a + 1
+    else:
+        return lo, moved
+    moved = array("i", [0]) * span
     ints = [*dict.fromkeys(pairs)]
     dense = map(dict(zip(ints, count())).__getitem__, pairs)
     uf = UnionFind(len(ints))
     for x, y in zip(dense, dense):
         uf.union(x, y)
-    return {ints[x]: ints[r] for x, r in uf.non_roots().items()}
+    for x, r in uf.non_roots().items():
+        moved[ints[x] - lo] = ints[r] + 1
+    return lo, moved
 
 
-def _rename(table, moved, first_new, sides):
-    """Write ``moved[x]`` over each entry x of ``table`` that ``moved``
-    maps.  If all those x are new ints, at least ``first_new``, only the
-    positions ``sides`` yields are read; an old one may be anywhere."""
-    if min(moved, default=first_new) < first_new:
+def _rename(table, zipped, first_new, sides):
+    """Write each entry x of ``table`` that the ``_zipped`` renaming
+    ``zipped`` moves over with its root.  If all the moved x are new
+    ints, at least ``first_new``, only the positions ``sides`` yields are
+    read; an old one may be anywhere."""
+    lo, moved = zipped
+    hi = lo + len(moved)
+    if any(moved[:max(first_new - lo, 0)]):
         sides = range(len(table))
     for h in sides:
         x = table[h]
-        if x in moved:
-            table[h] = moved[x]
+        if lo <= x < hi:
+            root = moved[x - lo] - 1
+            if root >= 0:
+                table[h] = root
 
 
 # ---------------------------------------------------------------------

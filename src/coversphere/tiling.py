@@ -86,8 +86,8 @@ class Tiling:
     ``edge_marks``.  It consumes the ``names`` and ``keys`` tables: they
     are renumbered in place into ``h_origin`` and ``h_edge``, so that a
     stage is built in little more than the memory it keeps (at stage 4,
-    nxs1 peaks at about 34 traced bytes per half-edge and holds 27.5,
-    prism12 about 30 and 25).  Without ``edges``, side i's key is the
+    nxs1 peaks at about 29 traced bytes per half-edge and holds 27.5,
+    prism12 about 27.5 and 25).  Without ``edges``, side i's key is the
     unordered pair of its endpoints; keys must be given whenever two
     distinct edges share both endpoints (e.g. the square model of the
     torus).  Face f's half-edges are the contiguous ids
@@ -136,10 +136,6 @@ class Tiling:
         self.face_labels = labels
         self.face_start = array("i", accumulate(sizes, initial=0))
         self.face_start.pop()
-        self.h_face = face = array("i")
-        # face f's id once per side, appended as the bytes of its entries
-        for run in map(mul, map(_INT.pack, range(len(sizes))), sizes):
-            face.frombytes(run)
 
         # One pass numbers names and keys by first appearance, through
         # lookup tables indexed by the name or key, writes each side's
@@ -153,8 +149,10 @@ class Tiling:
         # the key ``_unpaired`` finds, once the sides renumbered so far
         # get their keys back.
         n = len(keys)
-        vid = array("i", [-1]) * num_names
-        eid = array("i", [-1]) * len(marks)
+        # The two lookup tables are views of one block, so that freeing
+        # them leaves one hole, which ``h_face``, built next, can reuse.
+        ids = memoryview(array("i", [-1]) * (num_names + len(marks)))
+        vid, eid = ids[:num_names], ids[num_names:]
         # tables made by repeating one entry are sized exactly
         twin = array("i", [-1]) * n
         half = array("i", [0]) * (n // 2)      # per edge: its first side
@@ -190,7 +188,11 @@ class Tiling:
                 keys[i] = key_ints[keys[i]]
             raise _side_count_error(keys, _unpaired(keys, len(marks)),
                                     edge_keys)
-        del vid, eid
+        del vid, eid, ids
+        self.h_face = face = array("i")
+        # face f's id once per side, appended as the bytes of its entries
+        for run in map(mul, map(_INT.pack, range(len(sizes))), sizes):
+            face.frombytes(run)
         self.vertex_names = vertex_names or name_ints
         self.edge_keys = edge_keys or key_ints
         self.h_edge, self.h_twin = keys, twin
@@ -236,7 +238,7 @@ class Tiling:
             if comp[root] >= 0:
                 continue
             comp[root] = n
-            stack = [root]
+            stack = array("i", [root])
             while stack:
                 f = stack.pop()
                 flipped = flip[f]

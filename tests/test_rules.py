@@ -1,14 +1,17 @@
 import importlib.resources as resources
 import json
 import re
+from array import array
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coversphere.cover import balls
 from coversphere.gluing import parse_gluing
 from coversphere.rules import (
-    RuleError, apply_replacement, apply_subdivision, load_rule,
-    strip_added_edges,
+    RuleError, _rename, _zipped, apply_replacement, apply_subdivision,
+    load_rule, strip_added_edges,
 )
 from coversphere.tiling import Tiling, isomorphic
 
@@ -332,9 +335,57 @@ def test_flap_alignment_is_the_first_of_the_dihedral_search(size, n):
     ([1, 2, 3, 4, 4, 2], {1: 3, 2: 3, 4: 3}),
 ], ids=["disjoint", "chain", "by-size", "tie"])
 def test_zipped_roots(pairs, moved):
-    from array import array
-    from coversphere.rules import _zipped
-    assert _zipped(array("i", pairs)) == moved
+    assert zipped_as_dict(array("i", pairs)) == moved
+
+
+def zipped_as_dict(pairs):
+    """``_zipped``'s renaming table read back as {moved int: its root}."""
+    lo, table = _zipped(pairs)
+    return {lo + i: r - 1 for i, r in enumerate(table) if r}
+
+
+def reference_roots(pairs):
+    """{x: the root of its class} for each int x that is not a root, once
+    ``pairs`` are united in order by size, a tie keeping the first int's
+    root, with each class listed whole in a dict."""
+    root, members = {}, {}
+    for a, b in zip(pairs[::2], pairs[1::2]):
+        ra, rb = root.get(a, a), root.get(b, b)
+        if ra == rb:
+            continue
+        if len(members.get(ra, [ra])) < len(members.get(rb, [rb])):
+            ra, rb = rb, ra
+        members[ra] = members.pop(ra, [ra]) + members.pop(rb, [rb])
+        for x in members[ra]:
+            root[x] = ra
+    return {x: r for x, r in root.items() if x != r}
+
+
+FIRST_NEW = 20
+
+
+@st.composite
+def renamings(draw):
+    """Pairs of ints, some sharing an int and some naming an old one
+    (below ``FIRST_NEW``), and a table whose new ints sit only at the
+    positions listed in ``sides``."""
+    ints = st.integers(0, 40) if draw(st.booleans()) else \
+        st.integers(FIRST_NEW, 40)
+    pairs = draw(st.lists(st.tuples(ints, ints), max_size=12))
+    table = draw(st.lists(st.integers(0, 40), max_size=30))
+    sides = [h for h, x in enumerate(table)
+             if x >= FIRST_NEW or draw(st.booleans())]
+    return [x for pair in pairs for x in pair], table, sides
+
+
+@given(renamings())
+def test_zipped_renaming_matches_a_dict_reference(case):
+    pairs, table, sides = case
+    moved = reference_roots(pairs)
+    assert zipped_as_dict(array("i", pairs)) == moved
+    renamed = array("i", table)
+    _rename(renamed, _zipped(array("i", pairs)), FIRST_NEW, iter(sides))
+    assert renamed.tolist() == [moved.get(x, x) for x in table]
 
 
 # -- subdivision mode ---------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 from coversphere import catalog
 from coversphere.cover import balls
 from coversphere.growth import stage_tilings
-from coversphere.rules import apply_replacement, apply_subdivision
+from coversphere.rules import (_replaced_faces, apply_replacement,
+                               apply_subdivision)
 from coversphere.tiling import (ADDED, STATUSES, FaceTables, Tiling,
                                 TilingError, isomorphic, mark)
 from test_cli import python
@@ -462,12 +463,15 @@ def test_rule_stage_is_compact_while_built_and_held():
     # and 4-byte names and keys, takes about 27.5 traced bytes per
     # half-edge (35 with ``h_next`` stored and 8-byte names and keys, 40
     # with ``h_prev`` built with the stage too, 48 with statuses and added
-    # marks kept as two lists) and peaks near 34 (40, 46) while built from
-    # flat face tables with byte marks renumbered in place (64 with the
-    # ids in tables of their own and scratch copies to orient);
-    # numbering through int-keyed dicts and handing statuses over as a
-    # dict peaked near 100, per face tuples near 180, and int tables kept
-    # as lists take about 218 and 560, over every bound.
+    # marks kept as two lists) and peaks near 29 while built from flat
+    # face tables with byte marks renumbered in place, where ``_orient``
+    # holds its per-face tables.  The peak was near 34 (40, 46) while
+    # zipping renamed through int-keyed dicts checked by a set, and
+    # ``_orient`` stacked boxed face ids; 64 with the ids in tables of
+    # their own and scratch copies to orient.  Numbering through
+    # int-keyed dicts and handing statuses over as a dict peaked near
+    # 100, per face tuples near 180, and int tables kept as lists take
+    # about 218 and 560, over every bound.
     rule, t = nxs1_stage3()
     out, held, peak = traced_build(lambda: apply_replacement(rule, t))
     half_edges = len(out.h_face)
@@ -483,15 +487,31 @@ def test_rule_stage_is_compact_while_built_and_held():
     assert peak <= 43 * half_edges
     assert held <= 28 * half_edges
     assert peak <= 35 * half_edges
+    assert peak <= 31 * half_edges
+
+
+def test_zipping_is_compact_while_built():
+    # Zipping renames through a 4-byte table over the span of the zipped
+    # ints, checked for shared ints by a byte per int, and peaks about 7
+    # traced bytes per output half-edge above the face tables it returns;
+    # with a set of the pairs and two int-keyed {second: first} dicts it
+    # peaked about 20 above them.
+    rule, t = nxs1_stage3()
+    tables, held, peak = traced_build(lambda: _replaced_faces(rule, t))
+    half_edges = len(tables.names)
+    assert peak - held <= 10 * half_edges
 
 
 def test_cover_sphere_is_compact_when_held():
-    # About 25 traced bytes per half-edge held and 30 at the peak (32 and
-    # 36 with ``h_next`` stored and 8-byte names and keys, 36 and 40 with
-    # ``h_prev`` built with the stage too, 45 held with statuses and
-    # added marks kept as two lists, 58 at the peak with the ids
-    # in tables of their own and scratch copies to orient, 97 with
-    # int-keyed dicts numbering names and keys and holding statuses).
+    # About 25 traced bytes per half-edge held and 27.5 at the peak, in
+    # ``_orient``'s per-face tables.  The peak was 30, in the numbering
+    # pass, while ``h_face`` was built before it and ``_orient`` stacked
+    # boxed face ids (32 and 36 with ``h_next`` stored and 8-byte names
+    # and keys, 36 and 40 with ``h_prev`` built with the stage too, 45
+    # held with statuses and added marks kept as two lists, 58 at the
+    # peak with the ids in tables of their own and scratch copies to
+    # orient, 97 with int-keyed dicts numbering names and keys and
+    # holding statuses).
     *_, state = balls(catalog.load_spec("prism12"), 4)
     out, held, peak = traced_build(state.boundary_sphere)
     half_edges = len(out.h_face)
@@ -506,6 +526,7 @@ def test_cover_sphere_is_compact_when_held():
     assert peak <= 38 * half_edges
     assert held <= 26 * half_edges
     assert peak <= 32 * half_edges
+    assert peak <= 29 * half_edges
 
 
 def test_subdivision_stage_is_compact_while_built():
