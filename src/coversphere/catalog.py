@@ -3,10 +3,12 @@
 Each entry bundles a rule, a geometry tag, the stage-1 tiling it acts on,
 and (when one exists) the name of the gluing spec whose universal-cover
 boundary spheres serve as an independent oracle for the rule's output.
+An entry with a companion spec starts from S(1) of that spec's cover.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 
 from .cover import build_cover
@@ -29,8 +31,15 @@ class RuleCatalogEntry:
     name: str
     geometry: str
     rule: Rule
-    initial: Tiling
     companion: str | None = None
+    start: Callable[[], Tiling] | None = None   # the start with no companion
+
+    @cached_property
+    def initial(self) -> Tiling:
+        """The stage-1 tiling the rule acts on, built on first read."""
+        if self.companion is None:
+            return self.start()
+        return build_cover(load_spec(self.companion), 1).boundary_sphere()
 
     @property
     def modes(self):
@@ -68,10 +77,6 @@ def load_spec(name: str) -> GluingSpec:
     return load_gluing_spec(path)
 
 
-def _initial_from_spec(name):
-    return build_cover(load_spec(name), 1).boundary_sphere()
-
-
 def _tetrahedron():
     faces = [
         ("t", ["a", "b", "c"]),
@@ -82,6 +87,10 @@ def _tetrahedron():
     return Tiling(faces, stage=1)
 
 
+def _empty():
+    return Tiling([], stage=1)
+
+
 @cache
 def _catalog():
     def rule(name):
@@ -90,17 +99,13 @@ def _catalog():
     nxs1_rule = rule("nxs1")
     entries = [
         RuleCatalogEntry("barycentric", "demo", rule("barycentric"),
-                         _tetrahedron()),
-        RuleCatalogEntry("torus3", "E3", rule("torus3"),
-                         _initial_from_spec("cube"), "cube"),
-        RuleCatalogEntry("nxs1", "H2xR", nxs1_rule,
-                         _initial_from_spec("prism12"), "prism12"),
+                         start=_tetrahedron),
+        RuleCatalogEntry("torus3", "E3", rule("torus3"), "cube"),
+        RuleCatalogEntry("nxs1", "H2xR", nxs1_rule, "prism12"),
         # same combinatorial rule, different cover adjacency
-        RuleCatalogEntry("sl2r", "SL2R", nxs1_rule,
-                         _initial_from_spec("utn"), "utn"),
-        RuleCatalogEntry("s2xr", "S2xR", rule("s2xr"),
-                         _initial_from_spec("s2"), "s2"),
-        RuleCatalogEntry("s3", "S3", rule("s3"), Tiling([], stage=1)),
+        RuleCatalogEntry("sl2r", "SL2R", nxs1_rule, "utn"),
+        RuleCatalogEntry("s2xr", "S2xR", rule("s2xr"), "s2"),
+        RuleCatalogEntry("s3", "S3", rule("s3"), start=_empty),
     ]
     return {e.name: e for e in entries}
 

@@ -10,7 +10,9 @@ import json
 import sys
 from array import array
 
-from . import catalog, cayley, growth, pack as packmod
+# cayley and pack are imported by their own commands, so no other
+# command compiles them
+from . import catalog, growth
 from .cover import balls
 from .gluing import load_gluing_spec
 from .rules import apply_replacement  # noqa: F401 (the bench reads it)
@@ -94,6 +96,7 @@ def _cmd_growth(args):
 
 
 def _cmd_cayley(args):
+    from . import cayley
     g = cayley.make_group(args.group)
     if args.ac2:
         table = cayley.ac_profile(g, args.radius, cap=args.cap)
@@ -116,6 +119,7 @@ def _cmd_cayley(args):
 
 
 def _cmd_pack(args):
+    from . import pack as packmod
     with open(args.infile) as fh:
         t = Tiling.from_json(fh.read())
     label = packmod.pack(packmod.triangulate(t, args.open),

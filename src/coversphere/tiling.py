@@ -438,7 +438,12 @@ class Tiling:
             if not (isinstance(data[key], list)
                     and all(isinstance(r, dict) for r in data[key])):
                 raise TilingError("%s must be a list of objects" % key)
+        stage = data.get("stage", 0)
+        if type(stage) is not int or stage < 0:
+            raise TilingError("tiling: stage must be a non-negative int, "
+                              "not %s" % json.dumps(stage))
         ids = set()
+        kinds = (str, int)  # the first face's type fixes the kind for all
         for i, f in enumerate(data["faces"]):
             _require(f, "face", i, ("id", "type", "vertices", "edges"))
             if not isinstance(f["id"], int) or isinstance(f["id"], bool):
@@ -447,6 +452,12 @@ class Tiling:
             if f["id"] in ids:
                 raise TilingError("face %d: repeated face id" % f["id"])
             ids.add(f["id"])
+            # labels are sorted, and true or 1.0 would merge with 1
+            if type(f["type"]) not in kinds:
+                raise TilingError("face %d: type must be a string or an int, "
+                                  "the same kind in every face, not %s"
+                                  % (f["id"], json.dumps(f["type"])))
+            kinds = (type(f["type"]),)
             for key in ("vertices", "edges"):
                 _scalars(f[key], "face %d: %s" % (f["id"], key))
         status = {}
@@ -458,7 +469,12 @@ class Tiling:
                 raise TilingError("edge %s: repeated edge record"
                                   % json.dumps(e["id"]))
             status[e["id"]] = e["status"]
-            if e.get("added"):
+            flag = e.get("added", False)
+            if not isinstance(flag, bool):
+                raise TilingError("edge %s: added must be true or false, "
+                                  "not %s" % (json.dumps(e["id"]),
+                                              json.dumps(flag)))
+            if flag:
                 added.add(e["id"])
         # to_dict writes a record for every edge, so a missing one is an
         # error rather than a plain edge.
@@ -469,8 +485,7 @@ class Tiling:
                                       % (f["id"], json.dumps(k)))
         faces = sorted(data["faces"], key=lambda r: r["id"])
         return cls([(f["type"], f["vertices"], f["edges"]) for f in faces],
-                   stage=data.get("stage", 0), edge_status=status,
-                   added_edges=added)
+                   stage=stage, edge_status=status, added_edges=added)
 
     @classmethod
     def from_json(cls, text):

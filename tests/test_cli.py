@@ -143,9 +143,15 @@ def test_cayley_rejects_ac2_with_cones(capsys):
 
 
 def test_cli_import_leaves_networkx_unloaded():
+    # nor cayley and pack, which only their commands use, nor any stage-1
+    # tiling, which is built when its rule first runs
     out = python("import sys, coversphere.cli; "
-                 "print('networkx' in sys.modules)")
-    assert out == "False\n"
+                 "from coversphere.catalog import get_rule, list_rules; "
+                 "names = [n for n, *_ in list_rules()]; "
+                 "print(sorted({'coversphere.cayley', 'coversphere.pack', "
+                 "'networkx'} & set(sys.modules)), "
+                 "[n for n in names if 'initial' in vars(get_rule(n))])")
+    assert out == "[] []\n"
 
 
 def test_cayley_cones_stdout_stable_across_hash_seeds():
@@ -312,6 +318,35 @@ def test_pack_roundtrip(tmp_path, capsys):
                  "edges": [2, 1.0, 0]}],
       "edges": [{"id": e, "status": "plain"} for e in range(3)]},
      "face 1: edges entry 1.0"),
+    # a string is truthy, so "false" would mark its edge added
+    ({"faces": [{"id": 0, "type": "t", "vertices": [0, 1, 2],
+                 "edges": [0, 1, 2]},
+                {"id": 1, "type": "t", "vertices": [0, 2, 1],
+                 "edges": [2, 1, 0]}],
+      "edges": [{"id": e, "status": "plain", "added": "false"}
+                for e in range(3)]},
+     'edge 0: added must be true or false, not "false"'),
+    ({"faces": [{"id": 0, "type": ["t"], "vertices": [0, 1, 2],
+                 "edges": [0, 1, 2]},
+                {"id": 1, "type": "t", "vertices": [0, 2, 1],
+                 "edges": [2, 1, 0]}],
+      "edges": [{"id": e, "status": "plain"} for e in range(3)]},
+     'face 0: type must be a string or an int'),
+    # labels are sorted, so a string and an int cannot both be labels
+    ({"faces": [{"id": 0, "type": "t", "vertices": [0, 1, 2],
+                 "edges": [0, 1, 2]},
+                {"id": 1, "type": 3, "vertices": [0, 2, 1],
+                 "edges": [2, 1, 0]}],
+      "edges": [{"id": e, "status": "plain"} for e in range(3)]},
+     'face 1: type must be a string or an int, the same kind in every '
+     'face, not 3'),
+    ({"stage": "1",
+      "faces": [{"id": 0, "type": "t", "vertices": [0, 1, 2],
+                 "edges": [0, 1, 2]},
+                {"id": 1, "type": "t", "vertices": [0, 2, 1],
+                 "edges": [2, 1, 0]}],
+      "edges": [{"id": e, "status": "plain"} for e in range(3)]},
+     'tiling: stage must be a non-negative int, not "1"'),
 ])
 def test_pack_rejects_malformed_tiling(tmp_path, capsys, doc, where):
     path = tmp_path / "bad.json"
