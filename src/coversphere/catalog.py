@@ -35,11 +35,19 @@ class RuleCatalogEntry:
     start: Callable[[], Tiling] | None = None   # the start with no companion
 
     @cached_property
+    def spec(self) -> GluingSpec:
+        """The companion gluing spec, parsed on first read."""
+        if self.companion is None:
+            raise CatalogError(
+                f"rule {self.name!r} has no companion gluing spec")
+        return load_spec(self.companion)
+
+    @cached_property
     def initial(self) -> Tiling:
         """The stage-1 tiling the rule acts on, built on first read."""
         if self.companion is None:
             return self.start()
-        return build_cover(load_spec(self.companion), 1).boundary_sphere()
+        return build_cover(self.spec, 1).boundary_sphere()
 
     @property
     def modes(self):

@@ -3,9 +3,9 @@
 Groups are given by a multiplication on hashable normal forms (integer
 tuples), so the word metric comes from plain BFS.  A ball is built once
 as a dense indexed graph: element ids in BFS order, and one flat list of
-generator products, so the cone-type pass walks ints and multiplies
-nothing; the almost-convexity pass multiplies only the products that
-leave its ball.  Cone types are approximated at finite depth: the
+generator products that names even the products leaving the ball, so
+the cone-type and almost-convexity passes walk ints and multiply
+nothing.  Cone types are approximated at finite depth: the
 portion of a sphere element's shadow within k steps, compared up to
 rooted labeled-graph isomorphism.
 """
@@ -118,8 +118,9 @@ class BallData:
     ``offsets[k + 1]`` has word length at most k, and ids of one sphere
     compare as their elements do.  ``gens`` lists the generator names
     sorted, and ``inv[j]`` is the slot of the inverse of ``gens[j]``;
-    ``nbr[i * len(gens) + j]`` is the id of ``elements[i] * gens[j]``, or
-    -1 when that product lies outside the ball.
+    ``nbr[i * len(gens) + j]`` is the id of ``elements[i] * gens[j]``; the
+    products outside the ball, which only sphere ``radius`` has, are named
+    by ids from ``len(elements)`` on, one per element, in the order met.
     """
     group: GroupSpec
     radius: int
@@ -139,7 +140,7 @@ class BallData:
         return self.offsets[min(k, self.radius) + 1] if k >= 0 else 0
 
     def row(self, i):
-        """Ids of the products of id i with each generator, -1 outside."""
+        """Ids of the products of id i with each generator."""
         ng = len(self.gens)
         return self.nbr[i * ng:(i + 1) * ng]
 
@@ -149,7 +150,8 @@ def ball(g: GroupSpec, n: int, cap=DEFAULT_CAP) -> BallData:
 
     A product found from one end also fills the inverse generator's slot
     at the other end, so the products back into the previous sphere are
-    known before a sphere is expanded.
+    known before a sphere is expanded.  The products that leave B(n) are
+    named, not added: the next id per new element, in the order met.
     """
     _nonnegative(n, "radius")
     gens = sorted(g.generators)
@@ -167,20 +169,21 @@ def ball(g: GroupSpec, n: int, cap=DEFAULT_CAP) -> BallData:
         nbr[k * ng + inv[j]] = i
 
     for depth in range(n + 1):
-        pending = []        # products not yet in the ball: (id, slot, w)
+        pending, named = [], {}  # (id, slot, w) to add; past B(n): w -> id
         for i in range(offsets[depth], offsets[depth + 1]):
             e = elements[i]
             for j in range(ng):
                 if nbr[i * ng + j] is None:
                     w = mul(e, step[j])
                     k = index.get(w)
-                    if k is None:
+                    if k is not None:
+                        link(i, j, k)
+                    elif depth < n:
                         pending.append((i, j, w))
                     else:
-                        link(i, j, k)
+                        k = named.setdefault(w, len(index) + len(named))
+                        nbr[i * ng + j] = k
         if depth == n:
-            for i, j, _ in pending:
-                nbr[i * ng + j] = -1
             break
         new = sorted({w for _, _, w in pending})
         if len(elements) + len(new) > cap:
@@ -220,7 +223,7 @@ def _dist_within(bd: BallData, n: int, src, dst):
         nxt = []
         for e in levels[side]:
             for w in nbr[e * ng:(e + 1) * ng]:
-                if 0 <= w < lim and w not in mine:
+                if w < lim and w not in mine:
                     if w in other:
                         return d
                     mine.add(w)
@@ -233,35 +236,27 @@ def ac_profile(g: GroupSpec, n_max: int, cap=DEFAULT_CAP):
 
     K(2, n) is the max over pairs of sphere-n elements at word distance
     <= 2 of their distance inside B(n); when no such pairs exist the bound
-    2 is vacuously attained and reported.  Only B(n_max) is built, with
-    ``cap`` bounding B(n_max + 1) as if it were.
+    2 is vacuously attained and reported.  Only B(n_max) is built: its
+    rows name S(n_max + 1), so every sphere's pairs are read from them,
+    and ``cap`` bounds B(n_max + 1) as if it were built.
     """
     _nonnegative(n_max, "radius")
     bd = ball(g, n_max, cap)
     nbr, ng, offsets = bd.nbr, len(bd.gens), bd.offsets
-    # S(n_max + 1) is named, not built: its elements, each with the ids
-    # of S(n_max) next to it, from S(n_max)'s outward products
-    step = [g.generators[s] for s in bd.gens]
-    outer = {}
-    for v in range(offsets[n_max], offsets[n_max + 1]):
-        e = bd.elements[v]
-        for j, w in enumerate(bd.row(v)):
-            if w < 0:
-                outer.setdefault(g.mul(e, step[j]), []).append(v)
-    if len(bd.elements) + len(outer) > cap:
+    # ids 0..max(nbr) are B(n_max) and the S(n_max + 1) it names
+    if max(nbr) >= cap:
         raise CayleyError(f"ball exceeds element cap {cap}")
     table = {}
     for n in range(2, n_max + 1):
         lo, hi = offsets[n], offsets[n + 1]
-        if n < n_max:
-            below = (sorted([v for v in nbr[u * ng:(u + 1) * ng]
-                             if lo <= v < hi])
-                     for u in range(hi, offsets[n + 2]))
-        else:
-            below = outer.values()      # each list already in id order
+        up = {}     # each sphere-(n + 1) id -> its sphere-n ids, in order
+        for v in range(lo, hi):
+            for w in nbr[v * ng:(v + 1) * ng]:
+                if w >= hi:
+                    up.setdefault(w, []).append(v)
         # later sphere-n ids two steps away through sphere n + 1
         far = {}
-        for vs in below:
+        for vs in up.values():
             for i in range(len(vs) - 1):
                 far.setdefault(vs[i], set()).update(vs[i + 1:])
         best = 2
@@ -269,7 +264,7 @@ def ac_profile(g: GroupSpec, n_max: int, cap=DEFAULT_CAP):
             # ends of two steps through a midpoint in B(n) are 2 apart in it
             via_mid = set()
             for u in nbr[v * ng:(v + 1) * ng]:
-                if 0 <= u < hi:
+                if u < hi:
                     via_mid.update(nbr[u * ng:(u + 1) * ng])
             for w in ws.difference(via_mid):
                 best = max(best, _dist_within(bd, n, v, w))
@@ -354,7 +349,7 @@ def cone_type_count(g: GroupSpec, n: int, k: int,
     for d in range(1, k + 1):
         for u in range(offsets[d], offsets[d + 1]):
             row = bd.row(u)
-            j = next(j for j, p in enumerate(row) if 0 <= p < offsets[d])
+            j = next(j for j, p in enumerate(row) if p < offsets[d])
             steps.append((u, row[j], bd.inv[j], d))
     buckets = {}    # shadow u-ids -> [shadow ids of first member, size]
     img = [0] * offsets[k + 1]

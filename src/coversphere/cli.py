@@ -138,12 +138,8 @@ def _cmd_pack(args):
 
 def _cmd_verify(args):
     entry = catalog.get_rule(args.rule)
-    if entry.companion is None:
-        raise catalog.CatalogError(
-            f"rule {entry.name!r} has no companion gluing spec")
-    spec = catalog.load_spec(entry.companion)
     # a flat zip, cover before rule: enumerate(zip(...)) peaked higher
-    stages = zip(itertools.count(1), balls(spec, args.steps),
+    stages = zip(itertools.count(1), balls(entry.spec, args.steps),
                  growth.stage_tilings(entry, args.steps))
     names = []      # per vertex of the last rule stage: its image's name
     for stage, state, t in stages:

@@ -115,10 +115,21 @@ def test_ball_neighbour_list_matches_multiplication():
                 below = [x for x in bd.row(i) if 0 <= x < bd.ball_size(k - 1)]
                 assert all(x >= bd.ball_size(k - 2) for x in below)
                 assert below or k == 0
+        # a product inside the ball has its element's id; one outside, only
+        # from S(n), an id from len(elements) on, shared by equal products
+        # and numbered in the order the rows first name them
+        size, outside = len(bd.elements), {}
         for i, e in enumerate(bd.elements):
             assert bd.index[e] == i
-            assert bd.row(i) == [bd.index.get(g.mul(e, g.generators[s]), -1)
-                                 for s in bd.gens]
+            for s, x in zip(bd.gens, bd.row(i)):
+                w = g.mul(e, g.generators[s])
+                if w in bd.index:
+                    assert x == bd.index[w]
+                else:
+                    assert i >= bd.ball_size(n - 1) and x >= size
+                    assert outside.setdefault(w, x) == x
+        assert list(outside.values()) == \
+            list(range(size, size + len(outside)))
 
 
 @pytest.mark.parametrize("call", [

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import coversphere
+from coversphere import catalog
 from coversphere.cli import main
 from coversphere.tiling import Tiling
 
@@ -144,14 +145,31 @@ def test_cayley_rejects_ac2_with_cones(capsys):
 
 def test_cli_import_leaves_networkx_unloaded():
     # nor cayley and pack, which only their commands use, nor any stage-1
-    # tiling, which is built when its rule first runs
+    # tiling or companion spec, which are built when their rule first runs
     out = python("import sys, coversphere.cli; "
                  "from coversphere.catalog import get_rule, list_rules; "
                  "names = [n for n, *_ in list_rules()]; "
                  "print(sorted({'coversphere.cayley', 'coversphere.pack', "
                  "'networkx'} & set(sys.modules)), "
-                 "[n for n in names if 'initial' in vars(get_rule(n))])")
+                 "[n for n in names if {'initial', 'spec'} & "
+                 "vars(get_rule(n)).keys()])")
     assert out == "[] []\n"
+
+
+def test_verify_parses_its_companion_spec_once(capsys, monkeypatch):
+    # catalog entries keep what they parse, so the test starts from fresh
+    # ones and leaves fresh ones behind
+    loads = []
+    load = catalog.load_gluing_spec
+    monkeypatch.setattr(catalog, "load_gluing_spec",
+                        lambda path: loads.append(path.name) or load(path))
+    catalog._catalog.cache_clear()
+    try:
+        code, out, _ = run(capsys, "verify", "--rule", "nxs1", "--steps", "2")
+    finally:
+        catalog._catalog.cache_clear()
+    assert code == 0 and json.loads(out)["equivalent"]
+    assert loads == ["prism12.glue"]
 
 
 def test_cayley_cones_stdout_stable_across_hash_seeds():

@@ -397,11 +397,9 @@ def test_square_tori_are_told_apart_by_the_walks():
                                              % (j, i))))
 
 
-def test_failed_walks_stop_where_b_closes_up(monkeypatch):
-    # All 144 flags of b, in both orientations, are candidates, and none
-    # matches.  A walk that may not reach a flag of b twice stops when b's
-    # walk closes up around its 2 x 18 torus before a's does around the
-    # 6 x 6; without that check the walks matched 19,008 flags.
+def walked_tori(monkeypatch, a, b):
+    """``isomorphic`` on square tori of sizes a and b, with the number of
+    walks it made and of flags they matched."""
     matched = []
     extend = tiling._extend
 
@@ -409,9 +407,44 @@ def test_failed_walks_stop_where_b_closes_up(monkeypatch):
         matched.append(extend(*args))
         return matched[-1]
     monkeypatch.setattr(tiling, "_extend", spy)
-    assert not isomorphic(Tiling(square_torus(6, 6)),
-                          Tiling(square_torus(2, 18)))
-    assert (len(matched), sum(matched)) == (288, 1872)
+    same = isomorphic(Tiling(square_torus(*a)), Tiling(square_torus(*b)))
+    return same, len(matched), sum(matched)
+
+
+def test_failed_walks_stop_where_b_closes_up(monkeypatch):
+    # All 144 flags of b, in both orientations, are candidates, and none
+    # matches.  A walk that may not reach a flag of b twice stops when b's
+    # walk closes up around its 2 x 18 torus before a's does around the
+    # 6 x 6; without that check the walks matched 19,008 flags.
+    assert walked_tori(monkeypatch, (6, 6), (2, 18)) == (False, 288, 1872)
+
+
+def test_failed_walks_stop_where_a_closes_up(monkeypatch):
+    # The reverse case: a's walk closes up around its 4 x 9 torus before
+    # b's does around the 6 x 6, and a step by ``next`` lands on a flag
+    # of a already sent elsewhere.  Without that check the walks matched
+    # 16,128 flags, stopped only later by b's taken flags.
+    assert walked_tori(monkeypatch, (4, 9), (6, 6)) == (False, 288, 9216)
+
+
+# Two surfaces of genus 2, each of three quads round one vertex, given by
+# the edge keys of each quad: the smallest kind of pair found on which
+# the walks need their check across an edge.  None was found among
+# square or triangulated tori.
+ONE_VERTEX_QUADS = ([[0, 1, 2, 3], [3, 4, 0, 5], [4, 1, 5, 2]],
+                    [[0, 1, 2, 3], [3, 4, 2, 5], [1, 5, 4, 0]])
+
+
+def test_walks_check_both_sides_of_an_edge():
+    # A walk follows two quads round by ``next`` to an edge they share,
+    # and its step by ``twin`` across that edge lands on a flag already
+    # sent elsewhere.  Without that check a walk maps every flag and the
+    # two are called isomorphic.
+    a, b = (Tiling([("q", "vvvv", keys) for keys in quads])
+            for quads in ONE_VERTEX_QUADS)
+    assert a.canonical_form() != b.canonical_form()
+    assert not isomorphic(a, b)
+    assert not isomorphic(b, a)
 
 
 def test_connected_torus_against_disjoint_tori():
@@ -426,6 +459,20 @@ def test_connected_torus_against_disjoint_tori():
 
 def test_empty_tilings_are_isomorphic():
     assert isomorphic(Tiling([]), Tiling([]))
+
+
+def test_canonical_forms_of_empty_and_disjoint_tilings():
+    assert Tiling([]).canonical_form() == Tiling([], stage=2).canonical_form()
+    assert Tiling([]).canonical_form() != \
+        Tiling(square_torus(2, 2)).canonical_form()
+    # the form of a disjoint union does not depend on the order of its
+    # components, and tells a 3 x 4 torus beside a 2 x 2 from a 2 x 6
+    small = square_torus(2, 2, lambda i, j: (0, i, j))
+    large = square_torus(3, 4, lambda i, j: (1, i, j))
+    form = Tiling(small + large).canonical_form()
+    assert Tiling(large + small).canonical_form() == form
+    assert form != Tiling(small + square_torus(
+        2, 6, lambda i, j: (1, i, j))).canonical_form()
 
 
 DIGESTS = """

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from coversphere.cover import balls
 from coversphere.gluing import parse_gluing
 from coversphere.rules import (
-    RuleError, _rename, _zipped, apply_replacement, apply_subdivision,
-    load_rule, strip_added_edges,
+    Pattern, RuleError, _match_pattern, _rename, _search, _zipped,
+    apply_replacement, apply_subdivision, load_rule, strip_added_edges,
 )
 from coversphere.tiling import Tiling, isomorphic
 
@@ -223,6 +223,59 @@ def test_one_face_group_repeating_a_vertex_is_not_matched():
         apply_replacement(rule, t)
     assert str(exc.value) == ("no pattern of rule zip matches the group of "
                               "faces [0] (labels ['q'])")
+
+
+def region_pattern(region, boundary):
+    """A pattern that keeps the region of (label, cycle) pairs as it is;
+    ``boundary`` maps each region side, as a two-letter string, to the
+    status it must have."""
+    faces = [{"label": label, "cycle": list(cycle)}
+             for label, cycle in region]
+    return Pattern(name="p", region=faces, faces=faces, boundary=[
+        {"ends": list(ends), "status": status}
+        for ends, status in boundary.items()])
+
+
+# Two triangles that share side b-c, with a fourth vertex d
+KITE = [("t", "abc"), ("t", "cbd")]
+KITE_SIDES = ("ab", "ca", "bd", "dc")
+
+
+@pytest.mark.parametrize("status, matched", [("plain", True),
+                                             ("fragile", False)])
+def test_group_embedding_is_checked_for_boundary_status(status, matched):
+    # the search embeds the kite in two faces of the tetrahedron; only
+    # then is side a-b, plain in the tiling, checked against the pattern
+    pat = region_pattern(KITE, dict.fromkeys(KITE_SIDES, "any") | {
+        "ab": status})
+    t = Tiling([("t", cycle) for cycle in TETRA],
+               edge_status={frozenset((0, 2)): "loaded"})
+    assert _search(pat, t, [0, 1])[0] is not None
+    assert (_match_pattern(pat, t, [0, 1]) is not None) == matched
+
+
+def test_search_takes_no_vertex_twice():
+    # a sphere of two triangles has three vertices: the kite's fourth
+    # vertex d would be one its first face already took
+    pat = region_pattern(KITE, dict.fromkeys(KITE_SIDES, "any"))
+    t = Tiling([("t", "xyz"), ("t", "xzy")],
+               edge_status={frozenset("yz"): "loaded"})
+    assert _search(pat, t, [0, 1]) == (None, None, None)
+
+
+def test_search_backtracks_to_a_later_first_face():
+    # Fan X-Y-Z about the north pole of an octahedron, faces listed Y, X,
+    # Z.  The region's first face, a t next to a t, first binds Y, whose
+    # other t neighbour X has no u next to it; the search must undo Y
+    # and try X, with Y free again for the region's second face.
+    t = Tiling([("t", "N23"), ("t", "N12"), ("u", "N34"), ("w", "N41"),
+                ("w", "S21"), ("w", "S32"), ("w", "S43"), ("w", "S14")],
+               edge_status={frozenset("N2"): "loaded",
+                            frozenset("N3"): "loaded"})
+    pat = region_pattern([("t", "npq"), ("t", "nqr"), ("u", "nrs")],
+                         dict.fromkeys(("np", "pq", "qr", "rs", "sn"), "any"))
+    sigma, edge_of = _match_pattern(pat, t, [0, 1, 2])
+    assert [t.vertex_names[v] for v in sigma] == list("N1234")
 
 
 # Two quads f = (u, v, w, x) and g = (w, v, u, y) share the two-key
