@@ -2,6 +2,7 @@
 """Almost-convexity profiles and cone-type censuses for the built-in groups."""
 
 import argparse
+from functools import partial
 
 from coversphere.cayley import ac_profile, ball, cone_type_count, make_group
 
@@ -13,22 +14,24 @@ def main():
     ap.add_argument("--depth", type=int, default=2)
     args = ap.parse_args()
 
+    # one B(radius) per group gives both its sizes and its K(2, n)
+    balls = {name: ball(make_group(name), args.radius)
+             for name in ("Z", "Z3", "heis", "sol")}
     print("ball sizes")
-    for name in ("Z", "Z3", "heis", "sol"):
-        bd = ball(make_group(name), args.radius)
+    for name, bd in balls.items():
         print(f"  {name:<5}",
               [bd.ball_size(k) for k in range(args.radius + 1)])
 
     print(f"\nK(2, n) profiles, n = 2..{args.radius}")
-    for name in ("Z", "Z3", "heis", "sol"):
-        table = ac_profile(make_group(name), args.radius)
+    for name, bd in balls.items():
+        table = ac_profile(lambda r, bd=bd: bd, args.radius)
         print(f"  {name:<5}", [table[n] for n in sorted(table)])
 
     print(f"\ndepth-{args.depth} cone-type class counts, "
           f"n = 2..{args.cone_radius}")
     for name in ("Z", "Z3", "heis"):
-        g = make_group(name)
-        counts = [cone_type_count(g, n, args.depth).class_count
+        build = partial(ball, make_group(name))
+        counts = [cone_type_count(build, n, args.depth).class_count
                   for n in range(2, args.cone_radius + 1)]
         print(f"  {name:<5}", counts)
 

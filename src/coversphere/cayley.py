@@ -5,12 +5,13 @@ tuples), so the word metric comes from plain BFS.  A ball is built once
 as a dense indexed graph: element ids in BFS order, and one flat list of
 generator products that names even the products leaving the ball, so
 the cone-type and almost-convexity passes walk ints and multiply
-nothing.  Cone types are approximated at finite depth: the
-portion of a sphere element's shadow within k steps, compared up to
-rooted labeled-graph isomorphism.
+nothing.  The passes take a builder that returns B(r), so they read any
+ball with these tables, not only a group's.  Cone types are approximated
+at finite depth: the portion of a sphere element's shadow within k
+steps, compared up to rooted labeled-graph isomorphism.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 DEFAULT_CAP = 10 ** 6
@@ -27,13 +28,6 @@ class GroupSpec:
     generators: dict            # gen name -> element
     mul: callable
     inv: callable
-    gen_inverse: dict = field(default_factory=dict)  # gen name -> inverse name
-
-    def __post_init__(self):
-        if not self.gen_inverse:
-            by_elem = {e: s for s, e in self.generators.items()}
-            for s, e in self.generators.items():
-                self.gen_inverse[s] = by_elem[self.inv(e)]
 
 
 # --- built-in groups -------------------------------------------------
@@ -111,21 +105,19 @@ def _nonnegative(value, what):
 
 @dataclass
 class BallData:
-    """B(radius) as a dense graph on element ids.
+    """B(radius) of ``name`` as a dense graph on element ids.
 
-    Ids follow BFS order, and sorted element order within a sphere, so
-    sphere k is the id range ``offsets[k]:offsets[k + 1]``, an id below
-    ``offsets[k + 1]`` has word length at most k, and ids of one sphere
-    compare as their elements do.  ``gens`` lists the generator names
-    sorted, and ``inv[j]`` is the slot of the inverse of ``gens[j]``;
-    ``nbr[i * len(gens) + j]`` is the id of ``elements[i] * gens[j]``; the
-    products outside the ball, which only sphere ``radius`` has, are named
-    by ids from ``len(elements)`` on, one per element, in the order met.
+    Ids follow BFS order, so sphere k is the id range
+    ``offsets[k]:offsets[k + 1]`` and an id below ``offsets[k + 1]`` has
+    word length at most k.  ``gens`` names the generators, and ``inv[j]``
+    is the slot of the inverse of ``gens[j]``; ``nbr[i * len(gens) + j]``
+    is the id of ``elements[i] * gens[j]``.  The products outside the
+    ball, which only sphere ``radius`` has, are ids from
+    ``len(elements)`` on, one per element: they name S(radius + 1).
     """
-    group: GroupSpec
+    name: str
     radius: int
     elements: list              # id -> element
-    index: dict                 # element -> id
     offsets: list
     gens: list
     inv: list
@@ -148,16 +140,19 @@ class BallData:
 def ball(g: GroupSpec, n: int, cap=DEFAULT_CAP) -> BallData:
     """B(n) by BFS, multiplying each edge of the Cayley graph once.
 
-    A product found from one end also fills the inverse generator's slot
-    at the other end, so the products back into the previous sphere are
-    known before a sphere is expanded.  The products that leave B(n) are
-    named, not added: the next id per new element, in the order met.
+    Generators are sorted by name and each sphere's elements by value,
+    so ids of one sphere compare as their elements do.  A product found
+    from one end also fills the inverse generator's slot at the other
+    end, so the products back into the previous sphere are known before
+    a sphere is expanded.  The products that leave B(n) are named, not
+    added: the next id per new element, in the order met.  Every id it
+    hands out, for B(n) and the S(n + 1) it names, must be below ``cap``.
     """
     _nonnegative(n, "radius")
     gens = sorted(g.generators)
     ng = len(gens)
     step = [g.generators[s] for s in gens]
-    inv = [gens.index(g.gen_inverse[s]) for s in gens]
+    inv = [step.index(g.inv(e)) for e in step]
     mul = g.mul
     elements = [g.identity]
     index = {g.identity: 0}
@@ -183,11 +178,11 @@ def ball(g: GroupSpec, n: int, cap=DEFAULT_CAP) -> BallData:
                     else:
                         k = named.setdefault(w, len(index) + len(named))
                         nbr[i * ng + j] = k
+        new = sorted({w for _, _, w in pending})
+        if len(elements) + len(new) + len(named) > cap:
+            raise CayleyError(f"ball exceeds element cap {cap}")
         if depth == n:
             break
-        new = sorted({w for _, _, w in pending})
-        if len(elements) + len(new) > cap:
-            raise CayleyError(f"ball exceeds element cap {cap}")
         for w in new:
             index[w] = len(elements)
             elements.append(w)
@@ -195,7 +190,7 @@ def ball(g: GroupSpec, n: int, cap=DEFAULT_CAP) -> BallData:
         nbr.extend([None] * (ng * len(new)))
         for i, j, w in pending:
             link(i, j, index[w])
-    return BallData(g, n, elements, index, offsets, gens, inv, nbr)
+    return BallData(g.name, n, elements, offsets, gens, inv, nbr)
 
 
 # --- almost convexity ------------------------------------------------
@@ -231,21 +226,18 @@ def _dist_within(bd: BallData, n: int, src, dst):
         levels[side] = nxt
 
 
-def ac_profile(g: GroupSpec, n_max: int, cap=DEFAULT_CAP):
-    """K(2, n) for n = 2..n_max.
+def ac_profile(build, n_max: int):
+    """K(2, n) for n = 2..n_max, read from ``build(n_max)``, which
+    returns B(n_max) as a ``BallData``.
 
     K(2, n) is the max over pairs of sphere-n elements at word distance
     <= 2 of their distance inside B(n); when no such pairs exist the bound
-    2 is vacuously attained and reported.  Only B(n_max) is built: its
-    rows name S(n_max + 1), so every sphere's pairs are read from them,
-    and ``cap`` bounds B(n_max + 1) as if it were built.
+    2 is vacuously attained and reported.  The rows of B(n_max) name
+    S(n_max + 1), so every sphere's pairs are read from them.
     """
     _nonnegative(n_max, "radius")
-    bd = ball(g, n_max, cap)
+    bd = build(n_max)
     nbr, ng, offsets = bd.nbr, len(bd.gens), bd.offsets
-    # ids 0..max(nbr) are B(n_max) and the S(n_max + 1) it names
-    if max(nbr) >= cap:
-        raise CayleyError(f"ball exceeds element cap {cap}")
     table = {}
     for n in range(2, n_max + 1):
         lo, hi = offsets[n], offsets[n + 1]
@@ -280,7 +272,7 @@ def _shadow_graph(bd: BallData, nodes):
     Edges are generator moves inside the node set, labeled by the sorted
     pair {s, s^-1}.  Returns ``(root, {node: {neighbour: label}})``.
     """
-    labels = [tuple(sorted((s, bd.group.gen_inverse[s]))) for s in bd.gens]
+    labels = [tuple(sorted((s, bd.gens[j]))) for s, j in zip(bd.gens, bd.inv)]
     members = set(nodes)
     return nodes[0], {w: {x: labels[j] for j, x in enumerate(bd.row(w))
                           if x in members}
@@ -326,9 +318,9 @@ class ConeTypeReport:
     bucket_count: int
 
 
-def cone_type_count(g: GroupSpec, n: int, k: int,
-                    cap=DEFAULT_CAP) -> ConeTypeReport:
-    """Depth-k cone types of the sphere S(n).
+def cone_type_count(build, n: int, k: int) -> ConeTypeReport:
+    """Depth-k cone types of the sphere S(n), read from ``build(n + k)``,
+    which returns B(n + k) as a ``BallData``.
 
     A sphere element v's depth-k shadow is {vu : u in B(k), |vu| = |v| +
     |u|}, with the generator moves among its elements.  Every shadow
@@ -342,7 +334,7 @@ def cone_type_count(g: GroupSpec, n: int, k: int,
     """
     _nonnegative(n, "radius")
     _nonnegative(k, "depth")
-    bd = ball(g, n + k, cap)
+    bd = build(n + k)
     nbr, ng, offsets = bd.nbr, len(bd.gens), bd.offsets
     # each u != 1 of B(k) as (u, parent p, slot j, |u|) with u = p * gens[j]
     steps = []
@@ -376,6 +368,6 @@ def cone_type_count(g: GroupSpec, n: int, k: int,
         else:
             classes.append([fp, G, bd.elements[nodes[0]], size])
     classes.sort(key=lambda c: (-c[3], str(c[2])))
-    return ConeTypeReport(g.name, n, k, len(classes),
+    return ConeTypeReport(bd.name, n, k, len(classes),
                           [c[3] for c in classes],
                           [c[2] for c in classes], len(buckets))

@@ -5,6 +5,7 @@ invocations produce byte-identical output.
 """
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -53,19 +54,17 @@ def _cmd_rules(args):
 def _cmd_subdivide(args):
     entry = catalog.get_rule(args.rule)
     mode = entry.resolve_mode(args.mode)
-    tilings = list(growth.stage_tilings(entry, args.steps, mode))
-    stats = {
-        "rule": entry.name,
-        "mode": mode,
-        "steps": args.steps,
-        "face_counts": [t.num_faces for t in tilings],
-        "edge_counts": [t.num_edges for t in tilings],
-        "vertex_counts": [t.num_vertices for t in tilings],
-    }
+    faces, edges, verts = [], [], []
+    for t in growth.stage_tilings(entry, args.steps, mode):
+        faces.append(t.num_faces)
+        edges.append(t.num_edges)
+        verts.append(t.num_vertices)
     if args.stats:
-        _emit(stats, args.stats)
+        _emit({"rule": entry.name, "mode": mode, "steps": args.steps,
+               "face_counts": faces, "edge_counts": edges,
+               "vertex_counts": verts}, args.stats)
     if args.out:
-        _write(tilings[-1].to_json(), args.out)
+        _write(t.to_json(), args.out)
     return 0
 
 
@@ -98,20 +97,20 @@ def _cmd_growth(args):
 def _cmd_cayley(args):
     from . import cayley
     g = cayley.make_group(args.group)
+    build = functools.partial(cayley.ball, g, cap=args.cap)
     if args.ac2:
-        table = cayley.ac_profile(g, args.radius, cap=args.cap)
+        table = cayley.ac_profile(build, args.radius)
         _emit({"group": g.name, "m": 2,
                "K": {str(n): table[n] for n in sorted(table)}}, "-")
         return 0
     if args.cones:
-        rep = cayley.cone_type_count(g, args.radius, args.depth,
-                                     cap=args.cap)
+        rep = cayley.cone_type_count(build, args.radius, args.depth)
         _emit({"group": rep.group, "radius": rep.radius,
                "depth": rep.depth, "class_count": rep.class_count,
                "class_sizes": rep.class_sizes,
                "bucket_count": rep.bucket_count}, "-")
         return 0
-    bd = cayley.ball(g, args.radius, cap=args.cap)
+    bd = build(args.radius)
     _emit({"group": g.name, "radius": args.radius,
            "ball_sizes": [bd.ball_size(k)
                           for k in range(args.radius + 1)]}, "-")
@@ -218,7 +217,9 @@ def build_parser():
     which.add_argument("--cones", action="store_true",
                        help="approximate cone-type count")
     p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--cap", type=int, default=10 ** 6)
+    p.add_argument("--cap", type=int, default=10 ** 6,
+                   help="exit 2 if a ball, with the sphere past it that "
+                        "it names, would pass CAP elements")
     p.set_defaults(fn=_cmd_cayley)
 
     p = sub.add_parser("pack", help="circle-pack a tiling JSON file")

@@ -7,11 +7,12 @@ stdout so it survives pytest capture).
 import json
 import math
 import sys
+from functools import partial
 
 import pytest
 
 from coversphere.catalog import get_rule, load_spec
-from coversphere.cayley import ac_profile, cone_type_count, make_group
+from coversphere.cayley import ac_profile, ball, cone_type_count, make_group
 from coversphere.cli import main as cli_main
 from coversphere.cover import CoverState, balls
 from coversphere.growth import classify_growth, stage_tilings
@@ -102,9 +103,9 @@ def test_criterion_4_nxs1_validity(nxs1_stages):
 
 
 def test_criterion_6_almost_convexity():
-    z3 = ac_profile(make_group("Z3"), 6)
+    z3 = ac_profile(partial(ball, make_group("Z3")), 6)
     assert all(z3[n] == 2 for n in range(2, 7))
-    sol = ac_profile(make_group("sol"), 6)
+    sol = ac_profile(partial(ball, make_group("sol")), 6)
     vals = [sol[n] for n in range(2, 7)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert sol[6] > 2
@@ -113,10 +114,11 @@ def test_criterion_6_almost_convexity():
 
 
 def test_criterion_7_cone_types():
-    z4 = cone_type_count(make_group("Z3"), 4, 2).class_count
-    z5 = cone_type_count(make_group("Z3"), 5, 2).class_count
+    z3 = partial(ball, make_group("Z3"))
+    z4 = cone_type_count(z3, 4, 2).class_count
+    z5 = cone_type_count(z3, 5, 2).class_count
     assert z4 == z5
-    heis = make_group("heis")
+    heis = partial(ball, make_group("heis"))
     counts = {n: cone_type_count(heis, n, 2).class_count
               for n in range(3, 9)}
     assert counts[8] > counts[4]

@@ -1,11 +1,16 @@
 import hashlib
+from functools import partial
 
 import pytest
 
 from coversphere.catalog import load_spec
-from coversphere.cayley import (CayleyError, _dist_within, ac_profile, ball,
-                                cone_type_count, make_group)
-from coversphere.cover import build_cover
+from coversphere.cayley import (BallData, CayleyError, _dist_within,
+                                ac_profile, ball, cone_type_count, make_group)
+from coversphere.cover import balls, build_cover
+
+
+def build(name):
+    return partial(ball, make_group(name))
 
 
 def test_ball_sizes_closed_forms():
@@ -24,10 +29,12 @@ def test_ball_sizes_closed_forms():
 
 def test_heisenberg_ball_and_inverses():
     H = make_group("heis")
-    assert ball(H, 2).ball_size(2) == 17
-    for s, e in H.generators.items():
+    bd = ball(H, 2)
+    assert bd.ball_size(2) == 17
+    for s, j in zip(bd.gens, bd.inv):
+        e = H.generators[s]
         assert H.mul(e, H.inv(e)) == H.identity
-        assert H.gen_inverse[H.gen_inverse[s]] == s
+        assert H.generators[bd.gens[j]] == H.inv(e)
 
 
 def test_sol_group_algebra():
@@ -51,43 +58,43 @@ def test_ball_cap():
 
 
 def test_z3_almost_convex_2():
-    table = ac_profile(make_group("Z3"), 6)
+    table = ac_profile(build("Z3"), 6)
     assert all(table[n] == 2 for n in range(2, 7))
 
 
 def test_z_almost_convex_2():
-    table = ac_profile(make_group("Z"), 4)
+    table = ac_profile(build("Z"), 4)
     assert all(table[n] == 2 for n in range(2, 5))
 
 
 def test_sol_not_almost_convex_2():
-    table = ac_profile(make_group("sol"), 6)
+    table = ac_profile(build("sol"), 6)
     vals = [table[n] for n in range(2, 7)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert table[6] > 2
 
 
 def test_z_cone_types():
-    rep = cone_type_count(make_group("Z"), 4, 3)
+    rep = cone_type_count(build("Z"), 4, 3)
     assert rep.class_count == 1
     assert rep.class_sizes == [2]
 
 
 def test_z3_cone_types_stabilize():
-    c4 = cone_type_count(make_group("Z3"), 4, 2).class_count
-    c5 = cone_type_count(make_group("Z3"), 5, 2).class_count
+    c4 = cone_type_count(build("Z3"), 4, 2).class_count
+    c5 = cone_type_count(build("Z3"), 5, 2).class_count
     assert c4 == c5
 
 
 def test_heis_cone_types_grow():
-    H = make_group("heis")
+    H = build("heis")
     c4 = cone_type_count(H, 4, 2).class_count
     c6 = cone_type_count(H, 6, 2).class_count
     assert c6 > c4
 
 
 def test_cone_classes_refine_with_depth():
-    Z3 = make_group("Z3")
+    Z3 = build("Z3")
     c1 = cone_type_count(Z3, 3, 1).class_count
     c2 = cone_type_count(Z3, 3, 2).class_count
     assert c2 >= c1
@@ -119,12 +126,12 @@ def test_ball_neighbour_list_matches_multiplication():
         # from S(n), an id from len(elements) on, shared by equal products
         # and numbered in the order the rows first name them
         size, outside = len(bd.elements), {}
+        index = {e: i for i, e in enumerate(bd.elements)}
         for i, e in enumerate(bd.elements):
-            assert bd.index[e] == i
             for s, x in zip(bd.gens, bd.row(i)):
                 w = g.mul(e, g.generators[s])
-                if w in bd.index:
-                    assert x == bd.index[w]
+                if w in index:
+                    assert x == index[w]
                 else:
                     assert i >= bd.ball_size(n - 1) and x >= size
                     assert outside.setdefault(w, x) == x
@@ -134,9 +141,9 @@ def test_ball_neighbour_list_matches_multiplication():
 
 @pytest.mark.parametrize("call", [
     lambda g: ball(g, -1),
-    lambda g: ac_profile(g, -1),
-    lambda g: cone_type_count(g, -1, 2),
-    lambda g: cone_type_count(g, 3, -1),
+    lambda g: ac_profile(partial(ball, g), -1),
+    lambda g: cone_type_count(partial(ball, g), -1, 2),
+    lambda g: cone_type_count(partial(ball, g), 3, -1),
 ], ids=["ball", "ac_profile", "cone_radius", "cone_depth"])
 def test_negative_radius_or_depth_rejected(call):
     with pytest.raises(CayleyError, match="must be non-negative"):
@@ -164,7 +171,7 @@ PINNED_CONES = [
 @pytest.mark.parametrize("name, n, k, sizes, digest", PINNED_CONES,
                          ids=[f"{p[0]}-{p[1]}-{p[2]}" for p in PINNED_CONES])
 def test_cone_types_pinned(name, n, k, sizes, digest):
-    rep = cone_type_count(make_group(name), n, k)
+    rep = cone_type_count(build(name), n, k)
     assert rep.class_count == len(sizes)
     assert rep.class_sizes == sizes
     assert hashlib.sha256(repr(rep.representatives).encode()).hexdigest() \
@@ -172,13 +179,13 @@ def test_cone_types_pinned(name, n, k, sizes, digest):
 
 
 def test_ac_profiles_pinned():
-    assert ac_profile(make_group("heis"), 8) == \
+    assert ac_profile(build("heis"), 8) == \
         {2: 2, 3: 6, 4: 6, 5: 10, 6: 10, 7: 10, 8: 10}
-    assert ac_profile(make_group("sol"), 6) == \
+    assert ac_profile(build("sol"), 6) == \
         {2: 3, 3: 3, 4: 4, 5: 4, 6: 4}
-    assert ac_profile(make_group("heis"), 10) == \
+    assert ac_profile(build("heis"), 10) == \
         {2: 2, 3: 6, 4: 6, **{n: 10 for n in range(5, 11)}}
-    assert ac_profile(make_group("sol"), 9) == \
+    assert ac_profile(build("sol"), 9) == \
         {2: 3, 3: 3, 4: 4, 5: 4, 6: 4, 7: 6, 8: 6, 9: 12}
 
 
@@ -204,13 +211,17 @@ def test_dist_within_matches_one_ended_bfs(name):
 
 @pytest.mark.parametrize("name", ["Z", "Z3", "heis", "sol"])
 def test_ac_profile_cap_bounds_next_ball(name):
-    # the ball one past n_max is never built, but the cap still bounds it
+    # B(r + 1) is never built, but the cap bounds B(r) and the S(r + 1) it
+    # names, in ball and in both passes, for the radius r each one builds
     g = make_group(name)
-    for n_max in range(4):
-        size = ball(g, n_max + 1).ball_size(n_max + 1)
-        with pytest.raises(CayleyError, match="ball exceeds element cap"):
-            ac_profile(g, n_max, cap=size - 1)
-        assert ac_profile(g, n_max, cap=size) == ac_profile(g, n_max)
+    for n in range(4):
+        for r, call in ((n, lambda b: b(n)),
+                        (n, lambda b: ac_profile(b, n)),
+                        (n + 1, lambda b: cone_type_count(b, n, 1))):
+            size = ball(g, r + 1).ball_size(r + 1)
+            with pytest.raises(CayleyError, match="ball exceeds element cap"):
+                call(partial(ball, g, cap=size - 1))
+            assert call(partial(ball, g, cap=size)) == call(partial(ball, g))
 
 
 @pytest.mark.parametrize("name, n, k, buckets, classes", [
@@ -219,5 +230,32 @@ def test_ac_profile_cap_bounds_next_ball(name):
     ("Z3", 5, 2, 26, 7),
 ])
 def test_bucket_count(name, n, k, buckets, classes):
-    rep = cone_type_count(make_group(name), n, k)
+    rep = cone_type_count(build(name), n, k)
     assert (rep.bucket_count, rep.class_count) == (buckets, classes)
+
+
+def cube_ball(r):
+    """B(r) of cube's cover as a BallData: the cells are the elements and
+    the faces the generators, so a row names the cells across a cell's
+    faces.  The cover is grown to B(r + 1), so S(r)'s rows name cells."""
+    spec = load_spec("cube")
+    offsets = [0]
+    for state in balls(spec, r + 2):
+        offsets.append(state.num_cells)
+    size, F = offsets[r + 1], state.F
+    return BallData("cube", r, list(range(size)), offsets[:r + 2],
+                    list(spec.faces), list(spec.target),
+                    [s // F for s in state.slot_partner[:size * F]])
+
+
+def test_passes_read_a_cover_ball():
+    # the cube's cover is the Cayley graph of Z3 on its face pairings
+    assert ac_profile(cube_ball, 6) == ac_profile(build("Z3"), 6) == \
+        {n: 2 for n in range(2, 7)}
+    for n in (3, 4, 5):
+        cube = cone_type_count(cube_ball, n, 2)
+        z3 = cone_type_count(build("Z3"), n, 2)
+        assert (cube.class_count, cube.class_sizes, cube.bucket_count) == \
+            (z3.class_count, z3.class_sizes, z3.bucket_count)
+        assert cube.class_count == 7
+    assert cube.bucket_count == 26

@@ -120,17 +120,21 @@ def test_cayley_cones(capsys):
     assert json.loads(out)["bucket_count"] == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ("--radius", "3", "--cones", "--depth", "-1"),
-    ("--radius", "-1", "--cones"),
-    ("--radius", "-1", "--ac2"),
-    ("--radius", "-1"),
-], ids=["depth", "cones", "ac2", "ball"])
-def test_cayley_rejects_negative_radius_or_depth(capsys, argv):
+@pytest.mark.parametrize("argv, bad", [
+    (("--radius", "3", "--cones", "--depth", "-1"), "depth -1"),
+    (("--radius", "-1", "--cones"), "radius -1"),
+    (("--radius", "-1", "--ac2"), "radius -1"),
+    (("--radius", "-1"), "radius -1"),
+    # each pass checks its own radius and depth before it builds a ball
+    (("--radius", "0", "--cones", "--depth", "-1"), "depth -1"),
+    (("--radius", "-3", "--cones", "--depth", "1"), "radius -3"),
+], ids=["depth", "cones", "ac2", "ball", "depth-at-0", "radius-not-sum"])
+def test_cayley_rejects_negative_radius_or_depth(capsys, argv, bad):
     code, out, err = run(capsys, "cayley", "--group", "Z", *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "must be non-negative" in err
+    what, value = bad.split()
+    assert err == f"error: {what} must be non-negative, not {value}\n"
 
 
 def test_cayley_rejects_ac2_with_cones(capsys):
