@@ -2,7 +2,6 @@
 """Almost-convexity profiles and cone-type censuses for the built-in groups."""
 
 import argparse
-from functools import partial
 
 from coversphere.cayley import ac_profile, ball, cone_type_count, make_group
 
@@ -30,8 +29,11 @@ def main():
     print(f"\ndepth-{args.depth} cone-type class counts, "
           f"n = 2..{args.cone_radius}")
     for name in ("Z", "Z3", "heis"):
-        build = partial(ball, make_group(name))
-        counts = [cone_type_count(build, n, args.depth).class_count
+        # cone types at radius n read B(n + depth); the largest ball
+        # holds every smaller one with the same ids, so one serves all n
+        bd = ball(make_group(name), args.cone_radius + args.depth)
+        counts = [cone_type_count(lambda r, bd=bd: bd, n,
+                                  args.depth).class_count
                   for n in range(2, args.cone_radius + 1)]
         print(f"  {name:<5}", counts)
 

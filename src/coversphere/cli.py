@@ -17,7 +17,7 @@ from . import catalog, growth
 from .cover import balls
 from .gluing import load_gluing_spec
 from .rules import apply_replacement  # noqa: F401 (the bench reads it)
-from .tiling import Tiling, isomorphic
+from .tiling import Tiling, is_sphere_counts, isomorphic
 
 
 def _emit(obj, path):
@@ -72,11 +72,10 @@ def _cmd_cover(args):
     spec = _load_spec(args.spec)
     cells, faces, spheres = [], [], []
     for state in balls(spec, args.steps, args.cap):
-        sphere = state.boundary_sphere()
+        counts = state.boundary_counts()
         cells.append(state.num_cells)
-        faces.append(sphere.num_faces)
-        spheres.append(sphere.is_sphere())
-        del sphere      # so S(n) is not held while S(n + 1) is built
+        faces.append(counts[0])
+        spheres.append(is_sphere_counts(counts))
     _emit({"spec": spec.name or args.spec, "steps": args.steps,
            "cells": cells, "face_counts": faces,
            "all_spheres": all(spheres)}, args.stats)

@@ -3,18 +3,20 @@
 B(1) is a single copy of the polyhedron.  Each expansion attaches a new
 cell to every still-open boundary face and then folds: whenever the cells
 around a cover edge reach that edge's cycle length, the two open faces
-flanking it are glued to each other.  The boundary of the resulting cell
-complex is returned as a Tiling whose edge statuses record how close each
-boundary edge is to being surrounded (loaded = one cell short, fragile =
-two short).
+flanking it are glued to each other.  ``boundary_sphere`` returns the
+boundary of the resulting cell complex as a Tiling whose edge statuses
+record how close each boundary edge is to being surrounded (loaded = one
+cell short, fragile = two short); ``boundary_counts`` counts its faces,
+edges, vertices and components off the ball, and builds that Tiling only
+when the counts cannot certify a closed surface.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
-from itertools import compress, repeat
-from operator import lt
+from itertools import compress, count, repeat
+from operator import eq, lt
 
 from .gluing import GluingSpec
 from .tiling import FRAGILE, LOADED, FaceTables, Tiling, mark
@@ -214,6 +216,56 @@ class CoverState:
                     marks[root] = _FRAGILE
             keys.fromlist(es)
         return Tiling(tables, stage=self.stage)
+
+    def boundary_counts(self):
+        """S(n)'s (faces, edges, vertices, components), as
+        ``boundary_sphere`` would count them, without building it.
+
+        Each open slot is a face; its sides are named by class root, by
+        ``boundary_sphere``'s rule, and two faces that share an edge root
+        are joined.  When every edge root has exactly two sides and
+        V - E + F = 2 * components, the counts are those of a union of
+        spheres, which the Tiling would accept: the members of a cover
+        edge class join the same two vertex classes, since ``_glue``
+        unites edges with their endpoints, and the Euler bound that lets
+        ``Tiling`` skip ``_validate`` leaves no vertex a second rotation
+        orbit and no component another surface.  Otherwise the counts are
+        read off ``boundary_sphere()``, which reports what is wrong.
+        """
+        vfind, efind = self.verts.find, self.edges.find
+        vparent, eparent = self.verts.parent, self.edges.parent
+        F, NV, NE = self.F, self.NV, self.NE
+        face_verts, face_edges = self.spec.face_verts, self.spec.face_edges
+        seen = bytearray(self.num_cells * NV)      # per vertex root
+        sides = bytearray(self.num_cells * NE)     # per edge root, to 3
+        first = array("i", [0]) * (self.num_cells * NE)   # its first face
+        faces = UnionFind(self.slot_partner.count(-1))
+        union = faces.union
+        for f, s in enumerate(self.open_slots()):
+            cell, fi = divmod(s, F)
+            vb, eb = cell * NV, cell * NE
+            for u in face_verts[fi]:
+                root = vparent[vb + u]
+                if vparent[root] != root:
+                    root = vfind(vb + u)
+                seen[root] = 1
+            for e in face_edges[fi]:
+                root = eparent[eb + e]
+                if eparent[root] != root:
+                    root = efind(eb + e)
+                n = sides[root]
+                if not n:
+                    first[root] = f
+                    sides[root] = 1
+                elif n < 3:
+                    sides[root] = n + 1
+                    union(first[root], f)
+        nf, ne = len(faces.parent), len(sides) - sides.count(0)
+        nv, nc = seen.count(1), sum(map(eq, faces.parent, count()))
+        if sides.count(1) or sides.count(3) or nv - ne + nf != 2 * nc:
+            del seen, sides, first, faces
+            return self.boundary_sphere().counts
+        return nf, ne, nv, nc
 
 
 def balls(spec: GluingSpec, stages: int, cap: int | None = None):

@@ -396,9 +396,14 @@ class Tiling:
     def is_connected(self):
         return self.num_components == 1
 
+    @property
+    def counts(self):
+        """(faces, edges, vertices, components)."""
+        return (self.num_faces, self.num_edges, self.num_vertices,
+                self.num_components)
+
     def is_sphere(self):
-        return (self.num_faces > 0 and self.is_connected()
-                and self.euler_characteristic() == 2)
+        return is_sphere_counts(self.counts)
 
     def components(self):
         """Face index lists of the connected components, by lowest face id."""
@@ -520,6 +525,13 @@ class Tiling:
         return Tiling(faces, stage=self.stage,
                       edge_status={e: STATUS_OF[marks[e]] for e in edges},
                       added_edges=[e for e in edges if marks[e] & ADDED])
+
+
+def is_sphere_counts(counts):
+    """Whether a closed surface with these (faces, edges, vertices,
+    components) is one sphere: non-empty, connected, V - E + F = 2."""
+    faces, edges, vertices, components = counts
+    return faces > 0 and components == 1 and vertices - edges + faces == 2
 
 
 def _merge_components(comp, n, crossings):
@@ -783,8 +795,7 @@ def isomorphic(a: Tiling, b: Tiling, seed=None, vertex_map=None) -> bool:
     sets it to per vertex of a its image in b, read off that map;
     otherwise the list is left as it is.
     """
-    if (a.num_faces, a.num_edges, a.num_vertices, a.num_components) != \
-            (b.num_faces, b.num_edges, b.num_vertices, b.num_components):
+    if a.counts != b.counts:
         return False
     if not a.h_face:
         return True

@@ -234,6 +234,15 @@ def test_bucket_count(name, n, k, buckets, classes):
     assert (rep.bucket_count, rep.class_count) == (buckets, classes)
 
 
+@pytest.mark.parametrize("name", ["Z", "Z3", "heis", "sol"])
+def test_cone_types_read_any_larger_ball(name):
+    # a larger ball gives B(n + k) the same ids, so one serves every n
+    big = ball(make_group(name), 7)
+    for n in range(2, 6):
+        assert cone_type_count(lambda r: big, n, 2) == \
+            cone_type_count(build(name), n, 2)
+
+
 def cube_ball(r):
     """B(r) of cube's cover as a BallData: the cells are the elements and
     the faces the generators, so a row names the cells across a cell's

@@ -176,6 +176,27 @@ def test_verify_parses_its_companion_spec_once(capsys, monkeypatch):
     assert loads == ["prism12.glue"]
 
 
+@pytest.mark.parametrize("argv, builds", [
+    (("cover", "--spec", "prism12", "--steps", "4"), False),
+    (("verify", "--rule", "nxs1", "--steps", "2"), True),
+], ids=["cover", "verify"])
+def test_only_verify_builds_the_cover_spheres(capsys, monkeypatch, argv,
+                                              builds):
+    # cover reads each sphere's counts off the ball; verify still needs
+    # the spheres to match against the rule's
+    made = []
+    init = Tiling.__init__
+
+    def spy(self, *args, **kw):
+        made.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(Tiling, "__init__", spy)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert bool(made) == builds
+
+
 def test_cayley_cones_stdout_stable_across_hash_seeds():
     code = ("from coversphere.cli import main; "
             "main(['cayley', '--group', 'heis', '--radius', '6', "

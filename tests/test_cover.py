@@ -5,7 +5,8 @@ import pytest
 
 from coversphere.cover import CoverError, CoverState, balls, build_cover
 from coversphere.gluing import parse_gluing
-from coversphere.tiling import STATUS_OF, isomorphic
+from coversphere.tiling import (STATUS_OF, TilingError, is_sphere_counts,
+                                isomorphic)
 
 
 def spheres(spec, n):
@@ -265,3 +266,42 @@ def test_boundary_names_deeper_keys_by_their_root(cube_spec):
     assert got.vertex_names == want.vertex_names
     assert got.edge_keys == want.edge_keys
     assert got.to_json() == want.to_json()
+    assert state.boundary_counts() == want.counts
+
+
+@pytest.mark.parametrize("name", ["cube", "prism12", "s2", "utn"])
+def test_boundary_counts_match_the_sphere(name):
+    for state in balls(load(name + ".glue"), 5):
+        want = state.boundary_sphere()
+        got = state.boundary_counts()
+        assert got == want.counts
+        assert is_sphere_counts(got) == want.is_sphere()
+
+
+def _counts_or_error(read):
+    try:
+        return read()
+    except TilingError as exc:
+        return str(exc)
+
+
+def test_boundary_counts_refer_a_reopened_pair_to_the_sphere(cube_spec):
+    # Reopening a glued pair of faces gives the boundary two more faces:
+    # on an edge class already open it has four sides, at a vertex class
+    # already open a second rotation orbit, and deep inside the ball a
+    # separate two-face pillow.  The first two Tiling refuses, and the
+    # reader must report what it reports; the pillow it must count.
+    *_, state = balls(cube_spec, 4)
+    partner = state.slot_partner
+    seen = set()
+    for s, t in enumerate(partner):
+        if t < s:
+            continue
+        partner[s] = partner[t] = -1
+        want = _counts_or_error(lambda: state.boundary_sphere().counts)
+        assert _counts_or_error(state.boundary_counts) == want
+        partner[s], partner[t] = t, s
+        seen.add(want if isinstance(want, tuple) else
+                 "orbits" if "two rotation orbits" in want else
+                 "sides" if "bounds 4 face sides" in want else want)
+    assert seen == {"sides", "orbits", (152, 304, 156, 2)}
