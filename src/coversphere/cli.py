@@ -54,11 +54,13 @@ def _cmd_rules(args):
 def _cmd_subdivide(args):
     entry = catalog.get_rule(args.rule)
     mode = entry.resolve_mode(args.mode)
-    faces, edges, verts = [], [], []
-    for t in growth.stage_tilings(entry, args.steps, mode):
-        faces.append(t.num_faces)
-        edges.append(t.num_edges)
-        verts.append(t.num_vertices)
+    if args.out:        # the last stage is written, so it is built
+        counts = []
+        for t in growth.stage_tilings(entry, args.steps, mode):
+            counts.append(t.counts)
+    else:
+        counts = growth.stage_counts(entry, args.steps, mode)
+    faces, edges, verts, _ = map(list, zip(*counts))
     if args.stats:
         _emit({"rule": entry.name, "mode": mode, "steps": args.steps,
                "face_counts": faces, "edge_counts": edges,

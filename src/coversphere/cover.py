@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from itertools import compress, count, repeat
-from operator import eq, lt
+from itertools import compress, repeat
+from operator import lt
 
 from .gluing import GluingSpec
-from .tiling import FRAGILE, LOADED, FaceTables, Tiling, mark
+from .tiling import (FRAGILE, LOADED, FaceTables, Tiling, mark,
+                     union_of_spheres)
 from .unionfind import UnionFind
 
 _LOADED, _FRAGILE = mark(LOADED), mark(FRAGILE)
@@ -223,14 +224,14 @@ class CoverState:
 
         Each open slot is a face; its sides are named by class root, by
         ``boundary_sphere``'s rule, and two faces that share an edge root
-        are joined.  When every edge root has exactly two sides and
-        V - E + F = 2 * components, the counts are those of a union of
-        spheres, which the Tiling would accept: the members of a cover
-        edge class join the same two vertex classes, since ``_glue``
-        unites edges with their endpoints, and the Euler bound that lets
-        ``Tiling`` skip ``_validate`` leaves no vertex a second rotation
-        orbit and no component another surface.  Otherwise the counts are
-        read off ``boundary_sphere()``, which reports what is wrong.
+        are joined.  When ``union_of_spheres`` certifies the counts, they
+        are those of a union of spheres, which the Tiling would accept
+        with the same counts: the members of a cover edge class join the
+        same two vertex classes, since ``_glue`` unites edges with their
+        endpoints, and the Euler bound that lets ``Tiling`` skip
+        ``_validate`` leaves no vertex a second rotation orbit and no
+        component another surface.  Otherwise the counts are read off
+        ``boundary_sphere()``, which reports what is wrong.
         """
         vfind, efind = self.verts.find, self.edges.find
         vparent, eparent = self.verts.parent, self.edges.parent
@@ -260,12 +261,11 @@ class CoverState:
                 elif n < 3:
                     sides[root] = n + 1
                     union(first[root], f)
-        nf, ne = len(faces.parent), len(sides) - sides.count(0)
-        nv, nc = seen.count(1), sum(map(eq, faces.parent, count()))
-        if sides.count(1) or sides.count(3) or nv - ne + nf != 2 * nc:
+        counts = union_of_spheres(sides, seen.count(1), faces)
+        if counts is None:
             del seen, sides, first, faces
             return self.boundary_sphere().counts
-        return nf, ne, nv, nc
+        return counts
 
 
 def balls(spec: GluingSpec, stages: int, cap: int | None = None):

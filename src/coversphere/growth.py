@@ -8,7 +8,9 @@ import math
 from dataclasses import dataclass, field
 
 from .catalog import GrowthError, RuleCatalogEntry
-from .rules import apply_replacement, apply_subdivision
+from .rules import (_replaced_faces, _subdivided_faces, apply_replacement,
+                    apply_subdivision)
+from .tiling import Tiling, certified_counts
 
 MAX_POLY_DEGREE = 4
 
@@ -84,25 +86,50 @@ def classify_growth(series) -> Classification:
                           evidence={"ratios": ratios})
 
 
+def _steps(entry: RuleCatalogEntry, mode):
+    """The rule a mode runs, and its step from a stage to the next stage
+    as a Tiling and as ``FaceTables``."""
+    if mode == "replacement":
+        return entry.rule.replacement, apply_replacement, _replaced_faces
+    return entry.rule.subdivision, apply_subdivision, _subdivided_faces
+
+
 def stage_tilings(entry: RuleCatalogEntry, n: int, mode=None):
-    """Yield tilings for stages 1..n of a catalog entry."""
-    mode = entry.resolve_mode(mode)
+    """Yield tilings for stages 1..n of a catalog entry, each built from
+    the one before.  Callers that need only the counts read
+    ``stage_counts``, which builds no Tiling of stage n."""
+    rule, step, _ = _steps(entry, entry.resolve_mode(mode))
     t = entry.initial
     yield t
     for _ in range(n - 1):
-        if mode == "replacement":
-            t = apply_replacement(entry.rule.replacement, t)
-        else:
-            t = apply_subdivision(entry.rule.subdivision, t)
+        t = step(rule, t)
         yield t
 
 
+def stage_counts(entry: RuleCatalogEntry, n: int, mode=None):
+    """Yield (faces, edges, vertices, components) for stages 1..n.
+
+    Stages 1..n-1 are built as tilings, since each step reads the stage
+    before.  Stage n is counted off the rule's face tables by
+    ``certified_counts``, once stage n-1 is released, and built as a
+    Tiling only when the tables cannot certify their counts, so a bad
+    surface raises the Tiling's error and any other gets its counts.
+    """
+    rule, _, faces = _steps(entry, entry.resolve_mode(mode))
+    if n < 2:
+        yield entry.initial.counts
+        return
+    for t in stage_tilings(entry, n - 1, mode):
+        yield t.counts
+    tables, stage = faces(rule, t), t.stage + 1
+    del t
+    yield certified_counts(tables) or Tiling(tables, stage=stage).counts
+
+
 def growth_report(entry: RuleCatalogEntry, n: int, mode=None) -> GrowthReport:
-    faces, edges, verts = [], [], []
+    """Stages 1..n's face, edge and vertex counts, by ``stage_counts``,
+    and the face counts' growth class."""
     mode = entry.resolve_mode(mode)
-    for t in stage_tilings(entry, n, mode):
-        faces.append(t.num_faces)
-        edges.append(t.num_edges)
-        verts.append(t.num_vertices)
+    faces, edges, verts, _ = map(list, zip(*stage_counts(entry, n, mode)))
     return GrowthReport(entry.name, mode, faces, edges, verts,
                         classify_growth(faces))

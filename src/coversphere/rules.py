@@ -515,7 +515,12 @@ def load_rule_file(path) -> Rule:
 
 
 def apply_subdivision(rule: SubdivisionRule, t: Tiling):
-    """Replace every face by its tile-type template, in one pass.
+    """Replace every face by its tile-type template, in one pass."""
+    return Tiling(_subdivided_faces(rule, t), stage=t.stage + 1)
+
+
+def _subdivided_faces(rule, t):
+    """The output faces of ``apply_subdivision`` as ``FaceTables``.
 
     A split edge's segments and inner vertices take their keys and ints
     when a face first splits it, in canonical orientation (from its lower
@@ -587,7 +592,7 @@ def apply_subdivision(rule: SubdivisionRule, t: Tiling):
                 "%d" % e)
         marks[e] = 0        # a split edge's key is not handed over
 
-    return Tiling(tables._replace(num_names=nv), stage=t.stage + 1)
+    return tables._replace(num_names=nv)
 
 
 # ---------------------------------------------------------------------

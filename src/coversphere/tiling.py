@@ -15,12 +15,12 @@ import json
 from array import array
 from collections import Counter, defaultdict
 from functools import cached_property
-from itertools import accumulate, compress, count, repeat
-from operator import add, mul, not_, sub
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, eq, mul, not_, sub
 from struct import Struct
 from typing import NamedTuple
 
-from .unionfind import UnionFind
+from .unionfind import UnionFind, int_range
 
 PLAIN = "plain"
 LOADED = "loaded"
@@ -324,7 +324,7 @@ class Tiling:
         the other way, by rotating its entries two places."""
         start, stops = self.face_start, self._face_stops()
         d = -1 if back else 1
-        step = array("i", range(d, len(self.h_face) + d))
+        step = int_range(d, len(self.h_face) + d)
         lasts = map(sub, stops, repeat(1))
         for h, x in zip(start, lasts) if back else zip(lasts, start):
             step[h] = x
@@ -532,6 +532,84 @@ def is_sphere_counts(counts):
     components) is one sphere: non-empty, connected, V - E + F = 2."""
     faces, edges, vertices, components = counts
     return faces > 0 and components == 1 and vertices - edges + faces == 2
+
+
+def union_of_spheres(sides, num_vertices, faces):
+    """The (faces, edges, vertices, components) of a surface whose side
+    counts certify it a union of spheres, else None.  ``sides`` holds per
+    key its number of sides, 3 standing for three or more, the keys with
+    a side being the edges, and ``faces`` is the ``UnionFind`` that
+    joined the faces sharing a key.  The counts certify when every edge
+    has exactly two sides and V - E + F = 2 * components: the Euler bound
+    that lets ``Tiling`` skip ``_validate``, argued in
+    ``certified_counts``."""
+    nf, ne = len(faces.parent), len(sides) - sides.count(0)
+    nc = sum(map(eq, faces.parent, count()))
+    if sides.count(1) or sides.count(3) or num_vertices - ne + nf != 2 * nc:
+        return None
+    return nf, ne, num_vertices, nc
+
+
+def certified_counts(tables):
+    """The (faces, edges, vertices, components) that ``Tiling(tables)``
+    would report, or None when the tables cannot prove them.  It only
+    reads the tables, so a caller can still build the Tiling from them.
+
+    One pass over the sides checks that every face has at least 3 sides
+    and the tables agree in length, that every name and key is in range
+    and every used key's mark known, that no side starts and ends at the
+    same name, and that every key has exactly two sides, both joining
+    the same two names; ``union_of_spheres`` then asks V - E + F = 2C,
+    C the components of faces joined by keys.  Such sides glue the faces
+    into a closed surface, whose vertices are the rotation orbits, and
+    every name lies in at least one orbit, so V <= orbits.  Each
+    component has orbits - E + F <= 2, with equality only for the
+    sphere (a non-orientable one has at most 1).  So equality leaves
+    every component a sphere and every name a single orbit: exactly the
+    tables ``Tiling`` accepts without ``_validate``, with these counts.
+    """
+    labels, sizes, names, keys, marks, num_names = tables
+    if (min(sizes, default=3) < 3 or len(labels) != len(sizes)
+            or not sum(sizes) == len(names) == len(keys)
+            or min(names, default=0) < 0 or min(keys, default=0) < 0):
+        return None
+    # per side, the name it ends at: the next side's, the last side of a
+    # face wrapping round to the first
+    ends = chain.from_iterable(
+        names[s + 1:s + k] + names[s:s + 1]
+        for s, k in zip(accumulate(sizes, initial=0), sizes))
+    seen = bytearray(num_names)
+    sides = bytearray(len(marks))
+    # per key, its first side's ends and face
+    first_a, first_b, first_f = (array("i", [0]) * len(marks)
+                                 for _ in range(3))
+    faces = UnionFind(len(sizes))
+    union = faces.union
+    try:        # a name or key past its range stops the pass
+        for k, a, b, f in zip(keys, names, ends, chain.from_iterable(
+                map(repeat, range(len(sizes)), sizes))):
+            if a == b:
+                return None
+            seen[a] = 1
+            n = sides[k]
+            if not n:
+                sides[k] = 1
+                first_a[k] = a
+                first_b[k] = b
+                first_f[k] = f
+            elif n == 1:
+                c, d = first_a[k], first_b[k]
+                if not (a == c and b == d or a == d and b == c):
+                    return None
+                sides[k] = 2
+                union(first_f[k], f)
+            else:
+                return None
+    except IndexError:
+        return None
+    if bytes(compress(marks, sides)).translate(None, MARKS):
+        return None
+    return union_of_spheres(sides, seen.count(1), faces)
 
 
 def _merge_components(comp, n, crossings):

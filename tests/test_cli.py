@@ -197,6 +197,28 @@ def test_only_verify_builds_the_cover_spheres(capsys, monkeypatch, argv,
     assert bool(made) == builds
 
 
+@pytest.mark.parametrize("argv, last", [
+    ("growth --rule nxs1 --steps 4", 3),
+    ("subdivide --rule barycentric --steps 4 --stats -", 3),
+    ("subdivide --rule barycentric --steps 4 --out -", 4),
+], ids=["growth", "stats", "out"])
+def test_last_rule_stage_is_counted_not_built(capsys, monkeypatch, argv,
+                                              last):
+    # growth and subdivide --stats count the last stage off the rule's
+    # face tables; only --out, which writes it, builds it
+    stages = []
+    init = Tiling.__init__
+
+    def spy(self, *args, stage=0, **kw):
+        stages.append(stage)
+        init(self, *args, stage=stage, **kw)
+
+    monkeypatch.setattr(Tiling, "__init__", spy)
+    code, _, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert max(stages) == last
+
+
 def test_cayley_cones_stdout_stable_across_hash_seeds():
     code = ("from coversphere.cli import main; "
             "main(['cayley', '--group', 'heis', '--radius', '6', "
@@ -209,6 +231,9 @@ def test_cayley_cones_stdout_stable_across_hash_seeds():
 @pytest.mark.parametrize("argv", [
     "subdivide --rule nxs1 --steps 3 --out -",
     "subdivide --rule torus3 --steps 3 --mode subdivision --out -",
+    "subdivide --rule barycentric --steps 4 --stats -",
+    "growth --rule nxs1 --steps 4",
+    "growth --rule s2xr --steps 4",
     "cover --spec prism12 --steps 4",
     "verify --rule s2xr --steps 3",
     "verify --rule nxs1 --steps 4",

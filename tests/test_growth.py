@@ -1,8 +1,17 @@
+import re
+from array import array
+from itertools import chain
+
 import pytest
 
-from coversphere.catalog import get_rule
+from coversphere import growth
+from coversphere.catalog import get_rule, list_rules
 from coversphere.growth import (GrowthError, classify_growth, growth_report,
-                                stage_tilings)
+                                stage_counts, stage_tilings)
+from coversphere.tiling import FaceTables, Tiling, _flatten, certified_counts
+from test_cover import _counts_or_error
+from test_isomorphism import square_torus
+from test_tiling import MISJOINED_TETRA
 
 
 def face_counts(entry, n, mode=None):
@@ -73,3 +82,67 @@ def test_report_mode_mismatch():
         face_counts(get_rule("nxs1"), 3, "subdivision")
     with pytest.raises(GrowthError):
         growth_report(get_rule("nxs1"), 3, "subdivision")
+
+
+def face_tables(t):
+    """A tiling's faces as new ``FaceTables``, by vertex and edge id."""
+    faces = range(t.num_faces)
+    return FaceTables(
+        [*t.face_labels], array("i", map(len, map(t.face_vertices, faces))),
+        array("i", chain.from_iterable(map(t.face_vertices, faces))),
+        array("i", chain.from_iterable(map(t.face_edges, faces))),
+        bytearray(t.edge_marks), t.num_vertices)
+
+
+@pytest.mark.parametrize("name, mode", [
+    (name, mode) for name, _, modes in list_rules() for mode in modes])
+def test_certified_counts_match_the_tiling(name, mode):
+    # Every catalog stage 1-5 certifies its counts, and they are the
+    # Tiling's: stages 1-4 as the tables of the built stage, and stages
+    # 2-5 as the tables the rule's step makes.  A Tiling consumes its
+    # tables, so each side gets tables of its own.
+    entry = get_rule(name)
+    rule, _, faces = growth._steps(entry, mode)
+    for t in stage_tilings(entry, 4, mode):
+        for make in (lambda: face_tables(t), lambda: faces(rule, t)):
+            assert certified_counts(make()) == Tiling(make()).counts
+
+
+def int_tables(keys):
+    """Four triangles with names 0, 1, 2 and the given int keys."""
+    return FaceTables(["t"] * 4, array("i", [3] * 4),
+                      array("i", [0, 1, 2] * 4), array("i", keys),
+                      bytearray(max(keys) + 1), 3)
+
+
+TETRA = [("t", c) for c in ((0, 2, 1), (0, 1, 3), (1, 2, 3), (2, 0, 3))]
+
+
+@pytest.mark.parametrize("make, want", [
+    (lambda: face_tables(Tiling(square_torus(4, 4))), (16, 32, 16, 1)),
+    # two tetrahedra that share the name of vertex 3
+    (lambda: _flatten(TETRA + [("t", [v + 3 for v in c])
+                               for _, c in TETRA])[0], "two rotation orbits"),
+    (lambda: _flatten(MISJOINED_TETRA)[0], "joins"),
+    (lambda: int_tables([5, 1, 2, 5, 3, 4, 5, 7, 8, 6, 1, 3]),
+     "edge 5 bounds 3 face sides"),
+    (lambda: int_tables([10, 11, 12, 10, 13, 14, 15, 16, 17, 16, 11, 13]),
+     "edge 12 bounds 1 face sides"),
+    # a sphere cut by the loop side a-a, b inside it and c outside
+    (lambda: _flatten([("t", "aab", "xyy"), ("t", "aac", "xww")])[0],
+     (2, 3, 3, 1)),
+], ids=["torus", "shared-vertex", "misjoined", "three-sides", "one-side",
+        "loop"])
+def test_uncertified_last_stage_is_counted_by_its_tiling(monkeypatch, make,
+                                                         want):
+    # Tables the certificate cannot vouch for are built as a Tiling, so
+    # the last stage gets the Tiling's counts or raises its error.
+    assert certified_counts(make()) is None
+    expected = _counts_or_error(lambda: Tiling(make()).counts)
+    if isinstance(want, tuple):
+        assert expected == want
+    else:
+        assert re.search(want, expected)
+    monkeypatch.setattr(growth, "_replaced_faces", lambda rule, t: make())
+    assert _counts_or_error(
+        lambda: [*stage_counts(get_rule("nxs1"), 2)][-1]) == expected

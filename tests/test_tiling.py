@@ -14,7 +14,8 @@ from coversphere.growth import stage_tilings
 from coversphere.rules import (_replaced_faces, apply_replacement,
                                apply_subdivision)
 from coversphere.tiling import (ADDED, STATUSES, FaceTables, Tiling,
-                                TilingError, isomorphic, mark)
+                                TilingError, certified_counts, isomorphic,
+                                mark)
 from test_cli import python
 from test_isomorphism import square_torus
 
@@ -500,6 +501,18 @@ def test_zipping_is_compact_while_built():
     tables, held, peak = traced_build(lambda: _replaced_faces(rule, t))
     half_edges = len(tables.names)
     assert peak - held <= 10 * half_edges
+
+
+def test_certified_count_is_compact():
+    # Counting a stage off its face tables holds a byte per name and per
+    # key, three ints per key and a union-find over the faces: about 10.4
+    # traced bytes per side over the tables, where building the stage
+    # from them peaks about 16.4 over them (29.7 with the tables).
+    rule, t = nxs1_stage3()
+    tables = _replaced_faces(rule, t)
+    counts, _, peak = traced_build(lambda: certified_counts(tables))
+    assert counts == (10382, 27684, 17304, 1)
+    assert peak <= 13 * len(tables.names)
 
 
 def test_cover_sphere_is_compact_when_held():
