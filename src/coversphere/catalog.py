@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
 
-from .cover import build_cover
+from .cover import CoverState
 from .gluing import GluingSpec, load_gluing_spec
 from .rules import Rule, load_rule_file
 from .tiling import Tiling
@@ -47,7 +47,7 @@ class RuleCatalogEntry:
         """The stage-1 tiling the rule acts on, built on first read."""
         if self.companion is None:
             return self.start()
-        return build_cover(self.spec, 1).boundary_sphere()
+        return CoverState(self.spec).boundary_sphere()
 
     @property
     def modes(self):

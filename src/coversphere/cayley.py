@@ -123,11 +123,6 @@ class BallData:
     inv: list
     nbr: list
 
-    def sphere(self, k):
-        if not 0 <= k <= self.radius:
-            return []
-        return self.elements[self.offsets[k]:self.offsets[k + 1]]
-
     def ball_size(self, k):
         return self.offsets[min(k, self.radius) + 1] if k >= 0 else 0
 

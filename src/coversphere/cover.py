@@ -280,8 +280,3 @@ def balls(spec: GluingSpec, stages: int, cap: int | None = None):
     yield state
     for _ in range(stages - 1):
         yield state.expand()
-
-
-def build_cover(spec: GluingSpec, stages: int) -> CoverState:
-    *_, state = balls(spec, stages)
-    return state

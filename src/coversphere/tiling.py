@@ -20,7 +20,7 @@ from operator import add, eq, mul, not_, sub
 from struct import Struct
 from typing import NamedTuple
 
-from .unionfind import UnionFind, int_range
+from .unionfind import UnionFind
 
 PLAIN = "plain"
 LOADED = "loaded"
@@ -124,10 +124,13 @@ class Tiling:
         labels, sizes, names, keys, marks, num_names = tables
         if min(sizes, default=3) < 3:
             raise _short_face([n < 3 for n in sizes].index(True))
-        if not sum(sizes) == len(names) == len(keys):
+        if not (len(labels) == len(sizes)
+                and sum(sizes) == len(names) == len(keys)):
             raise TilingError(
-                "face tables disagree: faces of %d sides in all, %d vertex "
-                "names, %d edge keys" % (sum(sizes), len(names), len(keys)))
+                "face tables disagree: %d face labels, %d faces of %d sides "
+                "in all, %d vertex names, %d edge keys" % (
+                    len(labels), len(sizes), sum(sizes), len(names),
+                    len(keys)))
         # A negative int would index the lookup tables below from their
         # end; one past its range stops the numbering pass there.
         if min(names, default=0) < 0 or min(keys, default=0) < 0:
@@ -324,7 +327,7 @@ class Tiling:
         the other way, by rotating its entries two places."""
         start, stops = self.face_start, self._face_stops()
         d = -1 if back else 1
-        step = int_range(d, len(self.h_face) + d)
+        step = array("i", range(d, len(self.h_face) + d))
         lasts = map(sub, stops, repeat(1))
         for h, x in zip(start, lasts) if back else zip(lasts, start):
             step[h] = x
@@ -392,9 +395,6 @@ class Tiling:
 
     def euler_characteristic(self):
         return self.num_vertices - self.num_edges + self.num_faces
-
-    def is_connected(self):
-        return self.num_components == 1
 
     @property
     def counts(self):

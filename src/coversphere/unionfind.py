@@ -16,33 +16,17 @@ from operator import ne
 from struct import pack
 
 
-_RUN = 1 << 10      # ints packed at a time by ``int_range``
-
-
-def int_range(start: int, stop: int) -> array:
-    """``array('i', range(start, stop))``, filled with the packed bytes of
-    runs of ints, more than twice as quick as appending int by int.  A
-    run holds at most ``_RUN`` ints, which bounds the tuple it unpacks."""
-    ints = array("i")
-    for a in range(start, stop, _RUN):
-        b = min(a + _RUN, stop)
-        ints.frombytes(pack("%di" % (b - a), *range(a, b)))
-    return ints
-
-
 class UnionFind:
     __slots__ = ("parent", "size")
 
     def __init__(self, n: int):
-        self.parent = int_range(0, n)
+        self.parent = array("i", range(n))
         self.size = array("i", [1]) * n     # class size, valid at roots
 
     def add(self, n: int):
         """Append n singletons: their keys packed as the bytes of ints,
         and a run of sizes made by repeating one entry, both quicker than
-        extending an array int by int.  The keys are packed in one run,
-        not by ``int_range``, whose loop costs a cover about 0.4 us a
-        call, for a cell's few keys."""
+        extending an array int by int."""
         start = len(self.parent)
         self.parent.frombytes(pack("%di" % n, *range(start, start + n)))
         self.size += array("i", [1]) * n

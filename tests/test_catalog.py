@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from coversphere.catalog import CatalogError, get_rule, list_rules, load_spec
-from coversphere.cover import build_cover
+from coversphere.cover import balls
 from coversphere.rules import apply_replacement
 from coversphere.tiling import isomorphic
 
@@ -62,24 +62,18 @@ def test_s2xr_initial_two_sphere_components():
 
 def test_nxs1_matches_companion_cover():
     e = get_rule("nxs1")
-    state = build_cover(load_spec("prism12"), 1)
     t = e.initial
     counts = []
-    for _ in range(3):
-        sphere = state.boundary_sphere()
+    for state in balls(load_spec("prism12"), 3):
         counts.append(len(t.face_start))
-        assert isomorphic(t, sphere)
-        state.expand()
+        assert isomorphic(t, state.boundary_sphere())
         t = apply_replacement(e.rule.replacement, t)
     assert counts == [14, 158, 1310]
 
 
 def test_utn_cover_isomorphic_to_prism12_cover():
-    s1 = build_cover(load_spec("prism12"), 1)
-    s2 = build_cover(load_spec("utn"), 1)
-    for _ in range(3):
+    for s1, s2 in zip(balls(load_spec("prism12"), 3),
+                      balls(load_spec("utn"), 3)):
         b1, b2 = s1.boundary_sphere(), s2.boundary_sphere()
         assert b1.is_sphere() and b2.is_sphere()
         assert isomorphic(b1, b2)
-        s1.expand()
-        s2.expand()

@@ -6,7 +6,7 @@ import pytest
 from coversphere.catalog import load_spec
 from coversphere.cayley import (BallData, CayleyError, _dist_within,
                                 ac_profile, ball, cone_type_count, make_group)
-from coversphere.cover import balls, build_cover
+from coversphere.cover import balls
 
 
 def build(name):
@@ -101,21 +101,20 @@ def test_cone_classes_refine_with_depth():
 
 
 def test_cube_cover_cells_match_z3_balls():
-    state = build_cover(load_spec("cube"), 1)
     bd = ball(make_group("Z3"), 5)
-    for n in range(5):
+    for n, state in enumerate(balls(load_spec("cube"), 5)):
         assert state.num_cells == bd.ball_size(n)
-        state.expand()
 
 
 def test_ball_neighbour_list_matches_multiplication():
     for name, n in (("Z", 3), ("heis", 4), ("sol", 3)):
         g = make_group(name)
         bd = ball(g, n)
-        assert [e for k in range(n + 1) for e in bd.sphere(k)] == \
+        assert [e for k in range(n + 1)
+                for e in bd.elements[bd.offsets[k]:bd.offsets[k + 1]]] == \
             bd.elements
         for k in range(n + 1):
-            sphere = bd.sphere(k)
+            sphere = bd.elements[bd.offsets[k]:bd.offsets[k + 1]]
             assert sphere == sorted(sphere)
             # word length k: a step back into S(k - 1), none further
             for i in range(bd.ball_size(k - 1), bd.ball_size(k)):

@@ -22,6 +22,23 @@ def python(code, seed="0"):
                           check=True).stdout
 
 
+def klein_bottle():
+    """The 3 x 3 square grid closed up along its columns as a torus is,
+    and along its rows with a flip, (i, 3) glued to (-i, 0): a Klein
+    bottle, as a tiling document.  No other edge joins an edge's two
+    ends, so they name it."""
+    def v(i, j):
+        return (-i if j == 3 else i) % 3 * 3 + j % 3
+    faces = [[v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1)]
+             for i in range(3) for j in range(3)]
+    sides = [["%d-%d" % (min(a, b), max(a, b))
+              for a, b in zip(vs, vs[1:] + vs[:1])] for vs in faces]
+    return {"faces": [{"id": f, "type": "sq", "vertices": vs, "edges": es}
+                      for f, (vs, es) in enumerate(zip(faces, sides))],
+            "edges": [{"id": k, "status": "plain"}
+                      for k in sorted({k for es in sides for k in es})]}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -42,6 +59,16 @@ def test_subdivide_stats(capsys):
                        "--stats", "-")
     assert code == 0
     assert json.loads(out)["face_counts"] == [6, 30, 78]
+
+
+def test_subdivide_stats_of_the_start_alone(capsys):
+    # one stage is the rule's start, counted with no step taken
+    code, out, _ = run(capsys, "subdivide", "--rule", "nxs1", "--steps", "1",
+                       "--stats", "-")
+    assert code == 0
+    data = json.loads(out)
+    assert [data[k] for k in ("face_counts", "edge_counts", "vertex_counts")] \
+        == [[14], [36], [24]]
 
 
 def test_determinism(capsys):
@@ -415,6 +442,7 @@ def test_pack_roundtrip(tmp_path, capsys):
                  "edges": [2, 1, 0]}],
       "edges": [{"id": e, "status": "plain"} for e in range(3)]},
      'tiling: stage must be a non-negative int, not "1"'),
+    (klein_bottle(), "faces 7/8 cannot be oriented compatibly"),
 ])
 def test_pack_rejects_malformed_tiling(tmp_path, capsys, doc, where):
     path = tmp_path / "bad.json"
@@ -441,6 +469,15 @@ def test_pack_locates_an_edge_whose_sides_join_different_vertices(
     assert (code, out) == (2, "")
     assert err == ("error: edge 1 joins 2 to 3 on one side and 1 to 0 on "
                    "the other\n")
+
+
+def test_pack_rejects_a_face_the_tiling_lacks(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    code, _, _ = run(capsys, "subdivide", "--rule", "torus3", "--steps", "1",
+                     "--out", str(path))
+    assert code == 0
+    code, out, err = run(capsys, "pack", "--in", str(path), "--open", "999")
+    assert (code, out, err) == (2, "", "error: no such face: 999\n")
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0", "1e-300"])

@@ -3,7 +3,7 @@ from array import array
 
 import pytest
 
-from coversphere.cover import CoverError, CoverState, balls, build_cover
+from coversphere.cover import CoverError, CoverState, balls
 from coversphere.gluing import parse_gluing
 from coversphere.tiling import (STATUS_OF, TilingError, is_sphere_counts,
                                 isomorphic)
@@ -106,16 +106,16 @@ def test_shell_cover_two_sphere_boundary():
 
 
 def test_expand_is_deterministic(cube_spec):
-    a = build_cover(cube_spec, 4).boundary_sphere()
-    b = build_cover(cube_spec, 4).boundary_sphere()
-    assert a.to_json() == b.to_json()
+    *_, a = balls(cube_spec, 4)
+    *_, b = balls(cube_spec, 4)
+    assert a.boundary_sphere().to_json() == b.boundary_sphere().to_json()
 
 
 def test_wrong_cycle_lengths_fail_at_a_fold():
     spec = load("cube.glue")
     spec.cycle = [3] * len(spec.cycle)
     with pytest.raises(CoverError, match="folding mismatch"):
-        build_cover(spec, 4)
+        list(balls(spec, 4))
 
 
 def test_fold_scans_each_edge_class_once(monkeypatch):
@@ -211,7 +211,7 @@ def test_balls_expand_only_when_the_next_ball_is_requested(cube_spec,
 @pytest.mark.parametrize("n", [0, -1])
 def test_balls_rejects_fewer_than_one_stage(cube_spec, n):
     with pytest.raises(CoverError, match="at least 1"):
-        build_cover(cube_spec, n)
+        next(balls(cube_spec, n))
 
 
 def test_cap_stops_expand_at_the_cell_past_it():
@@ -249,23 +249,32 @@ def deepen(uf, keys):
     raise AssertionError("no class with two non-root members")
 
 
-def test_boundary_names_deeper_keys_by_their_root(cube_spec):
+def test_boundary_names_deeper_keys_by_their_root(cube_spec, monkeypatch):
     # Every parent in the bundled specs' balls is a root; a deeper chain
-    # must still name each vertex and edge by its class root.
-    *_, state = balls(cube_spec, 3)
-    want = state.boundary_sphere()
-    F = state.F
-    spec = state.spec
-    for uf, per_cell, table in ((state.verts, state.NV, spec.face_verts),
-                                (state.edges, state.NE, spec.face_edges)):
-        keys = [s // F * per_cell + x for s in state.open_slots()
-                for x in table[s % F]]
-        k, root = deepen(uf, keys)
-        assert uf.parent[k] != root == uf.parent[uf.parent[k]]
-    got = state.boundary_sphere()
+    # must still name each vertex and edge by its class root.  ``find``
+    # halves the chains it walks, so each read gets a freshly deepened
+    # ball.
+    def deepened():
+        *_, state = balls(cube_spec, 3)
+        F = state.F
+        spec = state.spec
+        for uf, per_cell, table in ((state.verts, state.NV, spec.face_verts),
+                                    (state.edges, state.NE, spec.face_edges)):
+            keys = [s // F * per_cell + x for s in state.open_slots()
+                    for x in table[s % F]]
+            k, root = deepen(uf, keys)
+            assert uf.parent[k] != root == uf.parent[uf.parent[k]]
+        return state
+
+    *_, plain = balls(cube_spec, 3)
+    want = plain.boundary_sphere()
+    got = deepened().boundary_sphere()
     assert got.vertex_names == want.vertex_names
     assert got.edge_keys == want.edge_keys
     assert got.to_json() == want.to_json()
+    # the counts are certified off the deep chains, not read off a sphere
+    state = deepened()
+    monkeypatch.setattr(CoverState, "boundary_sphere", None)
     assert state.boundary_counts() == want.counts
 
 

@@ -12,13 +12,16 @@ import pytest
 
 from coversphere.catalog import get_rule, load_spec
 from coversphere.cli import main
-from coversphere.cover import build_cover
+from coversphere.cover import balls
 from coversphere.growth import stage_tilings
 from coversphere.tiling import ADDED, STATUSES
 
 
 def cover_sphere(spec, n):
-    return lambda: build_cover(load_spec(spec), n).boundary_sphere()
+    def make():
+        *_, state = balls(load_spec(spec), n)
+        return state.boundary_sphere()
+    return make
 
 
 def rule_stage(rule, n, mode):

@@ -116,6 +116,16 @@ def int_tables(keys):
 
 
 TETRA = [("t", c) for c in ((0, 2, 1), (0, 1, 3), (1, 2, 3), (2, 0, 3))]
+# TETRA's names and keys as tables: ints numbered by first appearance
+TETRA_NAMES = [0, 1, 2, 0, 2, 3, 2, 1, 3, 1, 0, 3]
+TETRA_KEYS = [0, 1, 2, 2, 3, 4, 1, 5, 3, 0, 4, 5]
+
+
+def tetra_tables(labels=4, sizes=(3, 3, 3, 3), names=TETRA_NAMES,
+                 keys=TETRA_KEYS, marks=bytes(6)):
+    """TETRA's ``FaceTables``, any of whose tables a case may replace."""
+    return FaceTables(["t"] * labels, array("i", sizes), array("i", names),
+                      array("i", keys), bytearray(marks), 4)
 
 
 @pytest.mark.parametrize("make, want", [
@@ -131,8 +141,24 @@ TETRA = [("t", c) for c in ((0, 2, 1), (0, 1, 3), (1, 2, 3), (2, 0, 3))]
     # a sphere cut by the loop side a-a, b inside it and c outside
     (lambda: _flatten([("t", "aab", "xyy"), ("t", "aac", "xww")])[0],
      (2, 3, 3, 1)),
+    (lambda: tetra_tables(sizes=(2, 4, 3, 3)),
+     "face 0: fewer than 3 boundary vertices"),
+    (lambda: tetra_tables(labels=5), "face tables disagree: 5 face labels"),
+    (lambda: tetra_tables(keys=TETRA_KEYS[:-1]),
+     "face tables disagree: 4 face labels, 4 faces of 12 sides in all, 12 "
+     "vertex names, 11 edge keys"),
+    (lambda: tetra_tables(names=[-1, *TETRA_NAMES[1:]]),
+     r"vertex name -1 is outside the declared range\(4\)"),
+    (lambda: tetra_tables(names=[4, *TETRA_NAMES[1:]]),
+     r"vertex name 4 is outside the declared range\(4\)"),
+    (lambda: tetra_tables(keys=[-1, *TETRA_KEYS[1:]]),
+     r"edge key -1 is outside the declared range\(6\)"),
+    (lambda: tetra_tables(keys=[6, *TETRA_KEYS[1:]]),
+     r"edge key 6 is outside the declared range\(6\)"),
+    (lambda: tetra_tables(marks=[3, 0, 0, 0, 0, 0]), "unknown edge mark 3"),
 ], ids=["torus", "shared-vertex", "misjoined", "three-sides", "one-side",
-        "loop"])
+        "loop", "short-face", "labels", "lengths", "negative-name",
+        "name-range", "negative-key", "key-range", "unknown-mark"])
 def test_uncertified_last_stage_is_counted_by_its_tiling(monkeypatch, make,
                                                          want):
     # Tables the certificate cannot vouch for are built as a Tiling, so

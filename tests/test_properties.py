@@ -63,7 +63,8 @@ def test_word_inverse_cancels(name, data):
 def test_ball_sizes_monotone(name, n):
     bd = ball(make_group(name), n + 1)
     assert bd.ball_size(n) <= bd.ball_size(n + 1)
-    assert len(bd.sphere(n + 1)) == bd.ball_size(n + 1) - bd.ball_size(n)
+    assert len(bd.elements[bd.offsets[n + 1]:bd.offsets[n + 2]]) == \
+        bd.ball_size(n + 1) - bd.ball_size(n)
 
 
 @settings(max_examples=20, deadline=None)

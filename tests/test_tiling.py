@@ -16,7 +16,7 @@ from coversphere.rules import (_replaced_faces, apply_replacement,
 from coversphere.tiling import (ADDED, STATUSES, FaceTables, Tiling,
                                 TilingError, certified_counts, isomorphic,
                                 mark)
-from test_cli import python
+from test_cli import klein_bottle, python
 from test_isomorphism import square_torus
 
 
@@ -73,9 +73,14 @@ def test_rejects_edge_cycle_of_other_length():
     ((["t"], [2], [0, 1], [0, 1], bytearray(2), 2),
      "face 0: fewer than 3 boundary vertices"),
     ((["t", "t"], [3, 3], [0, 1, 2], [0, 1, 2], bytearray(3), 3),
-     "face tables disagree: faces of 6 sides in all, 3 vertex names, 3 "
-     "edge keys"),
-], ids=["short-face", "sides"])
+     "face tables disagree: 2 face labels, 2 faces of 6 sides in all, 3 "
+     "vertex names, 3 edge keys"),
+    # a tetrahedron's tables with a fifth label
+    ((["t"] * 5, [3] * 4, [0, 1, 2, 0, 2, 3, 2, 1, 3, 1, 0, 3],
+      [0, 1, 2, 2, 3, 4, 1, 5, 3, 0, 4, 5], bytearray(6), 4),
+     "face tables disagree: 5 face labels, 4 faces of 12 sides in all, 12 "
+     "vertex names, 12 edge keys"),
+], ids=["short-face", "sides", "labels"])
 def test_rejects_inconsistent_face_tables(tables, message):
     with pytest.raises(TilingError) as exc:
         Tiling(FaceTables(*tables))
@@ -189,6 +194,13 @@ def test_rejects_an_edge_whose_sides_join_different_vertices(faces, message):
         Tiling(faces)
 
 
+def test_rejects_a_klein_bottle():
+    with pytest.raises(TilingError) as exc:
+        Tiling.from_dict(klein_bottle())
+    assert str(exc.value) == ("inconsistent rotation system: faces 7/8 "
+                              "cannot be oriented compatibly")
+
+
 def test_rejects_split_vertex():
     # two squares glued along two opposite edges: an annulus, not closed
     with pytest.raises(TilingError):
@@ -297,7 +309,7 @@ def test_not_isomorphic_different_labels():
 def test_components_and_disjoint_iso():
     two = Tiling(cube_faces() +
                  [("t", ("a", "b", "c")), ("t", ("a", "c", "b"))])
-    assert not two.is_connected()
+    assert two.num_components == 2
     assert len(two.components()) == 2
     assert two.euler_characteristic() == 4
     one = two.restrict(two.components()[0])
@@ -392,7 +404,10 @@ def test_table_path_matches_per_face_path(monkeypatch, grow, built):
                                          keys=faces.keys[:]), kw, t))
         init(t, faces, **kw)
 
-    catalog.list_rules()    # builds the catalog's initial tilings first
+    # the catalog's stage-1 tilings are built on first read: read them
+    # before the spy, so that it counts only the stages grown
+    for name, *_ in catalog.list_rules():
+        catalog.get_rule(name).initial
     monkeypatch.setattr(Tiling, "__init__", recorded)
     [*grow()]
     assert len(calls) == built
@@ -627,7 +642,7 @@ def test_components_match_a_twin_search(name):
     t = Tiling(CONNECTIVITY_CASES[name])
     comps = twin_components(t)
     assert t.components() == comps
-    assert t.is_connected() == (len(comps) == 1)
+    assert t.num_components == len(comps)
     assert t.loaded_vertices == loaded_by_definition(t) == set()
 
 
